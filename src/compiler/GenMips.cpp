@@ -35,7 +35,7 @@ class MipsGen final : public TargetGen {
     auto It = AddrCache.find(Loc);
     if (It != AddrCache.end())
       return It->second;
-    std::string R = strFormat("s%u", AddrCache.size() % 8);
+    std::string R = strFormat("s%zu", AddrCache.size() % 8);
     emit("lui", {AsmOperand::reg(R), AsmOperand::sym(Loc, "hi")});
     emit("daddiu",
          {AsmOperand::reg(R), AsmOperand::reg(R), AsmOperand::sym(Loc, "lo")});

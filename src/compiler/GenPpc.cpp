@@ -30,7 +30,7 @@ class PpcGen final : public TargetGen {
     auto It = AddrCache.find(Loc);
     if (It != AddrCache.end())
       return It->second;
-    std::string R = strFormat("r%u", 20 + AddrCache.size() % 8);
+    std::string R = strFormat("r%zu", 20 + AddrCache.size() % 8);
     emit("lis", {AsmOperand::reg(R), AsmOperand::sym(Loc, "ha")});
     emit("addi",
          {AsmOperand::reg(R), AsmOperand::reg(R), AsmOperand::sym(Loc, "l")});

@@ -31,7 +31,7 @@ class RiscVGen final : public TargetGen {
     auto It = AddrCache.find(Loc);
     if (It != AddrCache.end())
       return It->second;
-    std::string R = strFormat("t%u", AddrCache.size() % 7);
+    std::string R = strFormat("t%zu", AddrCache.size() % 7);
     emit("lui", {AsmOperand::reg(R), AsmOperand::sym(Loc, "hi")});
     emit("addi", {AsmOperand::reg(R), AsmOperand::reg(R),
                   AsmOperand::sym(Loc, "lo")});

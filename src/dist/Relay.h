@@ -6,23 +6,24 @@
 ///
 /// \file
 /// The tier layer of the campaign service: a relay connects *upstream*
-/// to a work server (or another relay) exactly like a worker -- Hello,
-/// GetWork, Result -- and *downstream* accepts workers exactly like a
-/// server, re-leasing the units it pulled. One coordinator can front N
-/// servers' worth of workers; a server sees one well-behaved worker per
-/// relay instead of a thousand sockets.
+/// to a work server (or another relay) exactly like a worker -- Hello
+/// (the worker's own openWorkerLink), GetWork, Result -- and
+/// *downstream* accepts workers through the server's own lease front
+/// (LeaseFront.h), re-leasing the units it pulled. One coordinator can
+/// front N servers' worth of workers; a server sees one well-behaved
+/// worker per relay instead of a thousand sockets.
 ///
 /// The relay never interprets results: unit bodies and result payloads
 /// are forwarded byte-verbatim (after bounds-checked validation), so a
 /// relayed campaign's merged JSON is byte-identical to a flat one -- the
 /// invariant the 1xNxM bench sweep and the CI relay drill pin with cmp.
 ///
-/// Fault model, downstream: the same lease/requeue discipline as the
-/// server (LeaseScheduler.h) -- a dead worker's units re-lease to its
-/// siblings behind the same relay. Fault model, upstream: the relay IS a
-/// worker, so a dead relay's whole allotment requeues at the server and
-/// flows to the surviving relays; the relay itself treats an upstream
-/// disconnect before Done as fatal (its workers reconnect elsewhere).
+/// Fault model, downstream: the server's, by construction (the same
+/// LeaseFront) -- a dead worker's units re-lease to its siblings behind
+/// the same relay. Fault model, upstream: the relay IS a worker, so a
+/// dead relay's whole allotment requeues at the server and flows to the
+/// surviving relays; the relay itself treats an upstream disconnect
+/// before Done as fatal (its workers reconnect elsewhere).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +57,6 @@ struct RelayOptions {
   /// How long start() retries the upstream connect (the relay usually
   /// races the server's bind in deployment scripts).
   double ConnectRetrySeconds = 10.0;
-  /// Backpressure target for downstream adaptive lease sizing.
-  double TargetLeaseSeconds = 1.0;
   bool Verbose = false;
 };
 

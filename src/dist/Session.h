@@ -8,9 +8,9 @@
 /// The transport tier of the campaign service (docs/DISTRIBUTED.md):
 /// everything about *connections* -- accepting them, splitting their
 /// byte streams into frames, noticing they died -- with no knowledge of
-/// units, leases or results. WorkServer and Relay both sit on top as
-/// SessionHost::Handler implementations; the scheduling tier
-/// (LeaseScheduler.h) is a sibling, not a client.
+/// units, leases or results. LeaseFront.h, the downstream protocol both
+/// campaign roles share, sits on top as the SessionHost::Handler; the
+/// scheduling tier (LeaseScheduler.h) is a sibling, not a client.
 ///
 /// The poll discipline is the one the monolithic server grew in PRs 3-9
 /// and the fault drills pin: the peer list is snapshotted before poll()
@@ -50,8 +50,8 @@ struct PeerSession {
   FrameSplitter Frames;
   bool Handshook = false;
   bool DoneSent = false;
-  /// Free index for the upper tier (WorkServer points it at the
-  /// telemetry row of this connection; Relay does the same).
+  /// Free index for the upper tier (LeaseFront points it at the
+  /// telemetry row of this connection).
   size_t Telemetry = 0;
   std::chrono::steady_clock::time_point ConnectedAt;
 };
@@ -81,9 +81,9 @@ public:
     /// prefix). The handler should error the peer out and close it.
     virtual void onCorrupt(size_t Slot) = 0;
     /// Extra fds to poll this cycle (upstream links, status sockets).
-    virtual void collectAuxFds(std::vector<pollfd> &Fds) {}
+    virtual void collectAuxFds(std::vector<pollfd> &Fds) = 0;
     /// One aux fd reported readiness.
-    virtual void onAuxReady(const pollfd &PF) {}
+    virtual void onAuxReady(const pollfd &PF) = 0;
   };
 
   /// Binds and listens. Empty string on success.
@@ -92,6 +92,7 @@ public:
   bool listening() const { return Listener.valid(); }
 
   std::vector<PeerSession> &peers() { return Peers; }
+  const std::vector<PeerSession> &peers() const { return Peers; }
   PeerSession &peer(size_t Slot) { return Peers[Slot]; }
 
   /// One poll cycle: wait up to \p TimeoutMs for the listener, the

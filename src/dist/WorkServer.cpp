@@ -4,10 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The server is the thinnest of the three service tiers: Session.h owns
-// the sockets and frames, LeaseScheduler.h owns the queue and the fault
-// discipline, and this file owns what neither may know -- the unit
-// stream, the merge, the journal, and canonical dedupe.
+// The server is a LeaseFront (LeaseFront.h) fed by a UnitSource: the
+// front speaks to the workers and enforces the fault discipline, and
+// this file owns what it may not know -- the unit stream, the merge, the
+// journal, and canonical dedupe.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,39 +17,19 @@
 #include "dist/Journal.h"
 #include "dist/Protocol.h"
 #include "dist/Serialize.h"
-#include "dist/Session.h"
 #include "litmus/Canon.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
 #include <memory>
-#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 using namespace telechat;
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point T0) {
-  return std::chrono::duration<double>(Clock::now() - T0).count();
-}
-
-/// Idle poll bound: with no leases outstanding the loop still wakes a
-/// couple of times a second to notice a drained stream. Lease deadlines
-/// shorten it (LeaseScheduler::pollTimeoutMs).
-constexpr int IdlePollMs = 500;
-
-} // namespace
-
-struct WorkServer::Impl : SessionHost::Handler {
+struct WorkServer::Impl : LeaseFront::Supply, LeaseFront::Sink {
   /// The unit stream. The vector constructor wraps its corpus in a
   /// VectorUnitSource at start() after validating ids; the streaming
   /// constructor hands Source over directly.
@@ -58,15 +38,13 @@ struct WorkServer::Impl : SessionHost::Handler {
   bool SeedIsVector = false;
   std::vector<CampaignConfig> Configs;
   WorkServerOptions Opts;
+  LeaseFront Front;
+  LeaseScheduler &Sched;
 
   JournalWriter *Journal = nullptr;
   /// Journal replay pending application: results whose units the stream
   /// has not produced yet. Applied (and erased) as units are pulled.
   std::map<uint64_t, TelechatResult> Replay;
-
-  SessionHost Host;
-  StatusEndpoint Status;
-  std::optional<LeaseScheduler> Sched; ///< Built once Opts are sane.
 
   /// Units pulled off the source so far; stream ids are [0, Generated).
   uint64_t Generated = 0;
@@ -95,62 +73,46 @@ struct WorkServer::Impl : SessionHost::Handler {
   std::map<uint64_t, std::vector<uint64_t>> DupsOf;
 
   CampaignReport Report;
-  Clock::time_point StartedAt;
 
-  void log(const char *Fmt, ...) const;
-  void sanitizeOptions();
+  Impl(std::vector<CampaignConfig> C, WorkServerOptions O)
+      : Configs(std::move(C)), Opts(std::move(O)),
+        Front("server", "serve", *this, *this, Opts.MaxUnitsPerRequest,
+              Opts.LeaseTimeoutSeconds, Opts.WaitRetryMs, Opts.Verbose),
+        Sched(Front.scheduler()) {
+    sanitizeConfigs();
+  }
+
   void sanitizeConfigs();
-  bool campaignComplete() const {
-    return Drained && CompletedCount == Generated;
+  uint64_t planned() const {
+    return Drained || !Source ? Generated : Source->sizeHint();
   }
   void complete(uint64_t Id, TelechatResult R, bool FromReplay);
   bool pullOne();
   void refill(size_t Want);
-  void dropConn(size_t Slot);
-  void expireLeases();
-  void handleHello(size_t Slot, const Frame &F);
-  void handleGetWork(size_t Slot, const Frame &F);
-  void handleResult(size_t Slot, const Frame &F);
-  void sendError(size_t Slot, const std::string &Reason);
-  std::string statusJson();
   CampaignReport run();
 
-  // SessionHost::Handler.
-  void onAccept(size_t Slot) override;
-  bool onFrame(size_t Slot, const Frame &F) override;
-  void onHangup(size_t Slot) override { dropConn(Slot); }
-  void onCorrupt(size_t Slot) override {
-    sendError(Slot, "corrupt frame stream");
+  // LeaseFront::Supply.
+  void appendHelloAck(WireBuffer &B) override;
+  void topUp(uint32_t Max) override;
+  void appendUnit(WireBuffer &B, uint64_t Id) override {
+    encodeCampaignUnit(B, Live.at(Id));
   }
-  void collectAuxFds(std::vector<pollfd> &Fds) override {
-    Status.collectFds(Fds);
+  bool finished() const override {
+    return Drained && CompletedCount == Generated;
   }
-  void onAuxReady(const pollfd &PF) override {
-    Status.onReady(PF, [this] { return statusJson(); });
+  uint64_t finalCount() const override { return Generated; }
+  int upkeep(int TimeoutMs) override;
+  void fillStatus(ServiceStatus &S) const override;
+  void collectFds(std::vector<pollfd> &) override {}
+  void onReady(const pollfd &) override {}
+
+  // LeaseFront::Sink.
+  bool accept(uint64_t Id, TelechatResult R,
+              const std::vector<uint8_t> &) override {
+    complete(Id, std::move(R), /*FromReplay=*/false);
+    return true;
   }
 };
-
-void WorkServer::Impl::log(const char *Fmt, ...) const {
-  if (!Opts.Verbose)
-    return;
-  va_list Args;
-  va_start(Args, Fmt);
-  fprintf(stderr, "[serve] ");
-  vfprintf(stderr, Fmt, Args);
-  fprintf(stderr, "\n");
-  va_end(Args);
-}
-
-void WorkServer::Impl::sanitizeOptions() {
-  // A zero batch cap would answer every GetWork with Wait forever: the
-  // campaign hangs with no diagnostic. Floor it.
-  if (Opts.MaxUnitsPerRequest == 0)
-    Opts.MaxUnitsPerRequest = 1;
-  if (Opts.WaitRetryMs == 0)
-    Opts.WaitRetryMs = 50;
-  if (Opts.TargetLeaseSeconds <= 0.0)
-    Opts.TargetLeaseSeconds = 1.0;
-}
 
 void WorkServer::Impl::sanitizeConfigs() {
   // Collected executions are not part of the wire result (Serialize.h);
@@ -175,10 +137,10 @@ void WorkServer::Impl::complete(uint64_t Id, TelechatResult R,
       Report.Error = strFormat("journal append failed at unit %llu; "
                                "journaling disabled",
                                static_cast<unsigned long long>(Id));
-    log("%s", Report.Error.c_str());
+    Front.log("%s", Report.Error.c_str());
   }
   Report.Results[Id] = std::move(R);
-  Sched->markCompleted(Id);
+  Sched.markCompleted(Id);
   ++CompletedCount;
   Live.erase(Id);
 
@@ -221,7 +183,7 @@ bool WorkServer::Impl::pullOne() {
         "WorkServer requires id == position",
         static_cast<unsigned long long>(U.Id),
         static_cast<unsigned long long>(Generated));
-    log("%s", Report.Error.c_str());
+    Front.log("%s", Report.Error.c_str());
     return false;
   }
   ++Generated;
@@ -252,10 +214,10 @@ bool WorkServer::Impl::pullOne() {
       uint64_t RepId = It->second;
       CanonRenaming Ren = composeRenaming(RepCanon.at(RepId), CR);
       ++Report.DedupedUnits;
-      log("unit %llu dedupes to unit %llu",
-          static_cast<unsigned long long>(U.Id),
-          static_cast<unsigned long long>(RepId));
-      if (Sched->completed(RepId)) {
+      Front.log("unit %llu dedupes to unit %llu",
+                static_cast<unsigned long long>(U.Id),
+                static_cast<unsigned long long>(RepId));
+      if (Sched.completed(RepId)) {
         // Rep already merged (typically a replay): synthesize now.
         complete(U.Id, renameTelechatResult(Report.Results[RepId], Ren),
                  /*FromReplay=*/false);
@@ -267,109 +229,32 @@ bool WorkServer::Impl::pullOne() {
     }
   }
   if (Serve) {
-    Sched->addPending(U.Id);
+    Sched.addPending(U.Id);
     Live.emplace(U.Id, std::move(U));
   }
   return true;
 }
 
 void WorkServer::Impl::refill(size_t Want) {
-  while (Sched->pendingCount() < Want && pullOne()) {
+  while (Sched.pendingCount() < Want && pullOne()) {
   }
 }
 
-void WorkServer::Impl::dropConn(size_t Slot) {
-  PeerSession &C = Host.peer(Slot);
-  if (!C.Sock.valid())
-    return;
-  std::vector<uint64_t> Requeued = Sched->dropPeer(Slot);
-  Report.Requeues += Requeued.size();
-  Report.Workers[C.Telemetry].Requeued += Requeued.size();
-  Report.Workers[C.Telemetry].ConnectedSeconds = secondsSince(C.ConnectedAt);
-  C.Sock.close();
-  log("worker %s disconnected", Report.Workers[C.Telemetry].Peer.c_str());
-}
-
-void WorkServer::Impl::expireLeases() {
-  for (const auto &[Id, Slot] : Sched->expire()) {
-    ++Report.Requeues;
-    ++Report.Workers[Host.peer(Slot).Telemetry].Requeued;
-    log("lease on unit %llu expired, requeued",
-        static_cast<unsigned long long>(Id));
-  }
-}
-
-void WorkServer::Impl::sendError(size_t Slot, const std::string &Reason) {
-  WireBuffer B;
-  B.appendString(Reason);
-  sendFrame(Host.peer(Slot).Sock, uint8_t(Msg::Error), B);
-  dropConn(Slot);
-}
-
-void WorkServer::Impl::onAccept(size_t Slot) {
-  PeerSession &C = Host.peer(Slot);
-  C.Telemetry = Report.Workers.size();
-  WorkerTelemetry T;
-  T.Peer = C.Sock.peerName();
-  Report.Workers.push_back(T);
-  Sched->addPeer(Slot);
-}
-
-void WorkServer::Impl::handleHello(size_t Slot, const Frame &F) {
-  WireCursor C(F.Payload);
-  uint32_t Magic = C.readU32();
-  uint16_t Version = C.readU16();
-  uint32_t Jobs = C.readU32();
-  if (!C.ok() || Magic != WireMagic) {
-    sendError(Slot, "bad magic");
-    return;
-  }
-  if (Version != WireVersion) {
-    sendError(Slot, strFormat("protocol version mismatch: server %u, "
-                              "worker %u",
-                              unsigned(WireVersion), unsigned(Version)));
-    return;
-  }
-  PeerSession &Peer = Host.peer(Slot);
-  Peer.Handshook = true;
-  Report.Workers[Peer.Telemetry].Jobs = Jobs;
-  WireBuffer B;
+void WorkServer::Impl::appendHelloAck(WireBuffer &B) {
   B.appendU16(WireVersion);
   // Planned campaign size: exact for a fixed corpus, the generator's
   // upper bound for a streamed one (advisory; Done carries the final
   // count).
-  B.appendU64(Drained ? Generated : Source->sizeHint());
+  B.appendU64(planned());
   B.appendU32(uint32_t(Configs.size()));
   for (const CampaignConfig &Config : Configs)
     encodeCampaignConfig(B, Config);
-  if (!sendFrame(Peer.Sock, uint8_t(Msg::HelloAck), B)) {
-    dropConn(Slot);
-    return;
-  }
-  log("worker %s joined (jobs=%u)",
-      Report.Workers[Peer.Telemetry].Peer.c_str(), Jobs);
 }
 
-void WorkServer::Impl::handleGetWork(size_t Slot, const Frame &F) {
-  WireCursor C(F.Payload);
-  uint32_t Max = C.readU32();
-  if (!C.ok()) {
-    sendError(Slot, "malformed GetWork");
-    return;
-  }
-  Max = std::min(Max, Opts.MaxUnitsPerRequest);
+void WorkServer::Impl::topUp(uint32_t Max) {
   // Top up the queue from the stream: this is where a generative
   // campaign actually generates, one Work frame's worth at a time.
   refill(Max);
-  if (campaignComplete()) {
-    WireBuffer B;
-    B.appendU64(Generated);
-    if (sendFrame(Host.peer(Slot).Sock, uint8_t(Msg::Done), B))
-      Host.peer(Slot).DoneSent = true;
-    else
-      dropConn(Slot);
-    return;
-  }
   // Canonical-class-aware scheduling: under --dedupe only class
   // representatives reach the queue, and completing one synthesizes
   // every duplicate parked behind it. Leasing the representatives with
@@ -377,8 +262,8 @@ void WorkServer::Impl::handleGetWork(size_t Slot, const Frame &F) {
   // largest possible batch of synthesized results early in the
   // campaign. The merge is keyed by unit id, so serve order is a
   // latency heuristic only -- results stay byte-identical to FIFO order.
-  if (Opts.Dedupe && Sched->pendingCount() > 1) {
-    std::deque<uint64_t> &Pending = Sched->pending();
+  if (Opts.Dedupe && Sched.pendingCount() > 1) {
+    std::deque<uint64_t> &Pending = Sched.pending();
     std::sort(Pending.begin(), Pending.end(),
               [this](uint64_t A, uint64_t B) {
                 auto DA = DupsOf.find(A), DB = DupsOf.find(B);
@@ -389,208 +274,68 @@ void WorkServer::Impl::handleGetWork(size_t Slot, const Frame &F) {
                 return A < B; // Corpus order within a class-size tier.
               });
   }
-  std::vector<uint64_t> Batch = Sched->lease(Slot, Max);
-  if (Batch.empty()) {
-    // Everything is leased out (or the corpus is smaller than the
-    // worker count): the worker naps and asks again.
-    WireBuffer B;
-    B.appendU32(Opts.WaitRetryMs);
-    if (!sendFrame(Host.peer(Slot).Sock, uint8_t(Msg::Wait), B))
-      dropConn(Slot);
-    return;
-  }
-  WireBuffer B;
-  B.appendU32(uint32_t(Batch.size()));
-  for (uint64_t Id : Batch)
-    encodeCampaignUnit(B, Live.at(Id));
-  Report.Workers[Host.peer(Slot).Telemetry].UnitsLeased += Batch.size();
-  if (!sendFrame(Host.peer(Slot).Sock, uint8_t(Msg::Work), B))
-    dropConn(Slot); // The just-taken leases requeue right here.
 }
 
-void WorkServer::Impl::handleResult(size_t Slot, const Frame &F) {
-  WireCursor C(F.Payload);
-  uint64_t Id = C.readU64();
-  if (!C.ok() || Id >= Generated) {
-    sendError(Slot, "malformed Result");
-    return;
-  }
-  if (!Sched->everLeased(Slot, Id)) {
-    // This connection never held the unit: reject before decoding.
-    // Accepting would let a peer fabricate merge results and force
-    // decodes (which intern outcome keys process-wide) at will.
-    sendError(Slot, "result for a unit not leased here");
-    return;
-  }
-  if (Sched->completed(Id)) {
-    // Duplicate (the unit was requeued and someone else won): drop it
-    // before decoding, for the same interning reason as above.
-    Sched->releaseLease(Slot, Id);
-    ++Report.DuplicateResults;
-    return;
-  }
-  TelechatResult R;
-  if (!decodeTelechatResult(C, R)) {
-    // Keep the lease entries intact: sendError's dropConn requeues the
-    // unit immediately instead of waiting out the lease timeout.
-    sendError(Slot, "malformed Result");
-    return;
-  }
-  // The result may come from a worker whose lease was already reassigned
-  // (a slow worker beaten by the timeout): still accept it -- execution
-  // is deterministic, so whichever copy lands first is *the* result.
-  // resultDelivered also restarts the lease clock on the worker's
-  // remaining units (proof of life) and feeds its adaptive batch cap.
-  Sched->resultDelivered(Slot, Id);
-  complete(Id, std::move(R), /*FromReplay=*/false);
-  ++Report.Workers[Host.peer(Slot).Telemetry].UnitsCompleted;
+int WorkServer::Impl::upkeep(int TimeoutMs) {
+  // Every generated unit is done but the source may have more: find out
+  // *now*, not at the next GetWork -- the last worker may have died
+  // right after its final result, and waiting for a request that never
+  // comes would hang a finished campaign. (On the first iteration this
+  // also applies a replayed journal prefix, so a fully-replayed campaign
+  // completes with no worker at all.)
+  if (!Drained && CompletedCount == Generated)
+    refill(1);
+  return TimeoutMs;
 }
 
-bool WorkServer::Impl::onFrame(size_t Slot, const Frame &F) {
-  PeerSession &C = Host.peer(Slot);
-  if (!C.Handshook) {
-    if (F.Type != uint8_t(Msg::Hello)) {
-      sendError(Slot, "expected Hello");
-      return false;
-    }
-    handleHello(Slot, F);
-    return C.Sock.valid();
-  }
-  switch (Msg(F.Type)) {
-  case Msg::GetWork:
-    handleGetWork(Slot, F);
-    return C.Sock.valid();
-  case Msg::Result:
-    handleResult(Slot, F);
-    return C.Sock.valid();
-  case Msg::Error: {
-    WireCursor Cur(F.Payload);
-    log("worker error: %s", Cur.readString().c_str());
-    dropConn(Slot);
-    return false;
-  }
-  default:
-    sendError(Slot, strFormat("unexpected message type %u",
-                              unsigned(F.Type)));
-    return false;
-  }
-}
-
-std::string WorkServer::Impl::statusJson() {
-  ServiceStatus S;
-  S.Role = "server";
-  S.Planned = Drained || !Source ? Generated : Source->sizeHint();
+void WorkServer::Impl::fillStatus(ServiceStatus &S) const {
+  S.Planned = planned();
   S.Generated = Generated;
   S.Completed = CompletedCount;
-  S.Pending = Sched->pendingCount();
-  S.Leased = Sched->leasedCount();
-  S.Requeues = Report.Requeues;
-  S.DuplicateResults = Report.DuplicateResults;
   S.ReplayedResults = Report.ReplayedResults;
   S.DedupedUnits = Report.DedupedUnits;
-  S.PollWakeups = Report.PollWakeups;
-  S.Sizing = Sched->sizing();
-  S.Seconds = secondsSince(StartedAt);
-  std::vector<PeerSession> &Peers = Host.peers();
-  for (size_t Slot = 0; Slot != Peers.size(); ++Slot) {
-    const WorkerTelemetry &W = Report.Workers[Peers[Slot].Telemetry];
-    ServiceStatus::WorkerRow Row;
-    Row.Peer = W.Peer;
-    Row.Jobs = W.Jobs;
-    Row.UnitsLeased = W.UnitsLeased;
-    Row.UnitsCompleted = W.UnitsCompleted;
-    Row.Requeued = W.Requeued;
-    Row.Outstanding = Sched->outstanding(Slot);
-    Row.ConnectedSeconds = Peers[Slot].Sock.valid()
-                               ? secondsSince(Peers[Slot].ConnectedAt)
-                               : W.ConnectedSeconds;
-    S.Workers.push_back(std::move(Row));
-  }
-  return serviceStatusJson(S);
 }
 
 CampaignReport WorkServer::Impl::run() {
-  StartedAt = Clock::now();
-  while (!campaignComplete()) {
-    // Every generated unit is done but the source may have more: find
-    // out *now*, not at the next GetWork -- the last worker may have
-    // died right after its final result, and waiting for a request that
-    // never comes would hang a finished campaign. (On the first
-    // iteration this also applies a replayed journal prefix, so a
-    // fully-replayed campaign completes with no worker at all.)
-    if (!Drained && CompletedCount == Generated) {
-      refill(1);
-      if (campaignComplete())
-        break;
-    }
-    expireLeases();
-    ++Report.PollWakeups;
-    // Sleep until the earliest lease deadline (or the idle bound):
-    // expiry-driven requeue fires when it is due, not at the next fixed
-    // tick, and an idle server costs ~2 wakeups/s instead of 20.
-    Host.cycle(*this, Sched->pollTimeoutMs(IdlePollMs));
-  }
-
-  // Campaign complete: tell everyone still connected, then hang up.
-  WireBuffer DoneB;
-  DoneB.appendU64(Generated);
-  for (PeerSession &C : Host.peers()) {
-    if (!C.Sock.valid())
-      continue;
-    if (!C.DoneSent)
-      sendFrame(C.Sock, uint8_t(Msg::Done), DoneB);
-    Report.Workers[C.Telemetry].ConnectedSeconds =
-        secondsSince(C.ConnectedAt);
-    C.Sock.close();
-  }
-  Host.closeAll();
-  Status.close();
+  Front.run();
   Report.Units = Generated;
-  Report.Sizing = Sched->sizing();
+  Report.Requeues = Front.Requeues;
+  Report.DuplicateResults = Front.DuplicateResults;
+  Report.PollWakeups = Front.PollWakeups;
+  Report.Sizing = Sched.sizing();
+  Report.Workers = std::move(Front.Workers);
+  Report.Seconds = Front.Seconds;
   // Replay entries the stream never produced: a journal replayed against
   // the wrong spec. They are not merge keys, so they are dropped.
   Report.StaleReplays = Replay.size();
   if (Report.StaleReplays)
-    log("%llu replayed results matched no streamed unit (journal/spec "
-        "mismatch?)",
-        static_cast<unsigned long long>(Report.StaleReplays));
-  Report.Seconds = secondsSince(StartedAt);
-  log("campaign done: %llu units, %llu requeues, %llu duplicates, "
-      "%llu replayed, %llu deduped, %llu wakeups",
-      static_cast<unsigned long long>(Generated),
-      static_cast<unsigned long long>(Report.Requeues),
-      static_cast<unsigned long long>(Report.DuplicateResults),
-      static_cast<unsigned long long>(Report.ReplayedResults),
-      static_cast<unsigned long long>(Report.DedupedUnits),
-      static_cast<unsigned long long>(Report.PollWakeups));
+    Front.log("%llu replayed results matched no streamed unit "
+              "(journal/spec mismatch?)",
+              static_cast<unsigned long long>(Report.StaleReplays));
+  Front.log("campaign done: %llu units, %llu requeues, %llu duplicates, "
+            "%llu replayed, %llu deduped, %llu wakeups",
+            static_cast<unsigned long long>(Generated),
+            static_cast<unsigned long long>(Report.Requeues),
+            static_cast<unsigned long long>(Report.DuplicateResults),
+            static_cast<unsigned long long>(Report.ReplayedResults),
+            static_cast<unsigned long long>(Report.DedupedUnits),
+            static_cast<unsigned long long>(Report.PollWakeups));
   return std::move(Report);
 }
 
 WorkServer::WorkServer(std::vector<CampaignUnit> Units,
                        std::vector<CampaignConfig> Configs,
                        WorkServerOptions Options)
-    : P(new Impl) {
+    : P(new Impl(std::move(Configs), std::move(Options))) {
   P->SeedUnits = std::move(Units);
   P->SeedIsVector = true;
-  P->Configs = std::move(Configs);
-  P->Opts = std::move(Options);
-  P->sanitizeOptions();
-  P->sanitizeConfigs();
-  P->Sched.emplace(P->Opts.MaxUnitsPerRequest, P->Opts.LeaseTimeoutSeconds,
-                   P->Opts.TargetLeaseSeconds);
 }
 
 WorkServer::WorkServer(std::unique_ptr<UnitSource> Source,
                        std::vector<CampaignConfig> Configs,
                        WorkServerOptions Options)
-    : P(new Impl) {
+    : P(new Impl(std::move(Configs), std::move(Options))) {
   P->Source = std::move(Source);
-  P->Configs = std::move(Configs);
-  P->Opts = std::move(Options);
-  P->sanitizeOptions();
-  P->sanitizeConfigs();
-  P->Sched.emplace(P->Opts.MaxUnitsPerRequest, P->Opts.LeaseTimeoutSeconds,
-                   P->Opts.TargetLeaseSeconds);
 }
 
 WorkServer::~WorkServer() { delete P; }
@@ -623,22 +368,12 @@ std::string WorkServer::start() {
   }
   if (!P->Source)
     return "WorkServer has no unit source";
-  std::string Err = P->Host.listen(P->Opts.Port, P->Opts.BindAddress);
-  if (!Err.empty())
-    return Err;
-  if (P->Opts.StatusPort >= 0) {
-    Err = P->Status.listen(uint16_t(P->Opts.StatusPort),
-                           P->Opts.BindAddress);
-    if (!Err.empty())
-      return "status endpoint: " + Err;
-  }
-  return "";
+  return P->Front.listen(P->Opts.Port, P->Opts.BindAddress,
+                         P->Opts.StatusPort);
 }
 
-uint16_t WorkServer::port() const { return P->Host.port(); }
+uint16_t WorkServer::port() const { return P->Front.port(); }
 
-uint16_t WorkServer::statusPort() const {
-  return P->Status.active() ? P->Status.port() : 0;
-}
+uint16_t WorkServer::statusPort() const { return P->Front.statusPort(); }
 
 CampaignReport WorkServer::run() { return P->run(); }

@@ -40,8 +40,7 @@
 #define TELECHAT_DIST_WORKSERVER_H
 
 #include "core/Campaign.h"
-#include "dist/LeaseScheduler.h"
-#include "dist/Socket.h"
+#include "dist/LeaseFront.h"
 
 #include <cstdint>
 #include <memory>
@@ -78,25 +77,8 @@ struct WorkServerOptions {
   /// binds an ephemeral port (see WorkServer::statusPort()), otherwise
   /// the given port. Bound on BindAddress, like the campaign port.
   int StatusPort = -1;
-  /// Backpressure target for adaptive lease sizing: each worker's batch
-  /// cap tracks roughly this many seconds of work at its observed
-  /// completion rate (never above MaxUnitsPerRequest; the first batch
-  /// is always the full cap, so small campaigns are unaffected).
-  double TargetLeaseSeconds = 1.0;
   /// Progress lines on stderr.
   bool Verbose = false;
-};
-
-/// Per-connection telemetry, reported in connect order. One worker
-/// process = one connection; a reconnecting worker is a new entry.
-struct WorkerTelemetry {
-  std::string Peer;     ///< "address:port" as accepted.
-  uint32_t Jobs = 0;    ///< Pool width announced in Hello.
-  uint64_t UnitsLeased = 0;
-  uint64_t UnitsCompleted = 0;
-  /// Leases taken from this worker by disconnect or timeout.
-  uint64_t Requeued = 0;
-  double ConnectedSeconds = 0.0;
 };
 
 /// Everything one served campaign produced.

@@ -90,51 +90,62 @@ bool telechat::splitHostPort(const std::string &HostPort, std::string &Host,
   return true;
 }
 
+ErrorOr<WorkerLink> telechat::openWorkerLink(const std::string &Host,
+                                             uint16_t Port,
+                                             double RetrySeconds,
+                                             uint32_t Jobs) {
+  ErrorOr<TcpSocket> Connected = tcpConnect(Host, Port, RetrySeconds);
+  if (!Connected)
+    return makeError("connect: " + Connected.error());
+  WorkerLink L;
+  L.Sock = std::move(*Connected);
+  WireBuffer B;
+  B.appendU32(WireMagic);
+  B.appendU16(WireVersion);
+  B.appendU32(Jobs);
+  if (!sendFrame(L.Sock, uint8_t(Msg::Hello), B))
+    return makeError("handshake send failed");
+  ErrorOr<Frame> F = recvFrame(L.Sock);
+  if (!F)
+    return makeError("handshake: " + F.error());
+  WireCursor C(F->Payload);
+  if (F->Type == uint8_t(Msg::Error))
+    return makeError("server refused: " + C.readString());
+  if (F->Type != uint8_t(Msg::HelloAck))
+    return makeError("handshake: unexpected reply");
+  uint16_t Version = C.readU16();
+  L.Planned = C.readU64();
+  L.Configs.resize(C.readCount(8));
+  for (CampaignConfig &Config : L.Configs)
+    if (!decodeCampaignConfig(C, Config))
+      return makeError("handshake: bad config table");
+  if (!C.ok() || Version != WireVersion)
+    return makeError("handshake: bad HelloAck");
+  L.AckPayload = std::move(F->Payload);
+  return L;
+}
+
+std::chrono::milliseconds telechat::waitDelay(const Frame &Wait) {
+  WireCursor C(Wait.Payload);
+  uint32_t RetryMs = C.readU32();
+  return std::chrono::milliseconds(C.ok() && RetryMs ? RetryMs : 50);
+}
+
 ErrorOr<WorkerRunStats>
 telechat::runCampaignWorker(const std::string &Host, uint16_t Port,
                             const WorkerOptions &Options) {
-  ErrorOr<TcpSocket> Connected =
-      tcpConnect(Host, Port, Options.ConnectRetrySeconds);
-  if (!Connected)
-    return makeError("connect: " + Connected.error());
-  TcpSocket Sock = std::move(*Connected);
-
-  // Handshake.
-  {
-    WireBuffer B;
-    B.appendU32(WireMagic);
-    B.appendU16(WireVersion);
-    B.appendU32(resolveJobs(Options.Jobs));
-    if (!sendFrame(Sock, uint8_t(Msg::Hello), B))
-      return makeError("handshake send failed");
-  }
-  std::vector<CampaignConfig> Configs;
-  uint64_t TotalUnits = 0;
-  {
-    ErrorOr<Frame> F = recvFrame(Sock);
-    if (!F)
-      return makeError("handshake: " + F.error());
-    WireCursor C(F->Payload);
-    if (F->Type == uint8_t(Msg::Error))
-      return makeError("server refused: " + C.readString());
-    if (F->Type != uint8_t(Msg::HelloAck))
-      return makeError("handshake: unexpected reply");
-    uint16_t Version = C.readU16();
-    TotalUnits = C.readU64();
-    uint32_t NConfigs = C.readCount(8);
-    Configs.resize(NConfigs);
-    for (CampaignConfig &Config : Configs)
-      if (!decodeCampaignConfig(C, Config))
-        return makeError("handshake: bad config table");
-    if (!C.ok() || Version != WireVersion)
-      return makeError("handshake: bad HelloAck");
-  }
+  ErrorOr<WorkerLink> Link = openWorkerLink(
+      Host, Port, Options.ConnectRetrySeconds, resolveJobs(Options.Jobs));
+  if (!Link)
+    return makeError(Link.error());
+  TcpSocket &Sock = Link->Sock;
+  const std::vector<CampaignConfig> &Configs = Link->Configs;
   if (Options.Verbose)
     // Planned size only: a generative server may stream fewer (the Done
     // frame carries the final count).
     fprintf(stderr, "[work] joined %s:%u: %llu planned units, %zu configs\n",
             Host.c_str(), unsigned(Port),
-            static_cast<unsigned long long>(TotalUnits), Configs.size());
+            static_cast<unsigned long long>(Link->Planned), Configs.size());
 
   ThreadPool Pool(resolveJobs(Options.Jobs));
   unsigned Batch = Options.BatchSize ? Options.BatchSize : 2 * Pool.size();
@@ -158,10 +169,7 @@ telechat::runCampaignWorker(const std::string &Host, uint16_t Port,
       return Stats;
     }
     if (F->Type == uint8_t(Msg::Wait)) {
-      WireCursor C(F->Payload);
-      uint32_t RetryMs = C.readU32();
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(C.ok() && RetryMs ? RetryMs : 50));
+      std::this_thread::sleep_for(waitDelay(*F));
       continue;
     }
     if (F->Type == uint8_t(Msg::Error)) {

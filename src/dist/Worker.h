@@ -18,10 +18,14 @@
 #ifndef TELECHAT_DIST_WORKER_H
 #define TELECHAT_DIST_WORKER_H
 
+#include "core/Campaign.h"
+#include "dist/Wire.h"
 #include "support/Error.h"
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace telechat {
 
@@ -55,6 +59,26 @@ struct WorkerRunStats {
   /// True iff the KillAfterResults hook terminated the session.
   bool Killed = false;
 };
+
+/// The upstream end of a handshaken session, as its worker sees it.
+struct WorkerLink {
+  TcpSocket Sock;
+  uint64_t Planned = 0; ///< HelloAck's planned campaign size.
+  std::vector<CampaignConfig> Configs;
+  /// The HelloAck payload verbatim: a relay replays it to its own
+  /// workers, so the config table crosses every tier unchanged.
+  std::vector<uint8_t> AckPayload;
+};
+
+/// Connects to \p Host:\p Port (retrying for \p RetrySeconds), sends
+/// Hello announcing \p Jobs, and validates the HelloAck: version,
+/// planned count and config table. Shared by workers and relays (a relay
+/// is its upstream's worker).
+ErrorOr<WorkerLink> openWorkerLink(const std::string &Host, uint16_t Port,
+                                   double RetrySeconds, uint32_t Jobs);
+
+/// The nap a Wait frame asks for; 50 ms when it names none.
+std::chrono::milliseconds waitDelay(const Frame &Wait);
 
 /// Runs one worker session against \p Host:\p Port until the server
 /// finishes the campaign (or the connection ends). Errors are handshake

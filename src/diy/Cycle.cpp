@@ -136,10 +136,10 @@ ErrorOr<LitmusTest> telechat::generateFromCycle(const CycleSpec &Spec) {
   // edge i's To kind is edge i+1's From kind.
   std::vector<EventKind> Kind(N);
   for (unsigned I = 0; I != N; ++I) {
-    EventKind From, To;
+    EventKind From = EventKind::Read, To = EventKind::Read;
     edgeEndpoints(Edges[I], From, To);
     Kind[I] = From;
-    EventKind NextFrom, NextTo;
+    EventKind NextFrom = EventKind::Read, NextTo = EventKind::Read;
     edgeEndpoints(Edges[(I + 1) % N], NextFrom, NextTo);
     if (To != NextFrom)
       return makeError(strFormat(

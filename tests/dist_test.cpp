@@ -37,7 +37,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <poll.h>
 #include <thread>
+#include <tuple>
 
 using namespace telechat;
 
@@ -433,6 +436,24 @@ void expectUnitIdentical(const TelechatResult &L, const TelechatResult &D,
       << What;
 }
 
+/// A Hello payload as a worker sends it (jobs = 1).
+WireBuffer helloPayload(uint16_t Version = WireVersion,
+                        uint32_t Magic = WireMagic) {
+  WireBuffer B;
+  B.appendU32(Magic);
+  B.appendU16(Version);
+  B.appendU32(1);
+  return B;
+}
+
+/// The handshake of a hand-driven client: sends Hello on \p S and
+/// returns the peer's reply frame.
+ErrorOr<Frame> rawHello(TcpSocket &S, uint16_t Version = WireVersion) {
+  if (!sendFrame(S, uint8_t(Msg::Hello), helloPayload(Version)))
+    return makeError("Hello send failed");
+  return recvFrame(S);
+}
+
 TEST(LoopbackCampaignTest, TwoWorkersBitIdenticalToLocalDriver) {
   std::vector<LitmusTest> Tests = loopbackCorpus();
   Profile P = Profile::current(CompilerKind::Llvm, OptLevel::O2,
@@ -529,12 +550,7 @@ TEST(LoopbackCampaignTest, StalledLeaseTimesOutAndReassigns) {
   ErrorOr<TcpSocket> Zombie = tcpConnect("127.0.0.1", Port, 5.0);
   ASSERT_TRUE(Zombie.hasValue()) << Zombie.error();
   {
-    WireBuffer B;
-    B.appendU32(WireMagic);
-    B.appendU16(WireVersion);
-    B.appendU32(1);
-    ASSERT_TRUE(sendFrame(*Zombie, uint8_t(Msg::Hello), B));
-    ErrorOr<Frame> Ack = recvFrame(*Zombie);
+    ErrorOr<Frame> Ack = rawHello(*Zombie);
     ASSERT_TRUE(Ack.hasValue()) << Ack.error();
     ASSERT_EQ(Ack->Type, uint8_t(Msg::HelloAck));
     WireBuffer G;
@@ -677,12 +693,7 @@ TEST(LoopbackCampaignTest, VersionMismatchIsRefused) {
 
   ErrorOr<TcpSocket> Bad = tcpConnect("127.0.0.1", Port, 5.0);
   ASSERT_TRUE(Bad.hasValue()) << Bad.error();
-  WireBuffer B;
-  B.appendU32(WireMagic);
-  B.appendU16(WireVersion + 1); // From the future.
-  B.appendU32(1);
-  ASSERT_TRUE(sendFrame(*Bad, uint8_t(Msg::Hello), B));
-  ErrorOr<Frame> Reply = recvFrame(*Bad);
+  ErrorOr<Frame> Reply = rawHello(*Bad, WireVersion + 1); // From the future.
   ASSERT_TRUE(Reply.hasValue()) << Reply.error();
   EXPECT_EQ(Reply->Type, uint8_t(Msg::Error));
   WireCursor C(Reply->Payload);
@@ -1275,12 +1286,7 @@ TEST(LoopbackCampaignTest, FinishesWhenLastWorkerDiesAfterFinalResult) {
   ErrorOr<TcpSocket> Client = tcpConnect("127.0.0.1", Port, 5.0);
   ASSERT_TRUE(Client.hasValue()) << Client.error();
   {
-    WireBuffer B;
-    B.appendU32(WireMagic);
-    B.appendU16(WireVersion);
-    B.appendU32(1);
-    ASSERT_TRUE(sendFrame(*Client, uint8_t(Msg::Hello), B));
-    ErrorOr<Frame> Ack = recvFrame(*Client);
+    ErrorOr<Frame> Ack = rawHello(*Client);
     ASSERT_TRUE(Ack.hasValue()) << Ack.error();
     ASSERT_EQ(Ack->Type, uint8_t(Msg::HelloAck));
     WireBuffer G; // Lease the entire corpus in one batch.
@@ -1972,12 +1978,7 @@ TEST(RelayTest, DeadWorkerBehindRelayRequeuesToSiblings) {
   {
     ErrorOr<TcpSocket> Client = tcpConnect("127.0.0.1", R.port(), 5.0);
     ASSERT_TRUE(Client.hasValue()) << Client.error();
-    WireBuffer B;
-    B.appendU32(WireMagic);
-    B.appendU16(WireVersion);
-    B.appendU32(1);
-    ASSERT_TRUE(sendFrame(*Client, uint8_t(Msg::Hello), B));
-    ErrorOr<Frame> Ack = recvFrame(*Client);
+    ErrorOr<Frame> Ack = rawHello(*Client);
     ASSERT_TRUE(Ack.hasValue()) << Ack.error();
     ASSERT_EQ(Ack->Type, uint8_t(Msg::HelloAck));
     {
@@ -2036,6 +2037,149 @@ TEST(RelayTest, RefusesWhenUpstreamIsAbsent) {
   ASSERT_FALSE(Err.empty());
   EXPECT_NE(Err.find("upstream connect"), std::string::npos) << Err;
 }
+
+//===----------------------------------------------------------------------===//
+// Hostile peers, against both downstream roles
+//===----------------------------------------------------------------------===//
+
+/// One protocol violation a raw client commits against a server or a
+/// relay.
+struct HostileInput {
+  const char *Name;
+  bool Handshake;             ///< Complete a valid Hello first.
+  std::vector<uint8_t> Bytes; ///< Then send these, in one write.
+};
+
+void PrintTo(const HostileInput &In, std::ostream *OS) { *OS << In.Name; }
+
+/// [u32 length][u8 type][payload], exactly as sendFrame lays it out.
+std::vector<uint8_t> rawFrame(uint8_t Type, const WireBuffer &Payload) {
+  uint32_t Len = uint32_t(Payload.size()) + 1;
+  std::vector<uint8_t> Out;
+  for (size_t I = 0; I != 4; ++I)
+    Out.push_back(uint8_t(Len >> (8 * I)));
+  Out.push_back(Type);
+  Out.insert(Out.end(), Payload.data(), Payload.data() + Payload.size());
+  return Out;
+}
+
+WireBuffer resultFor(uint64_t Id) {
+  WireBuffer B;
+  B.appendU64(Id);
+  encodeTelechatResult(B, TelechatResult());
+  return B;
+}
+
+std::vector<HostileInput> hostileInputs() {
+  WireBuffer Empty, Short;
+  Short.appendU16(2); // GetWork wants a u32.
+  uint32_t Huge = MaxFramePayload + 2;
+  return {
+      {"GetWorkBeforeHello", false, rawFrame(uint8_t(Msg::GetWork), Empty)},
+      {"BadMagic", false,
+       rawFrame(uint8_t(Msg::Hello), helloPayload(WireVersion, 0xBADC0DE))},
+      {"FutureVersion", false,
+       rawFrame(uint8_t(Msg::Hello), helloPayload(WireVersion + 1))},
+      {"ShortGetWork", true, rawFrame(uint8_t(Msg::GetWork), Short)},
+      {"ResultNeverLeasedInRange", true,
+       rawFrame(uint8_t(Msg::Result), resultFor(0))},
+      {"ResultNeverLeasedOutOfRange", true,
+       rawFrame(uint8_t(Msg::Result), resultFor(uint64_t(1) << 40))},
+      {"UnknownMessageType", true, rawFrame(99, Empty)},
+      {"ZeroLengthPrefix", false, {0, 0, 0, 0}},
+      {"OversizedLengthPrefix", false,
+       {uint8_t(Huge), uint8_t(Huge >> 8), uint8_t(Huge >> 16),
+        uint8_t(Huge >> 24), uint8_t(Msg::GetWork)}},
+  };
+}
+
+/// True when \p S has data (or EOF) to read within five seconds, so a
+/// role that ignores a violation fails the case instead of hanging it.
+bool readableSoon(TcpSocket &S) {
+  pollfd PF{S.fd(), POLLIN, 0};
+  return poll(&PF, 1, 5000) == 1;
+}
+
+/// Commits \p In on a fresh connection to \p Port. Empty when the role
+/// answered with Error and closed the connection; otherwise what it did
+/// instead.
+std::string commitViolation(uint16_t Port, const HostileInput &In) {
+  ErrorOr<TcpSocket> S = tcpConnect("127.0.0.1", Port, 5.0);
+  if (!S)
+    return "connect: " + S.error();
+  if (In.Handshake) {
+    ErrorOr<Frame> Ack = rawHello(*S);
+    if (!Ack || Ack->Type != uint8_t(Msg::HelloAck))
+      return "valid Hello refused";
+  }
+  if (!S->sendAll(In.Bytes.data(), In.Bytes.size()))
+    return "send failed";
+  if (!readableSoon(*S))
+    return "no reply";
+  ErrorOr<Frame> Reply = recvFrame(*S);
+  if (!Reply)
+    return "reply: " + Reply.error();
+  if (Reply->Type != uint8_t(Msg::Error))
+    return "reply of type " + std::to_string(Reply->Type) + ", not Error";
+  uint8_t Byte;
+  if (!readableSoon(*S) || S->recvSome(&Byte, 1) > 0)
+    return "connection left open after Error";
+  return "";
+}
+
+/// Parameter: (through a relay?, the violation).
+class HostilePeerTest
+    : public testing::TestWithParam<std::tuple<bool, HostileInput>> {};
+
+TEST_P(HostilePeerTest, ErrorsOutThePeerAndTheCampaignStillFinishes) {
+  const auto &[ViaRelay, In] = GetParam();
+  std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB")};
+  std::vector<CampaignConfig> Configs = simOnlyConfig();
+  std::vector<CampaignUnit> Units = makeCampaignUnits(Tests);
+  std::vector<TelechatResult> Ref;
+  for (const CampaignUnit &U : Units)
+    Ref.push_back(runCampaignUnit(U, Configs));
+
+  WorkServer Server(Units, Configs, WorkServerOptions());
+  ASSERT_EQ(Server.start(), "");
+  CampaignReport Report;
+  std::thread Srv([&] { Report = Server.run(); });
+  std::unique_ptr<Relay> R;
+  RelayReport RReport;
+  std::thread Rly;
+  uint16_t Port = Server.port();
+  if (ViaRelay) {
+    RelayOptions ROpts;
+    ROpts.UpstreamPort = Server.port();
+    R = std::make_unique<Relay>(ROpts);
+    ASSERT_EQ(R->start(), "");
+    Port = R->port();
+    Rly = std::thread([&] { RReport = R->run(); });
+  }
+
+  EXPECT_EQ(commitViolation(Port, In), "");
+
+  // The violation cost one connection, not the campaign.
+  WorkerOptions WOpts;
+  WOpts.Jobs = 1;
+  ErrorOr<WorkerRunStats> Stats = runCampaignWorker("127.0.0.1", Port, WOpts);
+  if (Rly.joinable())
+    Rly.join();
+  Srv.join();
+  ASSERT_TRUE(Stats.hasValue()) << Stats.error();
+  EXPECT_TRUE(Stats->CleanDone);
+  EXPECT_TRUE(RReport.Error.empty()) << RReport.Error;
+  EXPECT_EQ(campaignResultsJson(Report.UnitsMeta, Configs, Report.Results),
+            campaignResultsJson(Units, Configs, Ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Roles, HostilePeerTest,
+    testing::Combine(testing::Bool(), testing::ValuesIn(hostileInputs())),
+    [](const testing::TestParamInfo<HostilePeerTest::ParamType> &Info) {
+      return std::string(std::get<0>(Info.param) ? "Relay_" : "Server_") +
+             std::get<1>(Info.param).Name;
+    });
 
 //===----------------------------------------------------------------------===//
 // Live status endpoint
