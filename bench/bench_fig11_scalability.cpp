@@ -128,10 +128,6 @@ void BM_ShardedEnumeration_Jobs(benchmark::State &State) {
   State.counters["steps/s"] = benchmark::Counter(
       double(Steps) * State.iterations(), benchmark::Counter::kIsRate);
   State.counters["rf_sources_pruned"] = double(Last.RfSourcesPruned);
-  State.counters["rf_sources_pruned_copy"] =
-      double(Last.RfSourcesPrunedCopy);
-  State.counters["rf_sources_pruned_xform"] =
-      double(Last.RfSourcesPrunedXform);
   State.counters["rf_pruned"] = double(Last.RfPruned);
   State.counters["cat_evals_avoided"] = double(Last.CatEvalsAvoided);
 }
@@ -186,10 +182,6 @@ void BM_EnumerationFeatures(benchmark::State &State) {
   }
   State.counters["rf_candidates"] = double(Last.RfCandidates);
   State.counters["rf_sources_pruned"] = double(Last.RfSourcesPruned);
-  State.counters["rf_sources_pruned_copy"] =
-      double(Last.RfSourcesPrunedCopy);
-  State.counters["rf_sources_pruned_xform"] =
-      double(Last.RfSourcesPrunedXform);
   State.counters["rf_pruned"] = double(Last.RfPruned);
   State.counters["cat_evals_avoided"] = double(Last.CatEvalsAvoided);
 }

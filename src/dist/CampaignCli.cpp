@@ -299,9 +299,6 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     } else if (Arg == "--no-prune") {
       Options.Sim.RfValuePruning = false;
       ConfigFlagsSet = true;
-    } else if (Arg == "--no-transform") {
-      Options.Sim.RfTransformDomain = false;
-      ConfigFlagsSet = true;
     } else if (Arg == "--no-cat-cache") {
       Options.Sim.IncrementalCatEval = false;
       ConfigFlagsSet = true;

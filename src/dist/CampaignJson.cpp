@@ -80,41 +80,20 @@ void appendSimSide(std::string &J, const SimResult &R) {
   appendStringList(J, std::vector<std::string>(R.Flags.begin(),
                                                R.Flags.end()));
   J += strFormat(", \"timed_out\": %s", R.TimedOut ? "true" : "false");
-  J += strFormat(
-      ", \"stats\": {\"path_combos\": %llu, \"rf_candidates\": %llu, "
-      "\"value_consistent\": %llu, \"co_candidates\": %llu, "
-      "\"allowed_executions\": %llu, \"rf_sources_pruned\": %llu, "
-      "\"rf_sources_pruned_copy\": %llu, "
-      "\"rf_sources_pruned_xform\": %llu, "
-      "\"rf_pruned\": %llu, \"cat_evals_avoided\": %llu, "
-      "\"skel_cache_hits\": %llu, \"skel_cache_misses\": %llu, "
-      "\"skel_cache_evictions\": %llu, "
-      "\"backend\": \"%s\", \"solve_decisions\": %llu, "
-      "\"solve_propagations\": %llu, \"solve_conflicts\": %llu, "
-      "\"solve_clauses\": %llu, \"explore_iterations\": %llu, "
-      "\"explore_schedules\": %llu, \"explore_outcomes_found\": %llu}",
-      static_cast<unsigned long long>(R.Stats.PathCombos),
-      static_cast<unsigned long long>(R.Stats.RfCandidates),
-      static_cast<unsigned long long>(R.Stats.ValueConsistent),
-      static_cast<unsigned long long>(R.Stats.CoCandidates),
-      static_cast<unsigned long long>(R.Stats.AllowedExecutions),
-      static_cast<unsigned long long>(R.Stats.RfSourcesPruned),
-      static_cast<unsigned long long>(R.Stats.RfSourcesPrunedCopy),
-      static_cast<unsigned long long>(R.Stats.RfSourcesPrunedXform),
-      static_cast<unsigned long long>(R.Stats.RfPruned),
-      static_cast<unsigned long long>(R.Stats.CatEvalsAvoided),
-      static_cast<unsigned long long>(R.Stats.SkelCacheHits),
-      static_cast<unsigned long long>(R.Stats.SkelCacheMisses),
-      static_cast<unsigned long long>(R.Stats.SkelCacheEvictions),
-      backendUsedName(R.Stats.BackendUsed),
-      static_cast<unsigned long long>(R.Stats.SolveDecisions),
-      static_cast<unsigned long long>(R.Stats.SolvePropagations),
-      static_cast<unsigned long long>(R.Stats.SolveConflicts),
-      static_cast<unsigned long long>(R.Stats.SolveClauses),
-      static_cast<unsigned long long>(R.Stats.ExploreIterations),
-      static_cast<unsigned long long>(R.Stats.ExploreSchedules),
-      static_cast<unsigned long long>(R.Stats.ExploreOutcomesFound));
-  J += "}";
+  J += ", \"stats\": {";
+  const char *Sep = "";
+#define JSON_COUNT(Member, Key)                                                \
+  J += strFormat("%s\"" Key "\": %llu", Sep,                                   \
+                 static_cast<unsigned long long>(R.Stats.Member));             \
+  Sep = ", ";
+#define JSON_NAMED(Member, Key)                                                \
+  J += strFormat("%s\"" Key "\": %s", Sep,                                     \
+                 quoted(backendUsedName(R.Stats.Member)).c_str());             \
+  Sep = ", ";
+  TELECHAT_SIM_STATS(JSON_COUNT, JSON_NAMED)
+#undef JSON_COUNT
+#undef JSON_NAMED
+  J += "}}";
 }
 
 } // namespace

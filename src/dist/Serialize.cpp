@@ -259,7 +259,6 @@ void telechat::encodeSimOptions(WireBuffer &B, const SimOptions &O) {
   B.appendU32(O.MaxCollectedExecutions);
   B.appendU32(O.Jobs);
   B.appendBool(O.RfValuePruning);
-  B.appendBool(O.RfTransformDomain);
   B.appendBool(O.IncrementalCatEval);
   B.appendU8(uint8_t(O.Backend));
   B.appendU64(O.ExploreIterations);
@@ -275,7 +274,6 @@ bool telechat::decodeSimOptions(WireCursor &C, SimOptions &O) {
   O.MaxCollectedExecutions = C.readU32();
   O.Jobs = C.readU32();
   O.RfValuePruning = C.readBool();
-  O.RfTransformDomain = C.readBool();
   O.IncrementalCatEval = C.readBool();
   if (!readEnum(C, O.Backend, uint8_t(SimBackendKind::Explore)))
     return false;
@@ -378,56 +376,24 @@ bool telechat::decodeCampaignUnit(WireCursor &C, CampaignUnit &U) {
 }
 
 void telechat::encodeSimStats(WireBuffer &B, const SimStats &S) {
-  B.appendU64(S.PathCombos);
-  B.appendU64(S.RfCandidates);
-  B.appendU64(S.ValueConsistent);
-  B.appendU64(S.CoCandidates);
-  B.appendU64(S.AllowedExecutions);
-  B.appendU64(S.RfSourcesPruned);
-  B.appendU64(S.RfSourcesPrunedCopy);
-  B.appendU64(S.RfSourcesPrunedXform);
-  B.appendU64(S.RfPruned);
-  B.appendU64(S.CatEvalsAvoided);
-  B.appendU64(S.SolveDecisions);
-  B.appendU64(S.SolvePropagations);
-  B.appendU64(S.SolveConflicts);
-  B.appendU64(S.SolveClauses);
-  B.appendU64(S.SkelCacheHits);
-  B.appendU64(S.SkelCacheMisses);
-  B.appendU64(S.SkelCacheEvictions);
-  B.appendU64(S.ExploreIterations);
-  B.appendU64(S.ExploreSchedules);
-  B.appendU64(S.ExploreOutcomesFound);
-  B.appendU8(S.BackendUsed);
+#define ENCODE_COUNT(Member, Key) B.appendU64(S.Member);
+#define ENCODE_NAMED(Member, Key) B.appendU8(S.Member);
+  TELECHAT_SIM_STATS(ENCODE_COUNT, ENCODE_NAMED)
+#undef ENCODE_COUNT
+#undef ENCODE_NAMED
   B.appendF64(S.Seconds);
 }
 
 bool telechat::decodeSimStats(WireCursor &C, SimStats &S) {
-  S.PathCombos = C.readU64();
-  S.RfCandidates = C.readU64();
-  S.ValueConsistent = C.readU64();
-  S.CoCandidates = C.readU64();
-  S.AllowedExecutions = C.readU64();
-  S.RfSourcesPruned = C.readU64();
-  S.RfSourcesPrunedCopy = C.readU64();
-  S.RfSourcesPrunedXform = C.readU64();
-  S.RfPruned = C.readU64();
-  S.CatEvalsAvoided = C.readU64();
-  S.SolveDecisions = C.readU64();
-  S.SolvePropagations = C.readU64();
-  S.SolveConflicts = C.readU64();
-  S.SolveClauses = C.readU64();
-  S.SkelCacheHits = C.readU64();
-  S.SkelCacheMisses = C.readU64();
-  S.SkelCacheEvictions = C.readU64();
-  S.ExploreIterations = C.readU64();
-  S.ExploreSchedules = C.readU64();
-  S.ExploreOutcomesFound = C.readU64();
-  // Any byte is accepted: BackendUsed is descriptive, not dispatched
+  // Any BackendUsed byte is accepted: it is descriptive, not dispatched
   // on, and a blob from a newer peer must not be rejected for having
   // run an engine this build does not know. backendUsedName() renders
   // unrecognised values as "unknown".
-  S.BackendUsed = C.readU8();
+#define DECODE_COUNT(Member, Key) S.Member = C.readU64();
+#define DECODE_NAMED(Member, Key) S.Member = C.readU8();
+  TELECHAT_SIM_STATS(DECODE_COUNT, DECODE_NAMED)
+#undef DECODE_COUNT
+#undef DECODE_NAMED
   S.Seconds = C.readF64();
   return C.ok();
 }

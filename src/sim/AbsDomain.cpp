@@ -172,17 +172,10 @@ SimVal AbsXform::apply(const SimVal &Arg) const {
 AbsVal AbsInterpreter::combine(Expr::Kind K, AbsVal L, AbsVal R) const {
   if (L.K == AbsVal::Kind::Top || R.K == AbsVal::Kind::Top)
     return AbsVal();
-  bool Folded = L.Folded || R.Folded;
-  if (L.K == AbsVal::Kind::Known && R.K == AbsVal::Kind::Known) {
-    AbsVal Out = AbsVal::known(combineSimVals(K, L.V, R.V));
-    Out.Folded = Folded;
-    return Out;
-  }
-  // At least one operand is a transform of a read. The copy-chain-only
-  // baseline cannot express arithmetic over reads at all; the transform
-  // domain can, as long as a single read feeds the whole tree.
-  if (!Transform)
-    return AbsVal();
+  if (L.K == AbsVal::Kind::Known && R.K == AbsVal::Kind::Known)
+    return AbsVal::known(combineSimVals(K, L.V, R.V));
+  // At least one operand is a transform of a read: expressible as long
+  // as a single read feeds the whole tree.
   if (L.K == AbsVal::Kind::Xform && R.K == AbsVal::Kind::Xform &&
       L.ReadEv != R.ReadEv)
     return AbsVal(); // two sources: outside the single-source domain
@@ -193,18 +186,13 @@ AbsVal AbsInterpreter::combine(Expr::Kind K, AbsVal L, AbsVal R) const {
   // `v + (r ^ r)` back into a filterable known store value.
   if ((K == Expr::Kind::Xor || K == Expr::Kind::Sub) &&
       L.K == AbsVal::Kind::Xform && R.K == AbsVal::Kind::Xform &&
-      L.F == R.F) {
-    AbsVal Zero = AbsVal::known(SimVal{SimVal::Kind::Int, Value(), ""});
-    Zero.Folded = true;
-    return Zero;
-  }
+      L.F == R.F)
+    return AbsVal::known(SimVal{SimVal::Kind::Int, Value(), ""});
   unsigned Ev = L.K == AbsVal::Kind::Xform ? L.ReadEv : R.ReadEv;
   AbsXform F = AbsXform::binary(xformKindFor(K), toNode(L), toNode(R));
   if (F.size() > kMaxXformNodes)
     return AbsVal();
-  AbsVal Out = AbsVal::xform(Ev, std::move(F));
-  Out.Folded = Folded;
-  return Out;
+  return AbsVal::xform(Ev, std::move(F));
 }
 
 AbsVal AbsInterpreter::absEval(const Expr &E,
@@ -233,14 +221,13 @@ void AbsInterpreter::captureConstraint(
   PruneCheck PC;
   PC.E = &Op.Val;
   PC.ExpectNonZero = Op.ConstraintNonZero;
-  bool AllKnown = true, AnyFolded = false;
+  bool AllKnown = true;
   for (const std::string &U : Used) {
     AbsVal A = absRegLookup(Regs, U);
     if (A.K == AbsVal::Kind::Top)
       return; // Untracked input: the fixpoint must decide.
     if (A.K != AbsVal::Kind::Known)
       AllKnown = false;
-    AnyFolded |= A.Folded;
     PC.Regs.emplace_back(U, std::move(A));
   }
   if (AllKnown) {
@@ -249,14 +236,8 @@ void AbsInterpreter::captureConstraint(
       Concrete[Reg] = A.V;
     SimVal C = evalSimExpr(*PC.E, Concrete);
     bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
-    if (NonZero != PC.ExpectNonZero) {
+    if (NonZero != PC.ExpectNonZero)
       Infeasible = true;
-      // A contradiction free of Folded inputs is visible to the
-      // copy-chain baseline too (its constants are a subset of ours
-      // with identical values), so the baseline collapses as well.
-      if (!AnyFolded)
-        InfeasibleBaseline = true;
-    }
     return; // Holds for every candidate: nothing to check later.
   }
   Checks.push_back(std::move(PC));
@@ -265,13 +246,10 @@ void AbsInterpreter::captureConstraint(
 void AbsInterpreter::run(
     unsigned NumEvents,
     const std::vector<std::pair<unsigned, std::string>> &InitWrites,
-    const std::vector<std::vector<AbsThreadOp>> &Threads,
-    bool TransformDomain) {
-  Transform = TransformDomain;
+    const std::vector<std::vector<AbsThreadOp>> &Threads) {
   EvAbs.assign(NumEvents, AbsVal());
   Checks.clear();
   Infeasible = false;
-  InfeasibleBaseline = false;
   for (const auto &[Ev, Loc] : InitWrites) {
     const SimLoc *L = Prog.findLocation(Loc);
     SimVal V;
@@ -302,26 +280,20 @@ void AbsInterpreter::run(
       case SimOp::Kind::Load:
         if (Op.Is128) {
           // The destination halves are bit-slices of the read value
-          // (sweep(): Value(V.Lo) / Value(V.Hi)) -- exactly expressible
-          // in the transform domain, Top in the copy-chain baseline.
-          // The sweep assigns the halves only when Dst is non-empty (an
-          // `ldxp xzr, xN` lowers to Dst == "" and leaves BOTH register
-          // values untouched); mirror that gate exactly or the pass
-          // would track a half the sweep never wrote.
+          // (sweep(): Value(V.Lo) / Value(V.Hi)), exactly expressible
+          // as Lo64/Hi64 transforms of the read. The sweep assigns the
+          // halves only when Dst is non-empty (an `ldxp xzr, xN` lowers
+          // to Dst == "" and leaves BOTH register values untouched);
+          // mirror that gate exactly or the pass would track a half the
+          // sweep never wrote.
           if (!Op.Dst.empty()) {
-            Regs[Op.Dst] =
-                Transform ? AbsVal::xform(
-                                TO.Ev0,
-                                AbsXform::unary(AbsXform::Kind::Lo64,
-                                                AbsXform::arg()))
-                          : AbsVal();
+            Regs[Op.Dst] = AbsVal::xform(
+                TO.Ev0,
+                AbsXform::unary(AbsXform::Kind::Lo64, AbsXform::arg()));
             if (!Op.Dst2.empty())
-              Regs[Op.Dst2] =
-                  Transform ? AbsVal::xform(
-                                  TO.Ev0,
-                                  AbsXform::unary(AbsXform::Kind::Hi64,
-                                                  AbsXform::arg()))
-                            : AbsVal();
+              Regs[Op.Dst2] = AbsVal::xform(
+                  TO.Ev0,
+                  AbsXform::unary(AbsXform::Kind::Hi64, AbsXform::arg()));
           }
         } else if (!Op.Dst.empty()) {
           Regs[Op.Dst] = AbsVal::read(TO.Ev0);
@@ -335,8 +307,7 @@ void AbsInterpreter::run(
           if (Lo.K == AbsVal::Kind::Known && Hi.K == AbsVal::Kind::Known) {
             V = AbsVal::known(SimVal{SimVal::Kind::Int,
                                      Value(Lo.V.V.Lo, Hi.V.V.Lo), ""});
-            V.Folded = Lo.Folded || Hi.Folded;
-          } else if (Transform && Lo.K != AbsVal::Kind::Top &&
+          } else if (Lo.K != AbsVal::Kind::Top &&
                      Hi.K != AbsVal::Kind::Top &&
                      !(Lo.K == AbsVal::Kind::Xform &&
                        Hi.K == AbsVal::Kind::Xform &&
@@ -347,10 +318,8 @@ void AbsInterpreter::run(
                 Lo.K == AbsVal::Kind::Xform ? Lo.ReadEv : Hi.ReadEv;
             AbsXform F = AbsXform::binary(AbsXform::Kind::Pack128,
                                           toNode(Lo), toNode(Hi));
-            if (F.size() <= kMaxXformNodes) {
+            if (F.size() <= kMaxXformNodes)
               V = AbsVal::xform(Ev, std::move(F));
-              V.Folded = Lo.Folded || Hi.Folded;
-            }
           }
         } else {
           V = absEval(Op.Val, Regs);
@@ -396,13 +365,11 @@ void AbsInterpreter::run(
               // The sweep coerces the stored value to Kind::Int.
               SimVal V{SimVal::Kind::Int, Operand.V.V, ""};
               New = AbsVal::known(truncAtLoc(Prog, Loc, std::move(V)));
-              New.Folded = Operand.Folded;
-            } else if (Transform && Operand.K == AbsVal::Kind::Xform) {
+            } else if (Operand.K == AbsVal::Kind::Xform) {
               New = AbsVal::xform(
                   Operand.ReadEv,
                   StoreTrunc(AbsXform::unary(AbsXform::Kind::ToInt,
                                              Operand.F)));
-              New.Folded = Operand.Folded;
             }
             break;
           case SimOp::RmwOpKind::Add:
@@ -410,14 +377,13 @@ void AbsInterpreter::run(
             // old `op` operand over this op's own read: single-source
             // when the operand is a constant (an operand transformed
             // from *another* read would make two sources).
-            if (Transform && Operand.K == AbsVal::Kind::Known) {
+            if (Operand.K == AbsVal::Kind::Known) {
               AbsXform F = AbsXform::binary(
                   Op.RmwOp == SimOp::RmwOpKind::Add
                       ? AbsXform::Kind::RmwAdd
                       : AbsXform::Kind::RmwSub,
                   AbsXform::arg(), AbsXform::constant(Operand.V));
               New = AbsVal::xform(ReadEv, StoreTrunc(std::move(F)));
-              New.Folded = Operand.Folded;
             }
             break;
           }

@@ -124,7 +124,6 @@ struct AbsXform {
     return X;
   }
 
-  bool isArg() const { return K == Kind::Arg; }
   unsigned size() const;
 
   bool operator==(const AbsXform &RHS) const {
@@ -142,13 +141,6 @@ struct AbsVal {
   SimVal V;            ///< Kind::Known payload.
   unsigned ReadEv = 0; ///< Kind::Xform: the single read source.
   AbsXform F;          ///< Kind::Xform: the transform over that read.
-  /// True when this value is only tracked thanks to the transform
-  /// domain's algebraic folding (t^t = t-t = 0 for identical
-  /// single-source trees) -- i.e. the copy-chain-only baseline would
-  /// see Top here even if the value ended up Known. Propagated through
-  /// every combine so prune attribution (copy vs transform counters)
-  /// stays exact against the baseline.
-  bool Folded = false;
 
   static AbsVal known(SimVal V) {
     AbsVal A;
@@ -156,8 +148,7 @@ struct AbsVal {
     A.V = std::move(V);
     return A;
   }
-  /// A plain copy of read \p Ev's value (the identity transform) -- the
-  /// whole domain of the PR2 copy-chain pass.
+  /// A plain copy of read \p Ev's value (the identity transform).
   static AbsVal read(unsigned Ev) { return xform(Ev, AbsXform::arg()); }
   static AbsVal xform(unsigned Ev, AbsXform F) {
     AbsVal A;
@@ -165,13 +156,6 @@ struct AbsVal {
     A.ReadEv = Ev;
     A.F = std::move(F);
     return A;
-  }
-
-  /// True for Xform values whose transform is the identity: the classes
-  /// the copy-chain-only domain already tracked. Used to attribute
-  /// prunes to the RfSourcesPrunedCopy vs RfSourcesPrunedXform counters.
-  bool isIdentityCopy() const {
-    return K == Kind::Xform && F.isArg();
   }
 
   /// Kind::Xform only: the tracked value when the read observes
@@ -217,25 +201,15 @@ public:
 
   /// Runs the pass over one path combo. \p InitWrites lists (event id,
   /// location) of the init writes; \p Threads holds each chosen path's
-  /// ops with their events. With \p TransformDomain false the pass
-  /// degrades to the copy-chain-only domain (identity transforms and
-  /// constants; arithmetic becomes Top) -- the measured baseline.
+  /// ops with their events.
   void run(unsigned NumEvents,
            const std::vector<std::pair<unsigned, std::string>> &InitWrites,
-           const std::vector<std::vector<AbsThreadOp>> &Threads,
-           bool TransformDomain);
+           const std::vector<std::vector<AbsThreadOp>> &Threads);
 
   const std::vector<AbsVal> &evAbs() const { return EvAbs; }
   std::vector<AbsVal> takeEvAbs() { return std::move(EvAbs); }
   std::vector<PruneCheck> takeChecks() { return std::move(Checks); }
   bool infeasible() const { return Infeasible; }
-  /// True when a constant-only constraint that the *copy-chain-only*
-  /// baseline also tracks (no Folded input) condemned the combo -- i.e.
-  /// the baseline would collapse it too. When a combo is infeasible
-  /// only via folding, the baseline instead filters rf candidates
-  /// pair-by-pair, and the caller must replay that accounting to keep
-  /// the copy/transform prune attribution exact.
-  bool infeasibleForBaseline() const { return InfeasibleBaseline; }
 
 private:
   AbsVal absEval(const Expr &E,
@@ -246,11 +220,9 @@ private:
 
   const SimProgram &Prog;
   const std::map<std::string, Value> &LocAddr;
-  bool Transform = true;
   std::vector<AbsVal> EvAbs;
   std::vector<PruneCheck> Checks;
   bool Infeasible = false;
-  bool InfeasibleBaseline = false;
 };
 
 } // namespace telechat

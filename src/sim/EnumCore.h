@@ -267,9 +267,7 @@ public:
   std::vector<AbsVal> EvAbs;
   std::vector<PruneCheck> PruneChecks;
   bool ComboInfeasible = false;
-  bool ComboInfeasibleBaseline = false;
-  uint64_t ComboRfSourcesPrunedCopy = 0;
-  uint64_t ComboRfSourcesPrunedXform = 0;
+  uint64_t ComboRfSourcesPruned = 0;
   // Skeleton-cache state of the prepared combo (sim/SkeletonCache.h).
   // Hit/miss are folded into the stats by accountCombo (once per combo);
   // the cached layer feeds bindComboEvaluator, and the key lets
@@ -314,7 +312,7 @@ public:
     return SimAddr::locName(Op.Addr.Sym, Op.Addr.Off);
   }
   void computeAbstract();
-  void filterRfCandidates(bool BaselineCountOnly);
+  void filterRfCandidates();
   bool sweep(const std::vector<size_t> &RfChoice, bool *Verify);
   unsigned rfSource(const std::vector<size_t> &RfChoice,
                     unsigned ReadEv) const {

@@ -100,10 +100,7 @@ void ComboWorker::processShard(const Shard &S) {
 
 void ComboWorker::accountCombo() {
   ++WR.Stats.PathCombos;
-  WR.Stats.RfSourcesPruned +=
-      ComboRfSourcesPrunedCopy + ComboRfSourcesPrunedXform;
-  WR.Stats.RfSourcesPrunedCopy += ComboRfSourcesPrunedCopy;
-  WR.Stats.RfSourcesPrunedXform += ComboRfSourcesPrunedXform;
+  WR.Stats.RfSourcesPruned += ComboRfSourcesPruned;
   // All workers of one run agree on the combo's hit/miss verdict (the
   // cache lookup is pinned to the run's snapshot), so folding it here --
   // once per combo, like PathCombos -- keeps the counters j-invariant.
@@ -210,7 +207,6 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
     ComboCacheKey.Model = Shared.ModelHash;
     ComboCacheKey.Combo = ComboIndex;
     ComboCacheKey.RfValuePruning = Opts.RfValuePruning;
-    ComboCacheKey.RfTransformDomain = Opts.RfTransformDomain;
     ComboCacheKeyValid = true;
     CachedCombo = SkeletonCache::instance().lookup(
         ComboCacheKey, Shared.SkelSnapshot, ComboCachedLayer);
@@ -230,14 +226,12 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
     // candidate filtering, the skeleton execution, feasibility -- is
     // structural and comes from the cache.
     RfCand = CachedCombo->RfCand;
-    ComboRfSourcesPrunedCopy = CachedCombo->PrunedCopy;
-    ComboRfSourcesPrunedXform = CachedCombo->PrunedXform;
+    ComboRfSourcesPruned = CachedCombo->Pruned;
     if (Opts.RfValuePruning)
       computeAbstract();
     else
       PruneChecks.clear();
     ComboInfeasible = CachedCombo->ComboInfeasible;
-    ComboInfeasibleBaseline = CachedCombo->ComboInfeasibleBaseline;
     SkelEx = CachedCombo->SkelEx;
     InitEvByLoc.clear();
     for (unsigned I = 0; I != N; ++I)
@@ -273,23 +267,14 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
     }
   }
 
-  ComboRfSourcesPrunedCopy = 0;
-  ComboRfSourcesPrunedXform = 0;
+  ComboRfSourcesPruned = 0;
   if (Opts.RfValuePruning) {
     computeAbstract();
     if (!ComboInfeasible)
-      filterRfCandidates(/*BaselineCountOnly=*/false);
-    else if (!ComboInfeasibleBaseline)
-      // A combo only the transform domain can condemn: the copy-chain
-      // baseline would instead have filtered pair-by-pair, so replay
-      // its filtering for accounting (RfSourcesPrunedCopy stays equal
-      // to the baseline's RfSourcesPruned) without touching the --
-      // already collapsed -- candidate lists.
-      filterRfCandidates(/*BaselineCountOnly=*/true);
+      filterRfCandidates();
   } else {
     PruneChecks.clear();
     ComboInfeasible = false;
-    ComboInfeasibleBaseline = false;
   }
   buildSkeletonExecution();
 
@@ -311,9 +296,7 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
     E->RfSpace = RfSpace;
     E->AllStatic = AllStaticCombo;
     E->ComboInfeasible = ComboInfeasible;
-    E->ComboInfeasibleBaseline = ComboInfeasibleBaseline;
-    E->PrunedCopy = ComboRfSourcesPrunedCopy;
-    E->PrunedXform = ComboRfSourcesPrunedXform;
+    E->Pruned = ComboRfSourcesPruned;
     E->NumEvents = Events.size();
     E->NumReads = Reads.size();
     ComboCacheEvictions =
@@ -537,24 +520,17 @@ void ComboWorker::computeAbstract() {
     }
   }
   AbsInterpreter Interp(Prog, LocAddr);
-  Interp.run(unsigned(Events.size()), InitWrites, ThreadOps,
-             Opts.RfTransformDomain);
+  Interp.run(unsigned(Events.size()), InitWrites, ThreadOps);
   EvAbs = Interp.takeEvAbs();
   PruneChecks = Interp.takeChecks();
   ComboInfeasible = Interp.infeasible();
-  ComboInfeasibleBaseline = Interp.infeasibleForBaseline();
 }
 
 /// Drops candidate writes that can never satisfy a single-read
 /// constraint: if a check's only symbolic input is read R and write W
 /// stores a known value violating it, no execution pairs R with W.
-/// Each dropped pair divides the rf index space. With
-/// \p BaselineCountOnly the candidate lists are left intact and only
-/// the prunes the copy-chain baseline would have made are counted
-/// (used when the transform domain collapses a combo the baseline
-/// cannot, so the copy attribution still matches the baseline's own
-/// filtering of that combo).
-void ComboWorker::filterRfCandidates(bool BaselineCountOnly) {
+/// Each dropped pair divides the rf index space.
+void ComboWorker::filterRfCandidates() {
   for (unsigned RI = 0; RI != Reads.size(); ++RI) {
     unsigned ReadEv = Reads[RI];
     const EvInfo &R = Events[ReadEv];
@@ -584,46 +560,20 @@ void ComboWorker::filterRfCandidates(bool BaselineCountOnly) {
         continue;
       }
       SimVal RV = truncAt(RLoc, EvAbs[W].V);
-      // Evaluate every relevant check (not just until the first hit)
-      // so the prune can be attributed: a violation is what the
-      // copy-chain-only domain (RfTransformDomain off) would also
-      // have caught only when its check binds this read through the
-      // identity transform, every other input is a constant the
-      // baseline also knows (not algebraically Folded), and the
-      // candidate write's own value is baseline-known too; anything
-      // else is the symbolic domain's own win.
-      bool Violated = false, ViolatedByCopy = false;
-      for (const PruneCheck *PC : Relevant) {
+      auto Violates = [&](const PruneCheck *PC) {
         std::map<std::string, SimVal> Regs;
-        bool CopyOnly = !EvAbs[W].Folded;
-        for (const auto &[Reg, A] : PC->Regs) {
-          if (A.K == AbsVal::Kind::Known) {
-            if (A.Folded)
-              CopyOnly = false;
-            Regs[Reg] = A.V;
-            continue;
-          }
-          if (!A.isIdentityCopy())
-            CopyOnly = false;
-          Regs[Reg] = A.apply(RV);
-        }
-        if (BaselineCountOnly && !CopyOnly)
-          continue; // The baseline never captured this check.
+        for (const auto &[Reg, A] : PC->Regs)
+          Regs[Reg] = A.K == AbsVal::Kind::Known ? A.V : A.apply(RV);
         SimVal C = evalSimExpr(*PC->E, Regs);
         bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
-        if (NonZero != PC->ExpectNonZero) {
-          Violated = true;
-          ViolatedByCopy |= CopyOnly;
-        }
-      }
-      if (Violated)
-        ++(ViolatedByCopy ? ComboRfSourcesPrunedCopy
-                          : ComboRfSourcesPrunedXform);
+        return NonZero != PC->ExpectNonZero;
+      };
+      if (std::any_of(Relevant.begin(), Relevant.end(), Violates))
+        ++ComboRfSourcesPruned;
       else
         Kept.push_back(W);
     }
-    if (!BaselineCountOnly)
-      RfCand[RI] = std::move(Kept);
+    RfCand[RI] = std::move(Kept);
   }
 }
 
@@ -1183,25 +1133,14 @@ telechat::simcore::mergeResults(const std::vector<ComboWorker *> &Workers,
     R.Allowed.insert(WRes.Allowed.begin(), WRes.Allowed.end());
     for (Symbol F : WRes.Flags)
       R.Flags.insert(F.str());
-    R.Stats.PathCombos += WRes.Stats.PathCombos;
-    R.Stats.RfCandidates += WRes.Stats.RfCandidates;
-    R.Stats.ValueConsistent += WRes.Stats.ValueConsistent;
-    R.Stats.CoCandidates += WRes.Stats.CoCandidates;
-    R.Stats.AllowedExecutions += WRes.Stats.AllowedExecutions;
-    R.Stats.RfSourcesPruned += WRes.Stats.RfSourcesPruned;
-    R.Stats.RfSourcesPrunedCopy += WRes.Stats.RfSourcesPrunedCopy;
-    R.Stats.RfSourcesPrunedXform += WRes.Stats.RfSourcesPrunedXform;
-    R.Stats.RfPruned += WRes.Stats.RfPruned;
-    R.Stats.CatEvalsAvoided += W->catEvalsAvoided();
-    R.Stats.SolveDecisions += WRes.Stats.SolveDecisions;
-    R.Stats.SolvePropagations += WRes.Stats.SolvePropagations;
-    R.Stats.SolveConflicts += WRes.Stats.SolveConflicts;
-    R.Stats.SolveClauses += WRes.Stats.SolveClauses;
-    R.Stats.ExploreIterations += WRes.Stats.ExploreIterations;
-    R.Stats.ExploreSchedules += WRes.Stats.ExploreSchedules;
-    R.Stats.SkelCacheHits += WRes.Stats.SkelCacheHits;
-    R.Stats.SkelCacheMisses += WRes.Stats.SkelCacheMisses;
-    R.Stats.SkelCacheEvictions += WRes.Stats.SkelCacheEvictions;
+    // The evaluator keeps its own count; BackendUsed and
+    // ExploreOutcomesFound are stamped by the backend after the merge.
+    WRes.Stats.CatEvalsAvoided = W->catEvalsAvoided();
+#define SUM_COUNT(Member, Key) R.Stats.Member += WRes.Stats.Member;
+#define SKIP_NAMED(Member, Key)
+    TELECHAT_SIM_STATS(SUM_COUNT, SKIP_NAMED)
+#undef SUM_COUNT
+#undef SKIP_NAMED
     if (!WRes.Error.empty() && WRes.ErrorShard < ErrorShard) {
       ErrorShard = WRes.ErrorShard;
       R.Error = WRes.Error;

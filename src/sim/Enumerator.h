@@ -92,7 +92,9 @@ struct SimOptions {
   unsigned Jobs = 1;
   /// Reject value-inconsistent rf assignments before the resolution
   /// fixpoint, and drop candidate writes that can never satisfy a path's
-  /// read-value constraints from the rf lists. Pruning is conservative:
+  /// read-value constraints from the rf lists. Values are tracked
+  /// through copies and arithmetic over one read by the symbolic-
+  /// transform domain (sim/AbsDomain.h). Pruning is conservative:
   /// an assignment is rejected only when the fixpoint provably would
   /// reject it, so Allowed/Flags/Executions and the ValueConsistent /
   /// CoCandidates / AllowedExecutions counters are bit-identical with
@@ -101,16 +103,6 @@ struct SimOptions {
   /// with pruning on: a budget-bounded run can complete under pruning
   /// where it would have timed out without.
   bool RfValuePruning = true;
-  /// Sub-switch of RfValuePruning: track values through arithmetic with
-  /// the single-source symbolic-transform domain (sim/AbsDomain.h).
-  /// When false the abstract pass degrades to the copy-chain-only
-  /// domain (constants and plain copies of one read's value; anything
-  /// arithmetic becomes Top) -- the pre-transform baseline. Outcomes
-  /// are bit-identical either way; the switch exists to measure the
-  /// extra pruning and to pin the differential in tests
-  /// (RfSourcesPrunedCopy with the domain on equals RfSourcesPruned
-  /// with it off).
-  bool RfTransformDomain = true;
   /// Evaluate the Cat model incrementally: cache the model's stable
   /// (po-only-derived) layer per path combo and re-evaluate only the
   /// rf/co-dependent layer per candidate. Verdicts are bit-identical to
@@ -152,88 +144,87 @@ struct SimOptions {
   uint64_t ExploreBudget = 0;
 };
 
-/// Counters for one simulation run. All counters except Seconds are
-/// deterministic for a fixed (program, model, options) on completed
-/// runs, regardless of Jobs (the parallel merge reassembles them in
-/// enumeration order).
+/// The SimStats counters, declared once. A row is COUNT(Member, "key")
+/// for a uint64_t work counter or NAMED(Member, "key") for the one
+/// uint8_t rendered by name (backendUsedName) and never summed. Each
+/// consumer expands the table in row order, which is the results-JSON
+/// key order: the struct members, the wire/journal encoding
+/// (dist/Serialize.cpp), the per-unit "stats" object of the results
+/// JSON (dist/CampaignJson.cpp), the per-worker sum in
+/// simcore::mergeResults and litmus-sim's --stats line. Adding a
+/// counter is one row here plus the code that increments it.
+///
+/// On completed runs every row but SkelCacheEvictions is a pure
+/// function of (program, model, options, skeleton-cache snapshot),
+/// whatever the job count: the parallel merge reassembles the rows in
+/// enumeration order.
+#define TELECHAT_SIM_STATS(COUNT, NAMED)                                       \
+  /** Path combinations: one choice of path in every thread. */                \
+  COUNT(PathCombos, "path_combos")                                             \
+  /** rf assignments drawn from the space. */                                  \
+  COUNT(RfCandidates, "rf_candidates")                                         \
+  /** ... that survived value resolution. */                                   \
+  COUNT(ValueConsistent, "value_consistent")                                   \
+  /** Coherence orders tried on value-consistent assignments. */               \
+  COUNT(CoCandidates, "co_candidates")                                         \
+  /** Candidates the model allowed. */                                         \
+  COUNT(AllowedExecutions, "allowed_executions")                               \
+  /** (read, candidate write) pairs removed from rf candidate lists by         \
+      constraint propagation, summed over path combos. Each removed pair       \
+      divides the enumerated space, so small numbers here can mean large       \
+      space reductions. A combo whose constant constraints contradict          \
+      its branches collapses without filtering and counts nothing. */          \
+  COUNT(RfSourcesPruned, "rf_sources_pruned")                                  \
+  /** Enumerated rf assignments rejected by the O(events) constraint           \
+      check before the value-resolution fixpoint (each skipped one). */        \
+  COUNT(RfPruned, "rf_pruned")                                                 \
+  /** Cat binding and check evaluations served from the per-combo stable       \
+      layer instead of being recomputed per candidate. */                      \
+  COUNT(CatEvalsAvoided, "cat_evals_avoided")                                  \
+  /** Path combos served from the process-wide skeleton cache                  \
+      (sim/SkeletonCache.h; zero while it is disabled, the default).           \
+      Lookups see only entries inserted before the run started. */             \
+  COUNT(SkelCacheHits, "skel_cache_hits")                                      \
+  /** Path combos computed and offered to the cache. */                        \
+  COUNT(SkelCacheMisses, "skel_cache_misses")                                  \
+  /** Entries this run's inserts evicted. NOT job-count-invariant:             \
+      whichever worker performs the insert pays the eviction, so identity      \
+      gates must not compare it across job counts. */                          \
+  COUNT(SkelCacheEvictions, "skel_cache_evictions")                            \
+  /** Which backend actually ran (SimBackendKind::Sweep, ::Solve or            \
+      ::Explore; Auto resolves before the run), so mixed-backend campaigns     \
+      stay attributable and subset-mode comparison (core/MCompare.h)           \
+      knows an explore target set is a sound subset. */                        \
+  NAMED(BackendUsed, "backend")                                                \
+  /** Solver decision-tree nodes visited: one rf candidate tried at one        \
+      read (src/solve/; zero elsewhere). The solver's budget currency. */      \
+  COUNT(SolveDecisions, "solve_decisions")                                     \
+  /** Pairs removed from open domains by watched-literal propagation. */       \
+  COUNT(SolvePropagations, "solve_propagations")                               \
+  /** Dead subtrees abandoned: a clause fully matched, a violated check,       \
+      or a propagation wiped an open domain. */                                \
+  COUNT(SolveConflicts, "solve_conflicts")                                     \
+  /** Nogood clauses in play: compiled pair constraints plus learned           \
+      support nogoods. */                                                      \
+  COUNT(SolveClauses, "solve_clauses")                                         \
+  /** Scheduled program executions the explore backend attempted, summed       \
+      over path combos (src/explore/; zero elsewhere). */                      \
+  COUNT(ExploreIterations, "explore_iterations")                               \
+  /** Distinct complete rf assignments the schedules reached. */               \
+  COUNT(ExploreSchedules, "explore_schedules")                                 \
+  /** Outcomes in the explore backend's sound-subset report; stamped           \
+      after the merge. */                                                      \
+  COUNT(ExploreOutcomesFound, "explore_outcomes_found")
+
+/// Counters for one simulation run (see TELECHAT_SIM_STATS).
 struct SimStats {
-  uint64_t PathCombos = 0;
-  uint64_t RfCandidates = 0;      ///< rf assignments drawn from the space.
-  uint64_t ValueConsistent = 0;   ///< ... that survived value resolution.
-  uint64_t CoCandidates = 0;
-  uint64_t AllowedExecutions = 0;
-  /// (read, candidate write) pairs removed from rf candidate lists by
-  /// constraint propagation, summed over path combos. Each removed pair
-  /// divides the enumerated space, so small numbers here can mean large
-  /// space reductions. Always RfSourcesPrunedCopy + RfSourcesPrunedXform.
-  uint64_t RfSourcesPruned = 0;
-  /// ... of which pairs a copy-chain-only domain already catches: some
-  /// violated constraint binds the read through the identity transform
-  /// (a plain copy of the loaded value).
-  uint64_t RfSourcesPrunedCopy = 0;
-  /// ... of which pairs only the symbolic-transform domain catches:
-  /// every violated constraint sees the read through arithmetic
-  /// (r^1, r+1, width truncations, 128-bit half slices, RMW combines).
-  uint64_t RfSourcesPrunedXform = 0;
-  /// Enumerated rf assignments rejected by the O(events) constraint
-  /// check before the value-resolution fixpoint (each of these skipped
-  /// one fixpoint).
-  uint64_t RfPruned = 0;
-  /// Cat binding and check evaluations served from the per-combo stable
-  /// layer instead of being recomputed per candidate -- the work a
-  /// non-incremental evaluator would have done.
-  uint64_t CatEvalsAvoided = 0;
-  // --- Process-wide skeleton-cache counters (sim/SkeletonCache.h; all
-  // zero while the cache is disabled, which is the default). Outcomes
-  // are byte-identical with the cache on or off; a hit only skips
-  // recomputing per-combo artifacts the cache already holds.
-  /// Path combos whose artifacts were served from the process-wide
-  /// cache. Deterministic per run regardless of Jobs: lookups see only
-  /// entries inserted before the run started (snapshot semantics).
-  uint64_t SkelCacheHits = 0;
-  /// Path combos computed and offered to the cache (j-invariant like
-  /// hits).
-  uint64_t SkelCacheMisses = 0;
-  /// Entries this run's inserts evicted. The one scheduling-dependent
-  /// cache counter: whichever worker performs the insert pays the
-  /// eviction, so identity gates must not compare it across job counts.
-  uint64_t SkelCacheEvictions = 0;
-  // --- Solver-only work counters (src/solve/; zero under the sweep).
-  // Deterministic for a fixed (program, model, options) on completed
-  // runs regardless of Jobs, like every other counter here.
-  /// Decision-tree nodes visited: one rf candidate tried at one read.
-  /// The solver's budget currency -- compare against RfCandidates to
-  /// see how much of the swept space the decision tree skipped.
-  uint64_t SolveDecisions = 0;
-  /// (read, candidate write) pairs removed from open domains by
-  /// watched-literal unit propagation.
-  uint64_t SolvePropagations = 0;
-  /// Dead subtrees abandoned: a clause fully matched, a violated
-  /// branch/value check, or a propagation wiped an open domain.
-  uint64_t SolveConflicts = 0;
-  /// Nogood clauses in play: pair constraints compiled up front plus
-  /// support nogoods learned from violated checks during search.
-  uint64_t SolveClauses = 0;
-  // --- Explore-only work counters (src/explore/; zero elsewhere).
-  // Deterministic for a fixed (program, model, options) regardless of
-  // Jobs: per-combo work is a pure function of (seed, combo, i).
-  /// Scheduled program executions attempted, summed over path combos
-  /// (aborted-stuck iterations included: they spent the schedule).
-  uint64_t ExploreIterations = 0;
-  /// Distinct complete rf assignments the schedules reached -- the
-  /// exploration's effective coverage currency. Compare against
-  /// RfCandidates (the assignments actually validated) and the sweep's
-  /// space to see how much of it the scheduler found.
-  uint64_t ExploreSchedules = 0;
-  /// Outcomes in the reported (sound-subset) set; stamped post-merge so
-  /// subset-mode consumers can read coverage without the outcome set.
-  uint64_t ExploreOutcomesFound = 0;
-  /// Which backend actually ran (SimBackendKind::Sweep, ::Solve or
-  /// ::Explore; Auto resolves before the run). Reported per unit in
-  /// stats lines and campaign JSON so mixed-backend campaigns stay
-  /// attributable -- and so subset-mode comparison (core/MCompare.h)
-  /// knows the target set is a sound subset, not the full set.
-  uint8_t BackendUsed = 0;
+#define TELECHAT_STAT_COUNT(Member, Key) uint64_t Member = 0;
+#define TELECHAT_STAT_NAMED(Member, Key) uint8_t Member = 0;
+  TELECHAT_SIM_STATS(TELECHAT_STAT_COUNT, TELECHAT_STAT_NAMED)
+#undef TELECHAT_STAT_COUNT
+#undef TELECHAT_STAT_NAMED
+  /// Wall clock, outside the table: it is the one nondeterministic
+  /// field, so it travels on the wire but never enters results JSON.
   double Seconds = 0.0;
 };
 

@@ -83,12 +83,10 @@ struct SkelCacheKey {
   uint64_t Model = 0;
   uint64_t Combo = 0;
   bool RfValuePruning = true;
-  bool RfTransformDomain = true;
 
   bool operator<(const SkelCacheKey &RHS) const {
     auto T = [](const SkelCacheKey &K) {
-      return std::tie(K.ProgHi, K.ProgLo, K.Model, K.Combo, K.RfValuePruning,
-                      K.RfTransformDomain);
+      return std::tie(K.ProgHi, K.ProgLo, K.Model, K.Combo, K.RfValuePruning);
     };
     return T(*this) < T(RHS);
   }
@@ -102,9 +100,7 @@ struct SkelCacheEntry {
   uint64_t RfSpace = 0;
   bool AllStatic = false;
   bool ComboInfeasible = false;
-  bool ComboInfeasibleBaseline = false;
-  uint64_t PrunedCopy = 0;
-  uint64_t PrunedXform = 0;
+  uint64_t Pruned = 0; ///< The combo's RfSourcesPruned share.
   /// Collision guard: a hit must agree on these with the live skeleton.
   size_t NumEvents = 0;
   size_t NumReads = 0;

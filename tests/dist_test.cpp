@@ -220,7 +220,7 @@ TEST(SerializeTest, CampaignConfigRoundTrips) {
   Config.Opts.AugmentLocals = false;
   Config.Opts.Sim.MaxSteps = 123456;
   Config.Opts.Sim.RfValuePruning = false;
-  Config.Opts.Sim.RfTransformDomain = false;
+  Config.Opts.Sim.IncrementalCatEval = false;
   Config.Opts.Sim.Backend = SimBackendKind::Solve;
   Config.SimulateOnly = true;
   WireBuffer B;
@@ -233,7 +233,7 @@ TEST(SerializeTest, CampaignConfigRoundTrips) {
   EXPECT_FALSE(Out.Opts.AugmentLocals);
   EXPECT_EQ(Out.Opts.Sim.MaxSteps, 123456u);
   EXPECT_FALSE(Out.Opts.Sim.RfValuePruning);
-  EXPECT_FALSE(Out.Opts.Sim.RfTransformDomain);
+  EXPECT_FALSE(Out.Opts.Sim.IncrementalCatEval);
   EXPECT_EQ(Out.Opts.Sim.Backend, SimBackendKind::Solve);
   EXPECT_TRUE(Out.SimulateOnly);
 }
@@ -268,18 +268,17 @@ TEST(SerializeTest, SimOptionsBackendRoundTripsAndRejectsHostile) {
   EXPECT_FALSE(decodeSimOptions(Bad, Out));
 }
 
-TEST(SerializeTest, SimStatsSolverCountersRoundTripAndRejectHostile) {
+TEST(SerializeTest, SimStatsEveryRowRoundTripsAndRejectsHostile) {
+  // Every table row gets a distinct value; any BackendUsed byte is
+  // legal on the wire, so that row takes part too.
   SimStats S;
-  S.PathCombos = 7;
-  S.RfCandidates = 9;
-  S.SolveDecisions = 11;
-  S.SolvePropagations = 13;
-  S.SolveConflicts = 17;
-  S.SolveClauses = 19;
-  S.ExploreIterations = 23;
-  S.ExploreSchedules = 29;
-  S.ExploreOutcomesFound = 31;
-  S.BackendUsed = uint8_t(SimBackendKind::Solve);
+  uint64_t Next = 0;
+  size_t Rows = 0;
+#define FILL_ROW(Member, Key)                                                  \
+  S.Member = decltype(S.Member)(7 * ++Next);                                   \
+  ++Rows;
+  TELECHAT_SIM_STATS(FILL_ROW, FILL_ROW)
+#undef FILL_ROW
   S.Seconds = 1.5;
   WireBuffer B;
   encodeSimStats(B, S);
@@ -287,24 +286,58 @@ TEST(SerializeTest, SimStatsSolverCountersRoundTripAndRejectHostile) {
   SimStats Out;
   ASSERT_TRUE(decodeSimStats(C, Out));
   EXPECT_EQ(C.remaining(), 0u);
-  EXPECT_EQ(Out.PathCombos, 7u);
-  EXPECT_EQ(Out.RfCandidates, 9u);
-  EXPECT_EQ(Out.SolveDecisions, 11u);
-  EXPECT_EQ(Out.SolvePropagations, 13u);
-  EXPECT_EQ(Out.SolveConflicts, 17u);
-  EXPECT_EQ(Out.SolveClauses, 19u);
-  EXPECT_EQ(Out.ExploreIterations, 23u);
-  EXPECT_EQ(Out.ExploreSchedules, 29u);
-  EXPECT_EQ(Out.ExploreOutcomesFound, 31u);
-  EXPECT_EQ(Out.BackendUsed, uint8_t(SimBackendKind::Solve));
+#define EXPECT_ROW(Member, Key) EXPECT_EQ(Out.Member, S.Member) << Key;
+  TELECHAT_SIM_STATS(EXPECT_ROW, EXPECT_ROW)
+#undef EXPECT_ROW
   EXPECT_EQ(Out.Seconds, 1.5);
-  // BackendUsed sits just before the trailing f64. It is descriptive,
-  // not dispatched on: a byte this build does not know (a stats blob
-  // from a newer peer with another engine) must decode, not fail --
-  // and must *render* as "unknown" rather than aliasing a real engine
-  // (or reading out of a name table).
+
+  // The results-JSON stats object names each row's key exactly once,
+  // with the row's value, and nothing else.
+  TelechatResult R;
+  R.SourceSim.Stats = S;
+  std::string J = campaignResultsJson(std::vector<CampaignUnit>(),
+                                      std::vector<CampaignConfig>(), {R});
+  size_t Open = J.find("\"stats\": {");
+  ASSERT_NE(Open, std::string::npos);
+  std::string Obj = J.substr(Open, J.find('}', Open) - Open);
+  auto Occurrences = [&](const std::string &Needle) {
+    size_t N = 0;
+    for (size_t At = Obj.find(Needle); At != std::string::npos;
+         At = Obj.find(Needle, At + 1))
+      ++N;
+    return N;
+  };
+  EXPECT_EQ(Occurrences("\": "), Rows + 1) << Obj; // + the "stats" key
+#define EXPECT_JSON_COUNT(Member, Key)                                         \
+  EXPECT_EQ(Occurrences("\"" Key "\": "), 1u) << Obj;                          \
+  EXPECT_EQ(Occurrences("\"" Key "\": " + std::to_string(S.Member)), 1u)       \
+      << Obj;
+#define EXPECT_JSON_NAMED(Member, Key)                                         \
+  EXPECT_EQ(Occurrences("\"" Key "\": "), 1u) << Obj;                          \
+  EXPECT_EQ(Occurrences(std::string("\"" Key "\": \"") +                       \
+                        backendUsedName(S.Member) + "\""),                     \
+            1u)                                                                \
+      << Obj;
+  TELECHAT_SIM_STATS(EXPECT_JSON_COUNT, EXPECT_JSON_NAMED)
+#undef EXPECT_JSON_COUNT
+#undef EXPECT_JSON_NAMED
+
+  // BackendUsed is descriptive, not dispatched on: a byte this build
+  // does not know (a stats blob from a newer peer with another engine)
+  // must decode, not fail -- and must *render* as "unknown" rather than
+  // aliasing a real engine (or reading out of a name table). Its wire
+  // offset is wherever flipping the field changes the encoding.
+  SimStats Flipped = S;
+  Flipped.BackendUsed ^= 0xFF;
+  WireBuffer FB;
+  encodeSimStats(FB, Flipped);
+  ASSERT_EQ(FB.size(), B.size());
+  size_t BackendAt = size_t(
+      std::mismatch(B.data(), B.data() + B.size(), FB.data()).first -
+      B.data());
+  ASSERT_LT(BackendAt, B.size());
   std::vector<uint8_t> Bytes(B.data(), B.data() + B.size());
-  Bytes[Bytes.size() - 9] = 0xC7;
+  Bytes[BackendAt] = 0xC7;
   WireCursor Hostile(Bytes.data(), Bytes.size());
   SimStats HostileOut;
   ASSERT_TRUE(decodeSimStats(Hostile, HostileOut));
@@ -339,10 +372,6 @@ TEST(SerializeTest, TelechatResultRoundTripsTheCampaignSlice) {
   EXPECT_EQ(Out.SourceSim.Stats.RfCandidates, R.SourceSim.Stats.RfCandidates);
   EXPECT_EQ(Out.SourceSim.Stats.RfSourcesPruned,
             R.SourceSim.Stats.RfSourcesPruned);
-  EXPECT_EQ(Out.SourceSim.Stats.RfSourcesPrunedCopy,
-            R.SourceSim.Stats.RfSourcesPrunedCopy);
-  EXPECT_EQ(Out.SourceSim.Stats.RfSourcesPrunedXform,
-            R.SourceSim.Stats.RfSourcesPrunedXform);
   EXPECT_EQ(Out.SourceSim.Stats.Seconds, R.SourceSim.Stats.Seconds);
   EXPECT_EQ(Out.TargetSim.Allowed, R.TargetSim.Allowed);
   EXPECT_EQ(Out.Compare.K, R.Compare.K);
@@ -416,15 +445,19 @@ void expectUnitIdentical(const TelechatResult &L, const TelechatResult &D,
   EXPECT_EQ(L.SourceSim.Allowed, D.SourceSim.Allowed) << What;
   EXPECT_EQ(L.SourceSim.Flags, D.SourceSim.Flags) << What;
   EXPECT_EQ(L.SourceSim.TimedOut, D.SourceSim.TimedOut) << What;
-  EXPECT_EQ(L.SourceSim.Stats.RfCandidates, D.SourceSim.Stats.RfCandidates)
-      << What;
-  EXPECT_EQ(L.SourceSim.Stats.AllowedExecutions,
-            D.SourceSim.Stats.AllowedExecutions)
-      << What;
   EXPECT_EQ(L.TargetSim.Allowed, D.TargetSim.Allowed) << What;
   EXPECT_EQ(L.TargetSim.Flags, D.TargetSim.Flags) << What;
-  EXPECT_EQ(L.TargetSim.Stats.RfCandidates, D.TargetSim.Stats.RfCandidates)
-      << What;
+  // Every SimStats row on both sides, but the scheduling-dependent
+  // SkelCacheEvictions.
+#define EXPECT_ROW(Member, Key)                                                \
+  if (std::string(Key) != "skel_cache_evictions") {                            \
+    EXPECT_EQ(L.SourceSim.Stats.Member, D.SourceSim.Stats.Member)              \
+        << What << ": source " Key;                                            \
+    EXPECT_EQ(L.TargetSim.Stats.Member, D.TargetSim.Stats.Member)              \
+        << What << ": target " Key;                                            \
+  }
+  TELECHAT_SIM_STATS(EXPECT_ROW, EXPECT_ROW)
+#undef EXPECT_ROW
   EXPECT_EQ(L.Compare.K, D.Compare.K) << What;
   EXPECT_EQ(L.Compare.SourceRace, D.Compare.SourceRace) << What;
   EXPECT_EQ(L.Compare.TargetFlags, D.Compare.TargetFlags) << What;

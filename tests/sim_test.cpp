@@ -268,34 +268,23 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
 // ---------------------------------------------------------------------------
 // Abstract-domain regressions (sim/AbsDomain.h): sweep-parity holes the
 // symbolic-transform pruning must not reopen. Each test pins the rule
-// by comparing outcome sets with pruning on, copy-chain-only, and off.
+// by comparing outcome sets with pruning on and off.
 
 namespace {
 
-/// Outcome sets under all three pruning modes must agree; returns the
+/// Outcome sets with pruning on and off must agree; returns the
 /// pruning-on result for further assertions.
 SimResult expectPruningParity(const SimProgram &P, const std::string &Model,
                               const std::string &What) {
   SimResult On = simulateProgram(P, Model);
-  SimOptions CopyOnly;
-  CopyOnly.RfTransformDomain = false;
-  SimResult Copy = simulateProgram(P, Model, CopyOnly);
   SimOptions NoPrune;
   NoPrune.RfValuePruning = false;
   SimResult Off = simulateProgram(P, Model, NoPrune);
   EXPECT_TRUE(On.ok()) << What << ": " << On.Error;
   EXPECT_EQ(On.Allowed, Off.Allowed) << What << " (on vs off)";
-  EXPECT_EQ(Copy.Allowed, Off.Allowed) << What << " (copy-only vs off)";
   EXPECT_EQ(On.Flags, Off.Flags) << What;
   EXPECT_EQ(On.Stats.ValueConsistent, Off.Stats.ValueConsistent) << What;
   EXPECT_EQ(On.Stats.AllowedExecutions, Off.Stats.AllowedExecutions)
-      << What;
-  // The copy attribution must reproduce the copy-chain-only baseline
-  // exactly, and the split must account for every pruned pair.
-  EXPECT_EQ(On.Stats.RfSourcesPrunedCopy, Copy.Stats.RfSourcesPruned)
-      << What;
-  EXPECT_EQ(On.Stats.RfSourcesPruned,
-            On.Stats.RfSourcesPrunedCopy + On.Stats.RfSourcesPrunedXform)
       << What;
   return On;
 }
@@ -494,9 +483,8 @@ namespace {
 
 /// Two threads around a 128-bit location: P0 stores the pair (5, 7);
 /// P1 128-loads into half registers (rl, rh) and branches on arithmetic
-/// over one half. The halves are bit-slice transforms of one read: the
-/// transform domain prunes the init write, the copy-chain baseline
-/// cannot.
+/// over one half. The halves are bit-slice transforms of one read, so
+/// the transform domain can prune the init write.
 SimProgram pairHalvesProgram() {
   SimProgram P;
   P.Name = "pair-halves";
@@ -556,11 +544,8 @@ TEST(AbsDomainRegressionTest, PairLoadHalvesAreBitSliceTransforms) {
   EXPECT_EQ(On.Allowed.begin()->lookup("P1:rh"), Value(7));
   // The init write (0, 0) violates rh == 7 and must be pruned from the
   // candidate list -- possible only because the halves are modelled as
-  // Lo64/Hi64 transforms of the read. The copy-chain baseline sees Top
-  // and prunes nothing (pinned inside expectPruningParity via
-  // RfSourcesPrunedCopy == baseline's total, here zero).
-  EXPECT_EQ(On.Stats.RfSourcesPrunedCopy, 0u);
-  EXPECT_GT(On.Stats.RfSourcesPrunedXform, 0u);
+  // Lo64/Hi64 transforms of the read.
+  EXPECT_GT(On.Stats.RfSourcesPruned, 0u);
 }
 
 TEST(AbsDomainRegressionTest, PairLoadZeroRegisterFirstOperand) {
@@ -586,14 +571,11 @@ TEST(AbsDomainRegressionTest, PairLoadZeroRegisterFirstOperand) {
   EXPECT_GT(On.Stats.ValueConsistent, 1u);
 }
 
-TEST(AbsDomainRegressionTest, FoldInfeasibleComboKeepsCopyAttribution) {
-  // A path whose infeasibility only the transform domain can prove
+TEST(AbsDomainRegressionTest, FoldInfeasibleComboCollapses) {
+  // A path whose infeasibility only the algebraic fold can prove
   // statically (r2 = r1 ^ r1 folds to 0, so `if (r2)` is a constant
-  // contradiction) while the same path also carries a copy-class check
-  // (`if (r0 - 1)`) the baseline prunes with. The transform domain
-  // collapses the combo, but must still replay the baseline's filtering
-  // for accounting so RfSourcesPrunedCopy == the baseline's
-  // RfSourcesPruned (asserted inside expectPruningParity).
+  // contradiction) while the same path also carries a check on a plain
+  // copy (`if (r0 - 1)`) that prunes pair by pair in the other combos.
   auto T = parseLitmusC(R"(C foldinf
 { *x = 0; *y = 0; *z = 0; }
 void P0(atomic_int* x, atomic_int* y, atomic_int* z) {
@@ -613,12 +595,14 @@ exists (P1:r0=2)
   ASSERT_TRUE(T.hasValue()) << T.error();
   SimProgram P = lowerLitmusC(*T);
   SimResult On = expectPruningParity(P, "rc11", "fold-infeasible");
-  // The r0 checks prune in both domains (copy class), and the fold
-  // collapses the taken-r2 combos only under the transform domain.
-  EXPECT_GT(On.Stats.RfSourcesPrunedCopy, 0u);
-  SimOptions CopyOnly;
-  CopyOnly.RfTransformDomain = false;
-  SimResult Copy = simulateProgram(P, "rc11", CopyOnly);
-  EXPECT_LT(On.Stats.RfCandidates, Copy.Stats.RfCandidates)
-      << "fold-condemned combos must collapse instead of enumerating";
+  SimOptions NoPrune;
+  NoPrune.RfValuePruning = false;
+  SimResult Off = simulateProgram(P, "rc11", NoPrune);
+  // The fold-condemned combos collapse instead of enumerating (a
+  // domain without the fold would filter them pair by pair and draw 9
+  // candidates); the r0 checks prune 3 pairs in the surviving combos,
+  // and a collapsed combo counts no pruned pairs.
+  EXPECT_EQ(Off.Stats.RfCandidates, 18u);
+  EXPECT_EQ(On.Stats.RfCandidates, 3u);
+  EXPECT_EQ(On.Stats.RfSourcesPruned, 3u);
 }

@@ -209,9 +209,6 @@ exists (P1:r0=1 /\ P1:r1=0)
   SimOptions NoPrune;
   NoPrune.RfValuePruning = false; // Pure DFS: a tree-shaped sweep.
   expectBackendsAgree(*T, NoPrune);
-  SimOptions CopyOnly;
-  CopyOnly.RfTransformDomain = false;
-  expectBackendsAgree(*T, CopyOnly);
 }
 
 TEST(SolveBackendTest, StoreOnlyProgramMatchesSweep) {

@@ -46,7 +46,7 @@ static void usage() {
           "usage: litmus-sim <test.litmus> [--model <name>] [-j <n>] "
           "[--max-steps <n>] [--dot] [--stats]\n"
           "       [--backend sweep|solve|auto|explore] [--no-prune] "
-          "[--no-transform] [--no-cat-cache]\n"
+          "[--no-cat-cache]\n"
           "       [--explore-iters <n>] [--explore-seed <n>]\n"
           "       litmus-sim --serve <port> --corpus <file>|--suite "
           "realworld[:family]|--gen-seed <n> [--gen-count <n>] "
@@ -71,8 +71,6 @@ static void usage() {
           "  --explore-iters <n>  explore: schedules per path combo\n"
           "  --explore-seed <n>   explore: PRNG seed for random schedules\n"
           "  --no-prune      disable rf value-constraint pruning\n"
-          "  --no-transform  prune with the copy-chain-only abstract "
-          "domain (no arithmetic transforms)\n"
           "  --no-cat-cache  disable incremental Cat evaluation\n"
           "  --dedupe        serve one unit per canonical test shape and\n"
           "                  rename its result onto the duplicates\n"
@@ -94,43 +92,56 @@ int main(int argc, char **argv) {
   std::string Path = argv[1];
   std::string Model;
   bool Dot = false, Stats = false;
-  bool Prune = true, Transform = true, CatCache = true;
+  bool Prune = true, CatCache = true;
   SimBackendKind Backend = SimBackendKind::Sweep;
   unsigned Jobs = 1;
   uint64_t MaxSteps = 0;
   uint64_t ExploreIters = 0, ExploreSeed = 0; // 0 = SimOptions default.
   for (int I = 2; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (Arg == "--model" && I + 1 < argc)
-      Model = argv[++I];
-    else if ((Arg == "-j" || Arg == "--jobs") && I + 1 < argc) {
+    // A flag missing its value is refused like an unknown flag.
+    auto Value = [&]() -> const char * {
+      if (I + 1 == argc) {
+        usage();
+        exit(1);
+      }
+      return argv[++I];
+    };
+    if (Arg == "--model")
+      Model = Value();
+    else if (Arg == "-j" || Arg == "--jobs") {
+      const char *V = Value();
       char *End = nullptr;
-      Jobs = unsigned(strtoul(argv[++I], &End, 0));
-      if (End == argv[I] || *End != '\0') {
-        fprintf(stderr, "error: -j expects a number, got '%s'\n", argv[I]);
+      Jobs = unsigned(strtoul(V, &End, 0));
+      if (End == V || *End != '\0') {
+        fprintf(stderr, "error: -j expects a number, got '%s'\n", V);
         return 1;
       }
-    } else if (Arg == "--max-steps" && I + 1 < argc)
-      MaxSteps = strtoull(argv[++I], nullptr, 0);
+    } else if (Arg == "--max-steps")
+      MaxSteps = strtoull(Value(), nullptr, 0);
     else if (Arg == "--dot")
       Dot = true;
     else if (Arg == "--stats")
       Stats = true;
     else if (Arg == "--no-prune")
       Prune = false;
-    else if (Arg == "--no-transform")
-      Transform = false;
     else if (Arg == "--no-cat-cache")
       CatCache = false;
-    else if (Arg == "--backend" && I + 1 < argc) {
-      if (!backendFromName(argv[++I], Backend)) {
-        fprintf(stderr, "error: unknown backend '%s'\n", argv[I]);
+    else if (Arg == "--backend") {
+      const char *V = Value();
+      if (!backendFromName(V, Backend)) {
+        fprintf(stderr, "error: unknown backend '%s'\n", V);
         return 1;
       }
-    } else if (Arg == "--explore-iters" && I + 1 < argc)
-      ExploreIters = strtoull(argv[++I], nullptr, 0);
-    else if (Arg == "--explore-seed" && I + 1 < argc)
-      ExploreSeed = strtoull(argv[++I], nullptr, 0);
+    } else if (Arg == "--explore-iters")
+      ExploreIters = strtoull(Value(), nullptr, 0);
+    else if (Arg == "--explore-seed")
+      ExploreSeed = strtoull(Value(), nullptr, 0);
+    else {
+      fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
+      usage();
+      return 1;
+    }
   }
   std::ifstream In(Path);
   if (!In) {
@@ -172,7 +183,6 @@ int main(int argc, char **argv) {
   Opts.CollectExecutions = Dot;
   Opts.Jobs = Jobs;
   Opts.RfValuePruning = Prune;
-  Opts.RfTransformDomain = Transform;
   Opts.IncrementalCatEval = CatCache;
   Opts.Backend = Backend;
   if (ExploreIters)
@@ -197,39 +207,19 @@ int main(int argc, char **argv) {
   if (R.TimedOut)
     printf("TIMEOUT (budget exhausted)\n");
   if (Stats) {
-    printf("Time %s %.4f (backend=%s paths=%llu rf=%llu consistent=%llu "
-           "co=%llu allowed=%llu rf-sources-pruned=%llu (copy=%llu "
-           "xform=%llu) rf-pruned=%llu cat-evals-avoided=%llu "
-           "skel-hits=%llu skel-misses=%llu skel-evictions=%llu)\n",
-           Program.Name.c_str(), R.Stats.Seconds,
-           backendUsedName(R.Stats.BackendUsed),
-           static_cast<unsigned long long>(R.Stats.PathCombos),
-           static_cast<unsigned long long>(R.Stats.RfCandidates),
-           static_cast<unsigned long long>(R.Stats.ValueConsistent),
-           static_cast<unsigned long long>(R.Stats.CoCandidates),
-           static_cast<unsigned long long>(R.Stats.AllowedExecutions),
-           static_cast<unsigned long long>(R.Stats.RfSourcesPruned),
-           static_cast<unsigned long long>(R.Stats.RfSourcesPrunedCopy),
-           static_cast<unsigned long long>(R.Stats.RfSourcesPrunedXform),
-           static_cast<unsigned long long>(R.Stats.RfPruned),
-           static_cast<unsigned long long>(R.Stats.CatEvalsAvoided),
-           static_cast<unsigned long long>(R.Stats.SkelCacheHits),
-           static_cast<unsigned long long>(R.Stats.SkelCacheMisses),
-           static_cast<unsigned long long>(R.Stats.SkelCacheEvictions));
-    if (R.Stats.BackendUsed == uint8_t(SimBackendKind::Solve))
-      printf("Solver %s (decisions=%llu propagations=%llu conflicts=%llu "
-             "clauses=%llu)\n",
-             Program.Name.c_str(),
-             static_cast<unsigned long long>(R.Stats.SolveDecisions),
-             static_cast<unsigned long long>(R.Stats.SolvePropagations),
-             static_cast<unsigned long long>(R.Stats.SolveConflicts),
-             static_cast<unsigned long long>(R.Stats.SolveClauses));
-    if (R.Stats.BackendUsed == uint8_t(SimBackendKind::Explore))
-      printf("Explore %s (iterations=%llu schedules=%llu outcomes=%llu)\n",
-             Program.Name.c_str(),
-             static_cast<unsigned long long>(R.Stats.ExploreIterations),
-             static_cast<unsigned long long>(R.Stats.ExploreSchedules),
-             static_cast<unsigned long long>(R.Stats.ExploreOutcomesFound));
+    printf("Time %s %.4f (", Program.Name.c_str(), R.Stats.Seconds);
+    const char *Sep = "";
+#define PRINT_COUNT(Member, Key)                                               \
+  printf("%s" Key "=%llu", Sep,                                                \
+         static_cast<unsigned long long>(R.Stats.Member));                     \
+  Sep = " ";
+#define PRINT_NAMED(Member, Key)                                               \
+  printf("%s" Key "=%s", Sep, backendUsedName(R.Stats.Member));                \
+  Sep = " ";
+    TELECHAT_SIM_STATS(PRINT_COUNT, PRINT_NAMED)
+#undef PRINT_COUNT
+#undef PRINT_NAMED
+    printf(")\n");
   }
   if (Dot)
     for (size_t I = 0; I != R.Executions.size() && I < 4; ++I)

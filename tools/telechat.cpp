@@ -70,8 +70,6 @@ static void usage() {
           "  --explore-budget <n>  reroute units whose estimated rf space\n"
           "                     reaches n to the explore backend\n"
           "  --no-prune         disable rf value-constraint pruning\n"
-          "  --no-transform     copy-chain-only pruning domain (no\n"
-          "                     arithmetic transforms)\n"
           "  --no-cat-cache     disable incremental Cat evaluation\n"
           "  --show-asm         print raw and optimised assembly tests\n"
           "  --fuzz-seed <n>    apply semantics-preserving mutations\n"
@@ -172,8 +170,6 @@ int mainSingle(int argc, char **argv) {
       Options.Sim.ExploreBudget = strtoull(V, nullptr, 0);
     } else if (Arg == "--no-prune") {
       Options.Sim.RfValuePruning = false;
-    } else if (Arg == "--no-transform") {
-      Options.Sim.RfTransformDomain = false;
     } else if (Arg == "--no-cat-cache") {
       Options.Sim.IncrementalCatEval = false;
     } else if (Arg == "--show-asm") {
