@@ -10,7 +10,6 @@
 #include "sim/Simulator.h"
 #include "support/StringUtils.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -71,94 +70,6 @@ bool GeneratorUnitSource::next(CampaignUnit &Out) {
 }
 
 uint64_t GeneratorUnitSource::sizeHint() const { return Planned; }
-
-uint64_t GeneratorUnitSource::produced() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Emitted;
-}
-
-bool DedupingUnitSource::next(CampaignUnit &Out) {
-  std::lock_guard<std::mutex> Lock(M);
-  CampaignUnit U;
-  while (Inner.next(U)) {
-    CanonResult CR = canonicalizeTest(U.Test);
-    auto Key = std::make_tuple(U.Config, CR.Key.Hi, CR.Key.Lo, CR.Text);
-    auto [It, IsNew] = Reps.emplace(std::move(Key), U.Id);
-    if (IsNew) {
-      RepCanon.emplace(U.Id, std::move(CR));
-      Out = std::move(U);
-      return true;
-    }
-    Dup D;
-    D.Id = U.Id;
-    D.RepId = It->second;
-    D.Renaming = composeRenaming(RepCanon.at(It->second), CR);
-    D.Meta = CampaignUnitMeta{U.Test.Name, U.Config};
-    Dups.push_back(std::move(D));
-  }
-  return false;
-}
-
-bool ReplayingUnitSource::next(CampaignUnit &Out) {
-  std::lock_guard<std::mutex> Lock(M);
-  CampaignUnit U;
-  while (Inner.next(U)) {
-    auto It = Replay.find(U.Id);
-    if (It == Replay.end()) {
-      Out = std::move(U);
-      return true;
-    }
-    Applied A;
-    A.Id = U.Id;
-    A.Meta = CampaignUnitMeta{U.Test.Name, U.Config};
-    A.Result = std::move(It->second);
-    Replay.erase(It);
-    Done.push_back(std::move(A));
-  }
-  return false;
-}
-
-uint64_t ReplayingUnitSource::staleReplays() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Replay.size();
-}
-
-void ReplayingUnitSource::forgetReplay(uint64_t Id) {
-  std::lock_guard<std::mutex> Lock(M);
-  Replay.erase(Id);
-}
-
-namespace {
-
-SimResult renameSimSide(const SimResult &R, const CanonRenaming &Ren) {
-  SimResult Out;
-  Out.Allowed = Ren.renameOutcomeSet(R.Allowed);
-  Out.Flags = R.Flags;
-  Out.TimedOut = R.TimedOut;
-  Out.Error = R.Error;
-  Out.Stats = R.Stats;
-  return Out;
-}
-
-} // namespace
-
-TelechatResult telechat::renameTelechatResult(const TelechatResult &Rep,
-                                              const CanonRenaming &Ren) {
-  TelechatResult R;
-  R.Error = Rep.Error;
-  R.OptStats = Rep.OptStats;
-  R.SourceSim = renameSimSide(Rep.SourceSim, Ren);
-  R.TargetSim = renameSimSide(Rep.TargetSim, Ren);
-  R.Compare.K = Rep.Compare.K;
-  R.Compare.SourceRace = Rep.Compare.SourceRace;
-  R.Compare.TargetFlags = Rep.Compare.TargetFlags;
-  R.Compare.Witnesses.reserve(Rep.Compare.Witnesses.size());
-  for (const Outcome &W : Rep.Compare.Witnesses)
-    R.Compare.Witnesses.push_back(Ren.renameOutcome(W));
-  // mcompare emits witnesses in outcome-set order; renaming permutes it.
-  std::sort(R.Compare.Witnesses.begin(), R.Compare.Witnesses.end());
-  return R;
-}
 
 TelechatResult
 telechat::runCampaignUnit(const CampaignUnit &U,

@@ -10,10 +10,10 @@
 /// config), a pull-based *unit source* feeding a pool of executor
 /// threads, and a result sink keyed by the unit id. The id is the unit's
 /// corpus index, so any consumer -- runTelechatMany's slot vector, the
-/// work server's merge -- reassembles results in corpus order and a
-/// campaign's merged report is bit-identical no matter how the units
-/// were scheduled, how many pool workers ran them, or which machine
-/// executed which unit.
+/// campaign ledger (dist/CampaignLedger.h) -- reassembles results in
+/// corpus order and a campaign's merged report is bit-identical no
+/// matter how the units were scheduled, how many pool workers ran them,
+/// or which machine executed which unit.
 ///
 /// Unit execution always runs the per-test simulations with Sim.Jobs=1:
 /// campaign throughput wants the parallelism *across* units (the
@@ -27,15 +27,12 @@
 
 #include "core/Telechat.h"
 #include "diy/Generator.h"
-#include "litmus/Canon.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
-#include <tuple>
 #include <vector>
 
 namespace telechat {
@@ -70,8 +67,8 @@ struct CampaignUnitMeta {
 /// Pull-based source of units. next() is called concurrently from
 /// executor threads and must be thread-safe. Sources hand out units in
 /// id order with Id equal to the unit's position in the stream -- the
-/// invariant every merge (local slot vectors, the work server, the
-/// campaign journal) keys on.
+/// invariant every merge (runTelechatMany's slot vector, the campaign
+/// ledger of the local and served drivers, the journal) keys on.
 class UnitSource {
 public:
   virtual ~UnitSource() = default;
@@ -118,12 +115,9 @@ public:
   /// Planned upper bound: Count tests x NumConfigs (the generator may
   /// stop short when its attempt budget runs out).
   uint64_t sizeHint() const override;
-  /// Units emitted so far: the final corpus size once next() has
-  /// returned false.
-  uint64_t produced() const;
 
 private:
-  mutable std::mutex M;
+  std::mutex M;
   RandomTestStream Stream;
   uint32_t NumConfigs;
   LitmusTest Cur;       ///< Test currently being crossed with configs.
@@ -132,103 +126,6 @@ private:
   uint64_t Emitted = 0;
   uint64_t Planned;
 };
-
-/// Wraps a source and serves only one unit per canonical equivalence
-/// class (litmus/Canon.h) and config: a unit whose test canonicalizes to
-/// a shape an earlier unit of the same config already had is *not*
-/// handed out; it is recorded as a duplicate instead, with the renaming
-/// that translates the representative's outcomes into its vocabulary.
-/// Ids pass through unchanged (the skipped ids simply never appear), so
-/// this wrapper fits the local drivers, which key results by id -- NOT
-/// the work server, whose stream contract is id == position (the server
-/// has its own dedupe, WorkServerOptions::Dedupe).
-///
-/// After the wrapped stream is drained, fill each duplicate's slot from
-/// its representative:
-///   Results[D.Id] = renameTelechatResult(Results[D.RepId], D.Renaming);
-class DedupingUnitSource final : public UnitSource {
-public:
-  /// One unit answered by an earlier representative.
-  struct Dup {
-    uint64_t Id = 0;
-    uint64_t RepId = 0;          ///< Always < Id (stream order).
-    CanonRenaming Renaming;      ///< Rep's names -> this unit's names.
-    CampaignUnitMeta Meta;       ///< The duplicate's own name/config.
-  };
-
-  explicit DedupingUnitSource(UnitSource &Inner) : Inner(Inner) {}
-  /// Serves the next non-duplicate unit. Thread-safe; canonicalization
-  /// runs under the lock (cheap next to simulating the unit).
-  bool next(CampaignUnit &Out) override;
-  uint64_t sizeHint() const override { return Inner.sizeHint(); }
-  /// The duplicates recorded so far, in stream order. Stable only once
-  /// the stream is drained (every lane's next() returned false).
-  const std::vector<Dup> &duplicates() const { return Dups; }
-
-private:
-  mutable std::mutex M;
-  UnitSource &Inner;
-  /// (config, canon key, canon text) -> representative unit id. The
-  /// canonical text rides along so a key collision splits classes
-  /// instead of merging strangers.
-  std::map<std::tuple<uint32_t, uint64_t, uint64_t, std::string>, uint64_t>
-      Reps;
-  std::map<uint64_t, CanonResult> RepCanon; ///< For composeRenaming.
-  std::vector<Dup> Dups;
-};
-
-/// Wraps a source and answers units from a preloaded result map instead
-/// of handing them out: the UnitSource-side half of journal resume, and
-/// what lets a *local* campaign (no server) resume from a journal. Units
-/// whose id appears in the replay map are consumed silently -- the lane
-/// never sees them, so they are never re-executed -- and recorded with
-/// their meta so the driver can merge the replayed result into its slot.
-/// Ids still ascend through the wrapper (skipped ids simply never reach
-/// the executor), which keeps the id == corpus-position merge intact.
-///
-/// Replay entries whose ids the stream never produced are *stale* (a
-/// journal replayed against the wrong spec); count them after the drain
-/// and report, never merge.
-class ReplayingUnitSource final : public UnitSource {
-public:
-  /// One unit answered from the replay map instead of execution.
-  struct Applied {
-    uint64_t Id = 0;
-    CampaignUnitMeta Meta;
-    TelechatResult Result;
-  };
-
-  ReplayingUnitSource(UnitSource &Inner,
-                      std::map<uint64_t, TelechatResult> Replay)
-      : Inner(Inner), Replay(std::move(Replay)) {}
-  /// Serves the next unit the replay map does not cover. Thread-safe.
-  bool next(CampaignUnit &Out) override;
-  uint64_t sizeHint() const override { return Inner.sizeHint(); }
-  /// Replayed units in stream order. Stable only once the stream is
-  /// drained (every lane's next() returned false).
-  const std::vector<Applied> &applied() const { return Done; }
-  /// Replay entries the stream never matched. Stable once drained.
-  uint64_t staleReplays() const;
-  /// Drops \p Id from the replay map without recording it (a duplicate
-  /// the dedupe layer will answer by renaming: its journaled result is
-  /// already the merged answer, but it must not count as stale).
-  void forgetReplay(uint64_t Id);
-
-private:
-  mutable std::mutex M;
-  UnitSource &Inner;
-  std::map<uint64_t, TelechatResult> Replay;
-  std::vector<Applied> Done;
-};
-
-/// Translates a representative's campaign result into a duplicate's
-/// vocabulary: outcome sets and compare witnesses are renamed through
-/// \p Ren (and re-sorted -- renaming permutes set order); errors, flags,
-/// verdict kind, timeout bits and stats are copied verbatim. Covers
-/// exactly the result slice reports and the wire carry (Error, OptStats,
-/// SourceSim, TargetSim, Compare).
-TelechatResult renameTelechatResult(const TelechatResult &Rep,
-                                    const CanonRenaming &Ren);
 
 /// Builds the corpus for one config: unit ids are the test indices.
 std::vector<CampaignUnit> makeCampaignUnits(

@@ -8,6 +8,7 @@
 
 #include "core/Campaign.h"
 #include "dist/CampaignJson.h"
+#include "dist/CampaignLedger.h"
 #include "dist/Journal.h"
 #include "dist/WorkServer.h"
 #include "diy/Classics.h"
@@ -23,10 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -456,10 +454,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
       Spec.Units = makeCampaignUnits(Tests);
     }
     if (!JournalPath.empty()) {
-      // Exists-check up front (cheap, before corpus work); the journal
-      // itself is only created once the server has bound its port, so a
-      // failed bind cannot orphan a header-only file that would block a
-      // plain retry of the same command.
+      // Never truncate an existing journal: it may be a crashed
+      // campaign's only record.
       std::ifstream Probe(JournalPath);
       if (Probe) {
         fprintf(stderr,
@@ -471,48 +467,45 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     }
   }
 
-  std::vector<CampaignUnitMeta> Meta;
-  std::vector<TelechatResult> Results;
-  uint64_t Deduped = 0;
-
   // The skeleton cache is process-wide; the knob matters to whoever
   // *executes* units (the local pool here, --work workers in the served
   // modes, where setting it is harmless but idle).
   if (SkelCacheSet)
     simcore::SkeletonCache::instance().setCapacity(SkelCacheCap);
 
-  std::string ServeError;
-
+  // A new journal's header needs the spec intact, so it is written before
+  // the corpus moves into its source -- except when serving, where it is
+  // created only once the port is bound, so a failed bind cannot orphan a
+  // header-only file that would block a plain retry of the same command.
+  bool CreateJournal = !JournalPath.empty() && !Resume;
+  auto StartJournal = [&] {
+    std::string E = Journal.create(JournalPath, Spec, Configs);
+    if (!E.empty())
+      fprintf(stderr, "error: %s\n", E.c_str());
+    return E.empty();
+  };
+  CampaignReport Report;
   if (Serve) {
     ServerOpts.Verbose = Verbose;
     ServerOpts.Dedupe = Dedupe;
     bool Streamed = Spec.K == CampaignSourceSpec::Kind::Generator;
-    // A journal header needs the spec intact, so only the journal-free
-    // path can move the corpus into the source; the journaled path
-    // drops its duplicate right after the header is written below.
-    bool CreateJournal = !JournalPath.empty() && !Resume;
     std::unique_ptr<UnitSource> Source =
         CreateJournal ? Spec.makeSource() : Spec.takeSource();
     uint64_t Hint = Source->sizeHint();
     WorkServer Server(std::move(Source), Configs, ServerOpts);
-    if (!Replay.empty())
-      Server.preloadResults(std::move(Replay));
+    Server.preloadResults(std::move(Replay));
     std::string Error = Server.start();
     if (!Error.empty()) {
       fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
     if (CreateJournal) {
-      std::string E = Journal.create(JournalPath, Spec, Configs);
-      if (!E.empty()) {
-        fprintf(stderr, "error: %s\n", E.c_str());
+      if (!StartJournal())
         return 1;
-      }
       Spec.Units.clear();
       Spec.Units.shrink_to_fit();
     }
-    if (Journal.isOpen())
-      Server.setJournal(&Journal);
+    Server.setJournal(&Journal);
     if (SimOnly)
       printf("serving %s%llu simulation units on %s:%u (model %s)\n",
              Streamed ? "up to " : "",
@@ -527,13 +520,7 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
              Configs[0].P.name().c_str(),
              Configs[0].Opts.SourceModel.c_str());
     fflush(stdout);
-    CampaignReport Report = Server.run();
-    ServeError = Report.Error;
-    if (Report.StaleReplays)
-      fprintf(stderr,
-              "warning: %llu journal results matched no unit of the "
-              "campaign spec\n",
-              static_cast<unsigned long long>(Report.StaleReplays));
+    Report = Server.run();
     printf("served: %.2f s, %llu requeues, %llu replayed, %llu deduped, "
            "%zu workers\n",
            Report.Seconds,
@@ -541,138 +528,58 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
            static_cast<unsigned long long>(Report.ReplayedResults),
            static_cast<unsigned long long>(Report.DedupedUnits),
            Report.Workers.size());
-    Deduped = Report.DedupedUnits;
-    if (!EngineJsonPath.empty() &&
-        !writeJson(EngineJsonPath, campaignEngineJson(Report)))
-      return 1;
-    Results = std::move(Report.Results);
-    Meta = std::move(Report.UnitsMeta);
   } else {
-    // Local campaign over the pool. The journal is a UnitSource-side
-    // concern here, not a server feature: executed results are appended
-    // (under a lock, before they merge) exactly like the server's
-    // accept path, and resume replays through a ReplayingUnitSource so
-    // journaled units never reach an executor lane. A resumed local
-    // campaign is byte-identical to an uninterrupted one.
-    bool Streamed = Spec.K == CampaignSourceSpec::Kind::Generator;
-    if (!JournalPath.empty() && !Resume) {
-      // Created before the corpus moves into its source: the header
-      // needs the spec intact.
-      std::string E = Journal.create(JournalPath, Spec, Configs);
-      if (!E.empty()) {
-        fprintf(stderr, "error: %s\n", E.c_str());
-        return 1;
-      }
-    }
-    std::map<uint64_t, TelechatResult> ReplayMap;
-    std::set<uint64_t> ReplayedIds; ///< Already journaled: never re-append.
-    for (auto &R : Replay) {
-      ReplayedIds.insert(R.first);
-      ReplayMap.emplace(R.first, std::move(R.second));
-    }
-    Replay.clear();
-
-    std::unique_ptr<GeneratorUnitSource> GenSource;
-    std::unique_ptr<VectorUnitSource> VecSource;
-    if (Streamed) {
-      GenSource =
-          std::make_unique<GeneratorUnitSource>(Spec.Gen, Spec.NumConfigs);
-      Meta.resize(size_t(GenSource->sizeHint()));
-      Results.resize(size_t(GenSource->sizeHint()));
-    } else {
-      Meta = campaignUnitMeta(Spec.Units);
-      Results.resize(Spec.Units.size());
-      VecSource = std::make_unique<VectorUnitSource>(std::move(Spec.Units));
-    }
-    UnitSource &Inner = Streamed ? static_cast<UnitSource &>(*GenSource)
-                                 : *VecSource;
-    DedupingUnitSource Deduper(Inner);
-    UnitSource &Mid = Dedupe ? static_cast<UnitSource &>(Deduper) : Inner;
-    ReplayingUnitSource Replayer(Mid, std::move(ReplayMap));
-
-    std::mutex JournalM;
-    auto JournalAppend = [&](uint64_t Id, const TelechatResult &R) {
-      if (!Journal.isOpen())
-        return;
-      std::lock_guard<std::mutex> Lock(JournalM);
-      if (ServeError.empty() && !Journal.appendResult(Id, R))
-        ServeError = "the campaign journal stopped accepting appends; "
-                     "results merged after the fault are not durable";
-    };
-
+    if (CreateJournal && !StartJournal())
+      return 1;
+    CampaignLedger Ledger(Dedupe);
+    Ledger.replay(std::move(Replay));
+    Ledger.setJournal(&Journal);
     ThreadPool Pool(resolveJobs(Jobs));
-    runCampaignUnits(Replayer, Configs, Pool,
-                     [&](const CampaignUnit &U, TelechatResult R) {
-                       JournalAppend(U.Id, R);
-                       Results[U.Id] = std::move(R);
-                       if (Streamed)
-                         Meta[U.Id] =
-                             CampaignUnitMeta{U.Test.Name, U.Config};
-                     });
-    if (Streamed) {
-      // The generator may stop short of the plan; the corpus is what it
-      // actually produced.
-      Results.resize(size_t(GenSource->produced()));
-      Meta.resize(size_t(GenSource->produced()));
-    }
-    // Replayed results merge without execution -- and are NOT
-    // re-journaled (their records are already in the file).
-    uint64_t Replayed = 0;
-    for (const ReplayingUnitSource::Applied &A : Replayer.applied()) {
-      Results[A.Id] = A.Result;
-      if (Streamed)
-        Meta[A.Id] = A.Meta;
-      ++Replayed;
-    }
-    // Deduped units never reached an executor: fill their slots from
-    // their representatives (rep id < dup id and reps are always served,
-    // so the rep's slot is set -- executed or replayed).
-    for (const DedupingUnitSource::Dup &D : Deduper.duplicates()) {
-      Results[D.Id] = renameTelechatResult(Results[D.RepId], D.Renaming);
-      if (Streamed)
-        Meta[D.Id] = D.Meta;
-      ++Deduped;
-      // A journaled duplicate never reappears in the stream (the dedupe
-      // layer swallows it); it was answered here, so it is not stale.
-      Replayer.forgetReplay(D.Id);
-      if (!ReplayedIds.count(D.Id))
-        JournalAppend(D.Id, Results[D.Id]);
-    }
-    if (uint64_t Stale = Replayer.staleReplays())
-      fprintf(stderr,
-              "warning: %llu journal results matched no unit of the "
-              "campaign spec\n",
-              static_cast<unsigned long long>(Stale));
+    Report = runLocalCampaign(*Spec.takeSource(), Configs, Pool, Ledger);
     if (Resume)
       printf("replayed: %llu results merged from the journal without "
              "re-execution\n",
-             static_cast<unsigned long long>(Replayed));
+             static_cast<unsigned long long>(Report.ReplayedResults));
+    if (Dedupe)
+      printf("deduped: %llu of %zu units answered by canonical "
+             "representatives\n",
+             static_cast<unsigned long long>(Report.DedupedUnits),
+             Report.Results.size());
   }
-  if (Dedupe && !Serve)
-    printf("deduped: %llu of %zu units answered by canonical "
-           "representatives\n",
-           static_cast<unsigned long long>(Deduped), Results.size());
+  if (Report.StaleReplays)
+    fprintf(stderr,
+            "warning: %llu journal results matched no unit of the "
+            "campaign spec\n",
+            static_cast<unsigned long long>(Report.StaleReplays));
+  if (!EngineJsonPath.empty() &&
+      !writeJson(EngineJsonPath,
+                 campaignEngineJson(Report, Serve ? "work-server" : "local")))
+    return 1;
 
-  if (Results.empty()) {
+  if (Report.Results.empty()) {
     // Every materialised path refused an empty corpus up front; the
     // streamed paths only learn the size after draining. A zero-unit
     // campaign (--gen-count 0, or an exhausted attempt budget) reading
-    // as "campaign passed" would hide a broken spec.
-    fprintf(stderr, "error: the campaign produced no units\n");
+    // as "campaign passed" would hide a broken spec. A source refused at
+    // its first unit lands here too, and its Error is the real cause.
+    fprintf(stderr, "error: %s\n",
+            Report.Error.empty() ? "the campaign produced no units"
+                                 : Report.Error.c_str());
     return 1;
   }
   if (!CampaignJsonPath.empty() &&
-      !writeJson(CampaignJsonPath,
-                 campaignResultsJson(Meta, Configs, Results)))
+      !writeJson(CampaignJsonPath, campaignResultsJson(Report.UnitsMeta,
+                                                       Configs,
+                                                       Report.Results)))
     return 1;
-  int Exit = SimOnly ? summariseSim(Meta, Results)
-                     : summarisePipeline(Meta, Results);
-  if (!ServeError.empty()) {
+  int Exit = SimOnly ? summariseSim(Report.UnitsMeta, Report.Results)
+                     : summarisePipeline(Report.UnitsMeta, Report.Results);
+  if (!Report.Error.empty()) {
     // The merged results above are valid, but the run broke a promise
     // (journal stopped accepting appends, or the source misbehaved):
     // write the artefacts, then fail loudly -- an exit-0 campaign that
     // silently lost its durability would be worse than the fault.
-    fprintf(stderr, "error: %s\n", ServeError.c_str());
+    fprintf(stderr, "error: %s\n", Report.Error.c_str());
     return 1;
   }
   if (Compact) {

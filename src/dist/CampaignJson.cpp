@@ -222,9 +222,10 @@ std::string telechat::serviceStatusJson(const ServiceStatus &S) {
   return J;
 }
 
-std::string telechat::campaignEngineJson(const CampaignReport &Report) {
+std::string telechat::campaignEngineJson(const CampaignReport &Report,
+                                         const char *Engine) {
   std::string J = "{\n";
-  J += strFormat("  \"engine\": \"work-server\",\n  \"units\": %llu,\n",
+  J += strFormat("  \"engine\": \"%s\",\n  \"units\": %llu,\n", Engine,
                  static_cast<unsigned long long>(Report.Units));
   J += strFormat("  \"seconds\": %.3f,\n", Report.Seconds);
   J += strFormat("  \"requeues\": %llu,\n",

@@ -15,10 +15,10 @@
 ///    the CI loopback smoke (and any deployment) verifies a cluster:
 ///    cmp local.json distributed.json.
 ///
-///  - campaignEngineJson(): what the run cost -- wall clock, per-worker
-///    throughput, lease requeues. Legitimately different every run;
-///    kept in a separate file so the deterministic artefact stays
-///    diffable.
+///  - campaignEngineJson(): what the run cost -- wall clock, replays and
+///    dedupes, and for a served run per-worker throughput and requeues.
+///    Legitimately different every run; kept in a separate file so the
+///    deterministic artefact stays diffable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,7 @@
 #define TELECHAT_DIST_CAMPAIGNJSON_H
 
 #include "core/Campaign.h"
-#include "dist/WorkServer.h"
+#include "dist/CampaignLedger.h"
 
 #include <string>
 #include <vector>
@@ -49,8 +49,10 @@ std::string campaignResultsJson(const std::vector<CampaignUnit> &Units,
                                 const std::vector<CampaignConfig> &Configs,
                                 const std::vector<TelechatResult> &Results);
 
-/// Engine telemetry of a served campaign (nondeterministic by nature).
-std::string campaignEngineJson(const CampaignReport &Report);
+/// Engine telemetry of a campaign (nondeterministic by nature); \p Engine
+/// names the driver that ran it: "local" or "work-server".
+std::string campaignEngineJson(const CampaignReport &Report,
+                               const char *Engine);
 
 /// A live snapshot of a running campaign service (server or relay), the
 /// body of the HTTP status endpoint (`GET /status`). Same vocabulary as

@@ -22,12 +22,12 @@
 /// dropped. Because unit execution is deterministic, a duplicate is
 /// byte-equal to the accepted result anyway.
 ///
-/// Durability: with a journal attached (setJournal), every accepted
-/// result is appended and flushed before it is merged; preloadResults
-/// seeds a restarted server with the journal's replayed results, which
-/// merge without being re-served -- the resume path of
-/// docs/DISTRIBUTED.md. A resumed campaign's report is byte-identical
-/// to an uninterrupted run over the same spec.
+/// The merge, journal replay, canonical dedupe and journal-before-merge
+/// are the CampaignLedger's (CampaignLedger.h), the same ledger the local
+/// driver merges through: setJournal and preloadResults hand it the
+/// journal and its replayed results, which merge without being re-served
+/// -- the resume path of docs/DISTRIBUTED.md. A resumed campaign's report
+/// is byte-identical to an uninterrupted run over the same spec.
 ///
 /// Threading: the server is single-threaded (one poll loop); it is the
 /// *workers* that bring parallelism. run() blocks until every unit has a
@@ -40,7 +40,7 @@
 #define TELECHAT_DIST_WORKSERVER_H
 
 #include "core/Campaign.h"
-#include "dist/LeaseFront.h"
+#include "dist/CampaignLedger.h"
 
 #include <cstdint>
 #include <memory>
@@ -81,46 +81,13 @@ struct WorkServerOptions {
   bool Verbose = false;
 };
 
-/// Everything one served campaign produced.
-struct CampaignReport {
-  /// Results in corpus order (index = unit id); the deterministic merge.
-  std::vector<TelechatResult> Results;
-  /// Name/config of every unit in corpus order: what summaries and the
-  /// results JSON need after streamed unit bodies are dropped.
-  std::vector<CampaignUnitMeta> UnitsMeta;
-  uint64_t Units = 0;             ///< Corpus size (survives moving Results).
-  uint64_t Requeues = 0;          ///< Leases re-issued (faults observed).
-  uint64_t DuplicateResults = 0;  ///< Late results dropped after requeue.
-  /// Results merged from a journal replay instead of execution (resume).
-  uint64_t ReplayedResults = 0;
-  /// Units answered by canonical dedupe (Options::Dedupe) instead of
-  /// execution this run. Duplicates resumed from a journal count as
-  /// ReplayedResults, not here (their results never needed a rename).
-  uint64_t DedupedUnits = 0;
-  /// Replayed results whose unit ids the stream never produced (a
-  /// journal replayed against the wrong spec); dropped from the merge.
-  uint64_t StaleReplays = 0;
-  /// Poll-loop iterations of run(): with the earliest-deadline timer
-  /// this tracks actual work (frames, accepts, expiries), not a fixed
-  /// tick rate.
-  uint64_t PollWakeups = 0;
-  /// Adaptive lease-size trajectory (LeaseScheduler.h).
-  LeaseSizing Sizing;
-  std::vector<WorkerTelemetry> Workers;
-  double Seconds = 0.0;           ///< Wall clock of run().
-  /// Nonempty when the unit source misbehaved (ids out of stream order)
-  /// or the journal stopped accepting appends; the merge covers only the
-  /// units streamed before the fault.
-  std::string Error;
-};
-
-class JournalWriter;
-
 class WorkServer {
 public:
-  /// A materialised corpus. \p Units must satisfy Units[i].Id == i (what
-  /// makeCampaignUnits produces): the id is the merge key AND the corpus
-  /// position. start() refuses corpora that violate it.
+  /// A materialised corpus, served through a VectorUnitSource. \p Units
+  /// must satisfy Units[i].Id == i (what makeCampaignUnits produces): the
+  /// id is the merge key AND the corpus position. start() does not check
+  /// it; run() stops at the first unit that breaks it and reports it in
+  /// CampaignReport::Error, like the streaming constructor.
   WorkServer(std::vector<CampaignUnit> Units,
              std::vector<CampaignConfig> Configs,
              WorkServerOptions Options = WorkServerOptions());
@@ -136,14 +103,13 @@ public:
   WorkServer(const WorkServer &) = delete;
   WorkServer &operator=(const WorkServer &) = delete;
 
-  /// Attaches a campaign journal: every accepted result is appended (and
-  /// flushed) before it merges. \p J must be open and outlive run().
-  /// Call before run().
+  /// Attaches a campaign journal (CampaignLedger::setJournal). \p J must
+  /// outlive run(). Call before run().
   void setJournal(JournalWriter *J);
 
-  /// Seeds results replayed from a journal: matching units merge as
-  /// completed without being served, and are not re-journaled. Call
-  /// before run().
+  /// Seeds results replayed from a journal (CampaignLedger::replay):
+  /// matching units merge as completed without being served, and are not
+  /// re-journaled. Call before run().
   void preloadResults(std::vector<std::pair<uint64_t, TelechatResult>> R);
 
   /// Binds and listens. Empty string on success, error text otherwise.

@@ -13,7 +13,9 @@
 
 #include "core/Campaign.h"
 #include "core/Telechat.h"
+#include "dist/CampaignCli.h"
 #include "dist/CampaignJson.h"
+#include "dist/CampaignLedger.h"
 #include "dist/Journal.h"
 #include "dist/Protocol.h"
 #include "dist/Relay.h"
@@ -698,7 +700,7 @@ TEST(LoopbackCampaignTest, ExploreCampaignDrillIsSoundAndAccounted) {
   }
 
   // Engine JSON splits the populations and carries live counters.
-  std::string Engine = campaignEngineJson(Report);
+  std::string Engine = campaignEngineJson(Report, "work-server");
   size_t At = Engine.find("\"explore\": {\"explored_units\": 4, "
                           "\"exhaustive_units\": 4, \"iterations\": ");
   ASSERT_NE(At, std::string::npos) << Engine;
@@ -769,28 +771,14 @@ std::vector<CampaignConfig> pipelineConfig() {
   return {{P, TestOptions(), false}};
 }
 
-struct LocalRun {
-  std::vector<CampaignUnitMeta> Meta;
-  std::vector<TelechatResult> Results;
-};
-
-/// Drains a streamed generator campaign over the local pool, the way
-/// `telechat --campaign --gen-seed` does.
-LocalRun runStreamedLocal(const RandomGenOptions &G,
-                          const std::vector<CampaignConfig> &Configs) {
+/// Drains a streamed generator campaign through the local driver, the
+/// way `telechat --campaign --gen-seed` does.
+CampaignReport runStreamedLocal(const RandomGenOptions &G,
+                                const std::vector<CampaignConfig> &Configs) {
   GeneratorUnitSource Source(G, uint32_t(Configs.size()));
-  LocalRun R;
-  R.Results.resize(size_t(Source.sizeHint()));
-  R.Meta.resize(size_t(Source.sizeHint()));
+  CampaignLedger Ledger(/*Dedupe=*/false);
   ThreadPool Pool(4);
-  runCampaignUnits(Source, Configs, Pool,
-                   [&](const CampaignUnit &U, TelechatResult Res) {
-                     R.Results[U.Id] = std::move(Res);
-                     R.Meta[U.Id] = CampaignUnitMeta{U.Test.Name, U.Config};
-                   });
-  R.Results.resize(size_t(Source.produced()));
-  R.Meta.resize(size_t(Source.produced()));
-  return R;
+  return runLocalCampaign(Source, Configs, Pool, Ledger);
 }
 
 TEST(GeneratorCampaignTest, SourceIdsAreTestMajor) {
@@ -812,7 +800,6 @@ TEST(GeneratorCampaignTest, SourceIdsAreTestMajor) {
     ++I;
   }
   EXPECT_EQ(I, Materialised.size());
-  EXPECT_EQ(Source.produced(), Materialised.size());
 }
 
 TEST(GeneratorCampaignTest, StreamedLocalRunMatchesMaterialised) {
@@ -834,9 +821,9 @@ TEST(GeneratorCampaignTest, StreamedLocalRunMatchesMaterialised) {
                      });
   }
 
-  LocalRun Streamed = runStreamedLocal(G, Configs);
+  CampaignReport Streamed = runStreamedLocal(G, Configs);
   ASSERT_EQ(Streamed.Results.size(), Units.size());
-  EXPECT_EQ(campaignResultsJson(Streamed.Meta, Configs, Streamed.Results),
+  EXPECT_EQ(campaignResultsJson(Streamed.UnitsMeta, Configs, Streamed.Results),
             campaignResultsJson(Units, Configs, MatResults));
 }
 
@@ -846,7 +833,7 @@ TEST(GeneratorCampaignTest, StreamedServedCampaignMatchesLocalStream) {
   // streamed run.
   RandomGenOptions G = genSpec(42, 5);
   std::vector<CampaignConfig> Configs = pipelineConfig();
-  LocalRun Local = runStreamedLocal(G, Configs);
+  CampaignReport Local = runStreamedLocal(G, Configs);
 
   WorkServer Server(
       std::make_unique<GeneratorUnitSource>(G, uint32_t(Configs.size())),
@@ -867,7 +854,7 @@ TEST(GeneratorCampaignTest, StreamedServedCampaignMatchesLocalStream) {
   EXPECT_TRUE(Report.Error.empty()) << Report.Error;
   ASSERT_EQ(Report.Results.size(), Local.Results.size());
   EXPECT_EQ(campaignResultsJson(Report.UnitsMeta, Configs, Report.Results),
-            campaignResultsJson(Local.Meta, Configs, Local.Results));
+            campaignResultsJson(Local.UnitsMeta, Configs, Local.Results));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1238,9 +1225,10 @@ TEST(JournalCampaignTest, ResumeReExecutesOnlyIncompleteUnits) {
   Spec.NumConfigs = uint32_t(Configs.size());
 
   // The uninterrupted reference.
-  LocalRun Ref = runStreamedLocal(G, Configs);
+  CampaignReport Ref = runStreamedLocal(G, Configs);
   ASSERT_GE(Ref.Results.size(), 3u);
-  std::string RefJson = campaignResultsJson(Ref.Meta, Configs, Ref.Results);
+  std::string RefJson =
+      campaignResultsJson(Ref.UnitsMeta, Configs, Ref.Results);
 
   // A journal as a crashed server would leave it: header + the first K
   // accepted results (and nothing about the rest).
@@ -1447,10 +1435,9 @@ TEST(DedupeCampaignTest, ServedDuplicatesAreSynthesizedNotExecuted) {
 }
 
 TEST(DedupeCampaignTest, LocalDedupeJsonByteIdentical) {
-  // The local driver's wrapper source: duplicates are skipped during
-  // the run and answered afterwards by renaming the representative's
-  // result -- and the merged campaign JSON is byte-identical to the
-  // run that executed everything.
+  // The local driver's ledger: duplicates never reach a lane, they are
+  // answered by renaming the representative's result -- and the merged
+  // campaign JSON is byte-identical to the run that executed everything.
   std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB")};
   Tests.push_back(renamedDup(Tests[0], /*SwapThreads=*/false));
   Tests.push_back(renamedDup(Tests[1], /*SwapThreads=*/false));
@@ -1467,33 +1454,87 @@ TEST(DedupeCampaignTest, LocalDedupeJsonByteIdentical) {
                      });
   }
 
-  std::vector<TelechatResult> Deduped(Units.size());
-  std::atomic<unsigned> Executed{0};
   VectorUnitSource Source(Units);
-  DedupingUnitSource Stream(Source);
-  {
-    ThreadPool Pool(2);
-    runCampaignUnits(Stream, Configs, Pool,
-                     [&](const CampaignUnit &U, TelechatResult R) {
-                       ++Executed;
-                       Deduped[U.Id] = std::move(R);
-                     });
-  }
-  ASSERT_EQ(Stream.duplicates().size(), 2u);
-  for (const DedupingUnitSource::Dup &D : Stream.duplicates())
-    Deduped[D.Id] = renameTelechatResult(Deduped[D.RepId], D.Renaming);
-  EXPECT_EQ(Executed.load(), 2u);
-  EXPECT_EQ(campaignResultsJson(Units, Configs, Deduped),
+  CampaignLedger Ledger(/*Dedupe=*/true);
+  ThreadPool Pool(2);
+  CampaignReport Report = runLocalCampaign(Source, Configs, Pool, Ledger);
+  EXPECT_EQ(Report.DedupedUnits, 2u);
+  EXPECT_EQ(Report.ReplayedResults, 0u);
+  // Counted where the lanes hand results over, not derived from the
+  // dedupe count: a duplicate reaching a lane would make this 3 or 4.
+  EXPECT_EQ(Report.ExecutedUnits, 2u) << "duplicates must not be executed";
+  EXPECT_EQ(campaignResultsJson(Units, Configs, Report.Results),
             campaignResultsJson(Units, Configs, Undeduped));
 }
 
-TEST(DedupeCampaignTest, ResumeWithDedupeDoesNotReserveReplayedDuplicates) {
+//===----------------------------------------------------------------------===//
+// Local = served: the same ledger behind both drivers
+//===----------------------------------------------------------------------===//
+
+enum class Driver { Local, Served };
+
+/// One campaign as a driver ran it.
+struct DriverRun {
+  CampaignReport Report;
+  /// Units executed, counted by the executor: the local lanes' completions
+  /// or the worker's own tally -- never derived from the replay or dedupe
+  /// counts.
+  uint64_t Executed = 0;
+};
+
+/// Runs \p Source through \p D: the local driver on \p Lanes pool lanes,
+/// or a loopback WorkServer and, when \p NeedWorker, one worker with
+/// \p Lanes jobs (a fully replayed campaign must finish without one).
+DriverRun runVia(Driver D, std::unique_ptr<UnitSource> Source,
+                 const std::vector<CampaignConfig> &Configs, bool Dedupe,
+                 JournalWriter *Journal,
+                 std::vector<std::pair<uint64_t, TelechatResult>> Replay,
+                 unsigned Lanes = 2, bool NeedWorker = true) {
+  DriverRun Out;
+  if (D == Driver::Local) {
+    CampaignLedger Ledger(Dedupe);
+    Ledger.setJournal(Journal);
+    Ledger.replay(std::move(Replay));
+    ThreadPool Pool(Lanes);
+    Out.Report = runLocalCampaign(*Source, Configs, Pool, Ledger);
+    Out.Executed = Out.Report.ExecutedUnits;
+    return Out;
+  }
+  WorkServerOptions SOpts;
+  SOpts.Dedupe = Dedupe;
+  WorkServer Server(std::move(Source), Configs, SOpts);
+  Server.setJournal(Journal);
+  Server.preloadResults(std::move(Replay));
+  std::string Err = Server.start();
+  if (!Err.empty()) {
+    ADD_FAILURE() << Err;
+    return Out;
+  }
+  std::thread Srv([&] { Out.Report = Server.run(); });
+  if (NeedWorker) {
+    WorkerOptions WOpts;
+    WOpts.Jobs = Lanes;
+    ErrorOr<WorkerRunStats> Stats =
+        runCampaignWorker("127.0.0.1", Server.port(), WOpts);
+    EXPECT_TRUE(Stats.hasValue()) << Stats.error();
+    if (Stats)
+      Out.Executed = Stats->UnitsCompleted;
+  }
+  Srv.join();
+  // The server merges exactly what the worker says it executed.
+  EXPECT_EQ(Out.Report.ExecutedUnits, Out.Executed);
+  return Out;
+}
+
+class CampaignDriverTest : public testing::TestWithParam<Driver> {};
+
+TEST_P(CampaignDriverTest, ResumeWithDedupeDoesNotReserveReplayedDuplicates) {
   // The dedupe x journal hazard: a journal may already hold a
   // duplicate's (synthesized) result. On resume that unit must merge
-  // as a replay -- not be parked, not be served, not be synthesized a
-  // second time -- while duplicates of still-journalled representatives
+  // as a replay -- not be parked, not be executed, not be synthesized a
+  // second time -- while duplicates of still-unjournaled representatives
   // keep synthesizing. The final report stays byte-identical to the
-  // uninterrupted undeduped run.
+  // uninterrupted undeduped run, and both drivers count it the same way.
   std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB")};
   Tests.push_back(renamedDup(Tests[0], /*SwapThreads=*/false)); // unit 2
   Tests.push_back(renamedDup(Tests[1], /*SwapThreads=*/false)); // unit 3
@@ -1505,7 +1546,7 @@ TEST(DedupeCampaignTest, ResumeWithDedupeDoesNotReserveReplayedDuplicates) {
     Ref.push_back(runCampaignUnit(U, Configs));
   std::string RefJson = campaignResultsJson(Units, Configs, Ref);
 
-  // A crashed deduping server's journal: the representative (unit 0)
+  // A crashed deduping campaign's journal: the representative (unit 0)
   // and its synthesized duplicate (unit 2); nothing about SB.
   CampaignSourceSpec Spec;
   Spec.K = CampaignSourceSpec::Kind::Corpus;
@@ -1522,46 +1563,142 @@ TEST(DedupeCampaignTest, ResumeWithDedupeDoesNotReserveReplayedDuplicates) {
   ASSERT_TRUE(J.hasValue()) << J.error();
   JournalWriter Appender;
   ASSERT_EQ(Appender.openAppend(Path, J->ValidBytes), "");
-  WorkServerOptions SOpts;
-  SOpts.Dedupe = true;
-  WorkServer Server(J->Spec.makeSource(), J->Configs, SOpts);
-  Server.setJournal(&Appender);
-  Server.preloadResults(std::move(J->Results));
-  ASSERT_EQ(Server.start(), "");
-  uint16_t Port = Server.port();
-  CampaignReport Report;
-  std::thread Srv([&] { Report = Server.run(); });
-  WorkerOptions WOpts;
-  WOpts.Jobs = 2;
-  ErrorOr<WorkerRunStats> Stats =
-      runCampaignWorker("127.0.0.1", Port, WOpts);
-  Srv.join();
+  DriverRun Run = runVia(GetParam(), J->Spec.makeSource(), J->Configs,
+                         /*Dedupe=*/true, &Appender, std::move(J->Results));
   Appender.close();
 
-  ASSERT_TRUE(Stats.hasValue()) << Stats.error();
-  // Units 0 and 2 replay from the journal; only unit 1 (SB) is served;
+  // Units 0 and 2 replay from the journal; only unit 1 (SB) executes;
   // unit 3 is synthesized off its completion.
+  const CampaignReport &Report = Run.Report;
+  EXPECT_EQ(Report.Error, "");
   EXPECT_EQ(Report.ReplayedResults, 2u);
   EXPECT_EQ(Report.DedupedUnits, 1u);
-  EXPECT_EQ(Stats->UnitsCompleted, 1u);
+  EXPECT_EQ(Report.StaleReplays, 0u) << "a replayed duplicate is not stale";
+  EXPECT_EQ(Run.Executed, 1u);
   ASSERT_EQ(Report.Results.size(), Units.size());
   EXPECT_EQ(campaignResultsJson(Report.UnitsMeta, J->Configs,
                                 Report.Results),
             RefJson);
 
-  // Synthesized results are journaled too: the journal now covers the
-  // whole campaign and a second resume completes with no workers.
+  // Synthesized results are journaled too, the moment their
+  // representative merges: the journal now covers the whole campaign
+  // and a second resume completes without executing anything.
   ErrorOr<JournalContents> Full = readJournal(Path);
   ASSERT_TRUE(Full.hasValue()) << Full.error();
-  EXPECT_EQ(Full->Results.size(), Units.size());
-  WorkServer Idle(Full->Spec.makeSource(), Full->Configs, SOpts);
-  Idle.preloadResults(std::move(Full->Results));
-  ASSERT_EQ(Idle.start(), "");
-  CampaignReport IdleReport = Idle.run(); // Must return, not block.
-  EXPECT_EQ(IdleReport.ReplayedResults, Units.size());
-  EXPECT_EQ(campaignResultsJson(IdleReport.UnitsMeta, Full->Configs,
-                                IdleReport.Results),
+  std::vector<uint64_t> Order;
+  for (const auto &R : Full->Results)
+    Order.push_back(R.first);
+  EXPECT_EQ(Order, (std::vector<uint64_t>{0, 2, 1, 3}));
+  DriverRun Idle = runVia(GetParam(), Full->Spec.makeSource(),
+                          Full->Configs, /*Dedupe=*/true, nullptr,
+                          std::move(Full->Results), 2,
+                          /*NeedWorker=*/false);
+  EXPECT_EQ(Idle.Executed, 0u);
+  EXPECT_EQ(Idle.Report.ReplayedResults, Units.size());
+  EXPECT_EQ(Idle.Report.DedupedUnits, 0u);
+  EXPECT_EQ(campaignResultsJson(Idle.Report.UnitsMeta, Full->Configs,
+                                Idle.Report.Results),
             RefJson);
+}
+
+TEST_P(CampaignDriverTest, JournalFaultIsOneErrorAndClosesTheWriter) {
+  // Every append to /dev/full fails. The first failure closes the
+  // journal and becomes the campaign's one Error; the merge itself is
+  // unaffected.
+  std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB"),
+                                   classicTest("LB"), classicTest("IRIW")};
+  std::vector<CampaignConfig> Configs = simOnlyConfig();
+  std::vector<CampaignUnit> Units = makeCampaignUnits(Tests);
+  std::vector<TelechatResult> Ref;
+  for (const CampaignUnit &U : Units)
+    Ref.push_back(runCampaignUnit(U, Configs));
+
+  JournalWriter Full;
+  ASSERT_EQ(Full.openAppend("/dev/full"), "");
+  // One lane: unit 0 is the first result either driver completes.
+  DriverRun Run =
+      runVia(GetParam(), std::make_unique<VectorUnitSource>(Units), Configs,
+             /*Dedupe=*/false, &Full, {}, /*Lanes=*/1);
+  EXPECT_FALSE(Full.isOpen());
+  EXPECT_EQ(Run.Report.Error,
+            "journal append failed at unit 0; journaling disabled");
+  EXPECT_EQ(Run.Executed, Units.size());
+  EXPECT_EQ(campaignResultsJson(Run.Report.UnitsMeta, Configs,
+                                Run.Report.Results),
+            campaignResultsJson(Units, Configs, Ref));
+}
+
+TEST_P(CampaignDriverTest, UnitIdOffItsPositionIsRefused) {
+  // The merge indexes the stream: a unit whose id is not its position
+  // stops the campaign with an Error; what was admitted before merges.
+  // Refused at position 0, nothing is admitted and a served campaign
+  // finishes without a worker.
+  std::vector<CampaignConfig> Configs = simOnlyConfig();
+  for (uint64_t Bad : {0, 1}) {
+    SCOPED_TRACE(Bad);
+    std::vector<CampaignUnit> Units = makeCampaignUnits(
+        {classicTest("MP"), classicTest("SB"), classicTest("LB")});
+    Units[Bad].Id = 5;
+    DriverRun Run =
+        runVia(GetParam(), std::make_unique<VectorUnitSource>(Units),
+               Configs, /*Dedupe=*/false, nullptr, {}, /*Lanes=*/1,
+               /*NeedWorker=*/Bad != 0);
+    EXPECT_EQ(Run.Report.Error,
+              "unit source produced id 5 at stream position " +
+                  std::to_string(Bad) +
+                  "; the campaign merge requires id == position");
+    ASSERT_EQ(Run.Report.Results.size(), Bad);
+    EXPECT_EQ(Run.Executed, Bad);
+    if (Bad)
+      EXPECT_TRUE(Run.Report.Results[0].SourceSim.ok());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, CampaignDriverTest,
+    testing::Values(Driver::Local, Driver::Served),
+    [](const testing::TestParamInfo<Driver> &I) {
+      return std::string(I.param == Driver::Local ? "Local" : "Served");
+    });
+
+void noUsage() {}
+
+TEST(CampaignCliTest, HostileJournalIdIsAnErrorNotACrash) {
+  // A journal is input from outside the program: a corpus spec whose
+  // unit id is not its position must fail the resume, not index past the
+  // merge, and the error must name the cause -- also when the bad id is
+  // the first unit's, so the campaign merged nothing.
+  for (uint64_t Bad : {0, 1}) {
+    SCOPED_TRACE(Bad);
+    std::vector<CampaignUnit> Units =
+        makeCampaignUnits({classicTest("MP"), classicTest("SB")});
+    Units[Bad].Id = 5;
+    CampaignSourceSpec Spec;
+    Spec.K = CampaignSourceSpec::Kind::Corpus;
+    Spec.Units = Units;
+    std::string Path = tmpJournalPath("hostile_id");
+    {
+      JournalWriter W;
+      ASSERT_EQ(W.create(Path, Spec, simOnlyConfig()), "");
+    }
+    std::string Json = testing::TempDir() + "telechat_hostile_id.json";
+    std::vector<std::string> Args = {"telechat", "--campaign", "--resume",
+                                     "--journal", Path, "--campaign-json",
+                                     Json};
+    std::vector<char *> Argv;
+    for (std::string &A : Args)
+      Argv.push_back(A.data());
+    testing::internal::CaptureStderr();
+    int Rc = campaignToolMain(int(Argv.size()), Argv.data(), noUsage,
+                              CampaignCliMode::Local);
+    std::string Err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(Rc, 1);
+    EXPECT_NE(Err.find("error: unit source produced id 5 at stream "
+                       "position " +
+                       std::to_string(Bad)),
+              std::string::npos)
+        << Err;
+  }
 }
 
 TEST(JournalCampaignTest, StaleReplaysAreCountedAndDropped) {
@@ -1670,36 +1807,37 @@ TEST(LeaseSchedulerTest, AdaptiveCapSizesToDeliveryRateAndIsExported) {
 }
 
 //===----------------------------------------------------------------------===//
-// Replaying unit source (journaled local campaigns)
+// Journal replay through the ledger
 //===----------------------------------------------------------------------===//
 
 TEST(ReplayingCampaignTest, ReplaysAreConsumedSilentlyAndRecorded) {
   std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB"),
                                    classicTest("LB")};
   std::vector<CampaignUnit> Units = makeCampaignUnits(Tests);
-  std::map<uint64_t, TelechatResult> Replay;
-  Replay[1] = sampleResult();
-  Replay[999] = TelechatResult(); // Stale: no such unit in the stream.
-  VectorUnitSource Inner(Units);
-  ReplayingUnitSource Source(Inner, std::move(Replay));
-  CampaignUnit U;
-  std::vector<uint64_t> Served;
-  while (Source.next(U))
-    Served.push_back(U.Id);
-  // The replayed unit never reaches the executor...
-  EXPECT_EQ(Served, (std::vector<uint64_t>{0, 2}));
-  // ...it is recorded with its meta for the id-keyed merge instead.
-  ASSERT_EQ(Source.applied().size(), 1u);
-  EXPECT_EQ(Source.applied()[0].Id, 1u);
-  EXPECT_EQ(Source.applied()[0].Meta.TestName, Units[1].Test.Name);
-  EXPECT_EQ(Source.applied()[0].Result.SourceSim.Allowed,
+  std::vector<std::pair<uint64_t, TelechatResult>> Replay;
+  Replay.emplace_back(1, sampleResult());
+  Replay.emplace_back(999, TelechatResult()); // Stale: no such unit.
+  CampaignLedger Ledger(/*Dedupe=*/false);
+  Ledger.replay(std::move(Replay));
+  std::vector<uint64_t> Executed;
+  for (const CampaignUnit &U : Units)
+    if (Ledger.admit(U) == Admission::Execute)
+      Executed.push_back(U.Id);
+  // The replayed unit is never handed to an executor...
+  EXPECT_EQ(Executed, (std::vector<uint64_t>{0, 2}));
+  EXPECT_FALSE(Ledger.settled());
+  for (uint64_t Id : Executed)
+    Ledger.complete(Id, TelechatResult());
+  EXPECT_TRUE(Ledger.settled());
+  // ...it merges with its meta in its id's slot instead.
+  CampaignReport Report = Ledger.finish();
+  EXPECT_EQ(Report.ReplayedResults, 1u);
+  ASSERT_EQ(Report.UnitsMeta.size(), Units.size());
+  EXPECT_EQ(Report.UnitsMeta[1].TestName, Units[1].Test.Name);
+  EXPECT_EQ(Report.Results[1].SourceSim.Allowed,
             sampleResult().SourceSim.Allowed);
-  // The leftover entry is a stale replay (wrong spec's journal) until
-  // the driver accounts for it (dedupe-swallowed duplicates use
-  // forgetReplay the same way).
-  EXPECT_EQ(Source.staleReplays(), 1u);
-  Source.forgetReplay(999);
-  EXPECT_EQ(Source.staleReplays(), 0u);
+  // The leftover entry is a stale replay (a wrong spec's journal).
+  EXPECT_EQ(Report.StaleReplays, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1792,9 +1930,10 @@ TEST(JournalCompactionTest, CompactedJournalResumesByteIdentically) {
   Spec.K = CampaignSourceSpec::Kind::Generator;
   Spec.Gen = G;
   Spec.NumConfigs = uint32_t(Configs.size());
-  LocalRun Ref = runStreamedLocal(G, Configs);
+  CampaignReport Ref = runStreamedLocal(G, Configs);
   ASSERT_GE(Ref.Results.size(), 3u);
-  std::string RefJson = campaignResultsJson(Ref.Meta, Configs, Ref.Results);
+  std::string RefJson =
+      campaignResultsJson(Ref.UnitsMeta, Configs, Ref.Results);
 
   // The crash image: results out of arrival order, then a torn append.
   std::string Path = tmpJournalPath("compact_resume");
@@ -1939,9 +2078,9 @@ TEST(RelayTest, RelayedCampaignMatchesFlatByteForByte) {
   // local bytes in StreamedServedCampaignMatchesLocalStream).
   RandomGenOptions G = genSpec(33, 5);
   std::vector<CampaignConfig> Configs = pipelineConfig();
-  LocalRun Local = runStreamedLocal(G, Configs);
+  CampaignReport Local = runStreamedLocal(G, Configs);
   std::string FlatJson =
-      campaignResultsJson(Local.Meta, Configs, Local.Results);
+      campaignResultsJson(Local.UnitsMeta, Configs, Local.Results);
 
   WorkServer Server(
       std::make_unique<GeneratorUnitSource>(G, uint32_t(Configs.size())),

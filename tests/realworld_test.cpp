@@ -19,12 +19,13 @@
 ///
 /// Plus the canonical-identity properties dedupe relies on: sweep
 /// siblings keep distinct CanonKeys, thread permutations collapse, and
-/// a doubled corpus behind DedupingUnitSource answers exactly the
-/// duplicate half from representatives.
+/// a doubled corpus through a deduping CampaignLedger answers exactly
+/// the duplicate half from representatives.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Campaign.h"
+#include "dist/CampaignLedger.h"
 #include "diy/RealWorld.h"
 #include "litmus/Canon.h"
 #include "litmus/Parser.h"
@@ -243,23 +244,35 @@ TEST(RealWorldSuiteTest, DedupeAnswersTheDoubledCorpusFromRepresentatives) {
   for (const LitmusTest &T : Tests)
     Classes.insert(canonicalizeTest(T).Text);
 
-  std::vector<CampaignUnit> Units = makeCampaignUnits(Doubled);
-  VectorUnitSource Source(std::move(Units));
-  DedupingUnitSource Deduper(Source);
-  CampaignUnit U;
+  // Admit the whole stream before anything completes, so every
+  // duplicate parks behind its representative.
+  CampaignLedger Ledger(/*Dedupe=*/true);
   std::set<uint64_t> Served;
-  while (Deduper.next(U))
-    Served.insert(U.Id);
+  size_t Dups = 0;
+  auto ParkedBehindServed = [&] {
+    size_t N = 0;
+    for (uint64_t Id : Served)
+      N += Ledger.parkedBehind(Id);
+    return N;
+  };
+  for (const CampaignUnit &U : makeCampaignUnits(Doubled)) {
+    if (Ledger.admit(U) == Admission::Execute) {
+      Served.insert(U.Id);
+      continue;
+    }
+    // A duplicate parks behind a representative admitted (and served)
+    // before it.
+    EXPECT_EQ(ParkedBehindServed(), ++Dups) << "duplicate " << U.Id;
+  }
 
   EXPECT_EQ(Served.size(), Classes.size());
-  EXPECT_EQ(Deduper.duplicates().size(), Doubled.size() - Classes.size());
+  EXPECT_EQ(Ledger.report().DedupedUnits, Doubled.size() - Classes.size());
   // Everything in the second copy is by definition a duplicate.
-  EXPECT_GE(Deduper.duplicates().size(), Tests.size());
-  for (const DedupingUnitSource::Dup &D : Deduper.duplicates()) {
-    EXPECT_LT(D.RepId, D.Id);
-    EXPECT_TRUE(Served.count(D.RepId))
-        << "duplicate " << D.Id << " maps to unserved rep " << D.RepId;
-  }
+  EXPECT_GE(Ledger.report().DedupedUnits, Tests.size());
+  // Completing the representatives answers every duplicate.
+  for (uint64_t Id : Served)
+    Ledger.complete(Id, TelechatResult());
+  EXPECT_TRUE(Ledger.settled());
 }
 
 //===----------------------------------------------------------------------===//

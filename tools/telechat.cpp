@@ -97,7 +97,7 @@ static void usage() {
           "  --campaign-json <f>  deterministic merged results (byte-equal\n"
           "                       between --campaign and --serve, streamed\n"
           "                       or materialised, resumed or not)\n"
-          "  --engine-json <f>    throughput/requeue telemetry (--serve)\n"
+          "  --engine-json <f>    throughput/requeue telemetry\n"
           "  --journal <f>        append-only campaign journal: spec +\n"
           "                       every accepted result (--serve and\n"
           "                       --campaign)\n"
