@@ -27,10 +27,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "core/Telechat.h"
+#include "core/Campaign.h"
 #include "diy/Config.h"
 
 #include <map>
+#include <mutex>
 
 using namespace telechat;
 using namespace telechat_bench;
@@ -65,37 +66,45 @@ int main() {
   const std::vector<CompilerKind> Compilers = {CompilerKind::Llvm,
                                                CompilerKind::Gcc};
 
+  ThreadPool Pool(benchJobs());
   for (const std::string &SourceModel :
        {std::string("rc11"), std::string("rc11+lb")}) {
     printf("\n--- source model: %s ---\n", SourceModel.c_str());
-    // cell key: (arch, compiler, opt)
-    std::map<std::tuple<Arch, CompilerKind, OptLevel>, Cell> Cells;
-    unsigned Compiled = 0;
-    // One thread-pooled campaign per cell: the whole suite fans out over
-    // the workers, results come back in input order (see runTelechatMany).
+    // One campaign per source model: the suite crossed test-major with
+    // every (arch, compiler, opt) cell, so the executor simulates each
+    // test's source side once for all cells (core/Campaign.h).
+    TestOptions TO;
+    TO.SourceModel = SourceModel;
+    std::vector<std::tuple<Arch, CompilerKind, OptLevel>> Keys;
+    std::vector<CampaignConfig> Configs;
     for (Arch A : AllArchs) {
       for (CompilerKind C : Compilers) {
         for (OptLevel O : Opts) {
           if (O == OptLevel::Og && C == CompilerKind::Llvm)
             continue; // clang does not support -Og (paper Table IV)
-          TestOptions TO;
-          TO.SourceModel = SourceModel;
-          std::vector<TelechatResult> Results = runTelechatMany(
-              Suite, Profile::current(C, O, A), TO, benchJobs());
-          for (const TelechatResult &R : Results) {
-            if (!R.ok() || R.timedOut())
-              continue;
-            ++Compiled;
-            Cell &Cl = Cells[{A, C, O}];
-            if (R.Compare.K == CompareResult::Kind::Positive &&
-                !R.Compare.SourceRace)
-              ++Cl.Pos;
-            else if (R.Compare.K == CompareResult::Kind::Negative)
-              ++Cl.Neg;
-          }
+          Keys.emplace_back(A, C, O);
+          Configs.push_back({Profile::current(C, O, A), TO, false});
         }
       }
     }
+    std::map<std::tuple<Arch, CompilerKind, OptLevel>, Cell> Cells;
+    unsigned Compiled = 0;
+    std::mutex M;
+    VectorUnitSource Source(
+        makeCampaignUnits(Suite, uint32_t(Configs.size()), /*Cross=*/true));
+    runCampaignUnits(Source, Configs, Pool,
+                     [&](const CampaignUnit &U, const TelechatResult &R) {
+                       if (!R.ok() || R.timedOut())
+                         return;
+                       std::lock_guard<std::mutex> Lock(M);
+                       ++Compiled;
+                       Cell &Cl = Cells[Keys[U.Config]];
+                       if (R.Compare.K == CompareResult::Kind::Positive &&
+                           !R.Compare.SourceRace)
+                         ++Cl.Pos;
+                       else if (R.Compare.K == CompareResult::Kind::Negative)
+                         ++Cl.Neg;
+                     });
     printf("compiled tests checked: %u (paper: 9,027,936)\n", Compiled);
     printf("\n%-26s %5s %9s %9s %9s %9s %9s\n", "", "", "-O1", "-O2",
            "-O3", "-Ofast", "-Og");

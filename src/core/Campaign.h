@@ -143,14 +143,23 @@ campaignUnitMeta(const std::vector<CampaignUnit> &Units);
 /// Executes one unit under its config. An out-of-range config index
 /// yields a result whose Error says so (never aborts: a malformed remote
 /// corpus must not kill a worker). Forces Sim.Jobs=1; see the file
-/// comment.
+/// comment. Runs its own source simulation: the reference that
+/// runCampaignUnits' shared source sides are checked against.
 TelechatResult runCampaignUnit(const CampaignUnit &U,
                                const std::vector<CampaignConfig> &Configs);
 
 /// Drains \p Source over the pool: every executor lane loops
 /// next/execute/Done until the source is empty. \p Done is invoked from
-/// pool threads (possibly concurrently) exactly once per unit.
-void runCampaignUnits(
+/// pool threads (possibly concurrently) exactly once per unit, with the
+/// result runCampaignUnit would return.
+///
+/// When two configs simulate the same source test (same source model,
+/// augmentation and normalised SimOptions), the call keeps a source memo
+/// so that each test's source side is simulated once for all of them.
+/// Returns how many units took their source side from it (exact at one
+/// lane; with more lanes, a slot can leave the memo's ring before every
+/// config of its test has claimed it).
+uint64_t runCampaignUnits(
     UnitSource &Source, const std::vector<CampaignConfig> &Configs,
     ThreadPool &Pool,
     const std::function<void(const CampaignUnit &, TelechatResult)> &Done);

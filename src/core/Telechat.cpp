@@ -12,12 +12,32 @@
 
 using namespace telechat;
 
+SimOptions telechat::sourceSimOptions(SimOptions Sim) {
+  if (Sim.Backend == SimBackendKind::Explore)
+    Sim.Backend = SimBackendKind::Auto;
+  Sim.ExploreBudget = 0;
+  return Sim;
+}
+
 TelechatResult telechat::runTelechat(const LitmusTest &S, const Profile &P,
                                      const TestOptions &O) {
+  SourceSide Computed;
+  return runTelechat(S, P, O, Computed);
+}
+
+TelechatResult telechat::runTelechat(const LitmusTest &S, const Profile &P,
+                                     const TestOptions &O,
+                                     SourceSide &Source) {
   TelechatResult R;
 
-  // Step 2a (l2c): prepare for compilation.
+  // Step 2a (l2c): prepare for compilation. The prepared test is also
+  // what step 3 simulates; the hook may start on it right away.
   R.Prepared = O.AugmentLocals ? augmentLocalObservations(S) : S;
+  const SimOptions SourceOpts = sourceSimOptions(O.Sim);
+  const SourceSide::Simulate SimulateSource = [&] {
+    return simulateC(R.Prepared, O.SourceModel, SourceOpts);
+  };
+  Source.prepared(SimulateSource);
 
   // Step 2b (c2s): compile and disassemble.
   ErrorOr<CompileOutput> Compiled = compileLitmus(R.Prepared, P);
@@ -37,29 +57,26 @@ TelechatResult telechat::runTelechat(const LitmusTest &S, const Profile &P,
   R.OptAsm = O.OptimiseCompiled ? optimiseAsmLitmus(*Parsed, &R.OptStats)
                                 : std::move(*Parsed);
 
-  // Step 3: simulate S under the source model. The source side is the
-  // comparison oracle, so it always runs exhaustively: a dynamic
-  // (explore) selection or an ExploreBudget reroute applies to the
-  // *target* only. A sound-subset source set would turn explore
-  // under-coverage into positive differences, i.e. false bug reports.
-  SimOptions SourceSim = O.Sim;
-  if (SourceSim.Backend == SimBackendKind::Explore)
-    SourceSim.Backend = SimBackendKind::Auto;
-  SourceSim.ExploreBudget = 0;
-  R.SourceSim = simulateC(R.Prepared, O.SourceModel, SourceSim);
+  // Step 4: simulate C under the architecture model. It runs before the
+  // source side is taken, so a hook that waits for another config's
+  // source simulation waits as late as it can.
+  ErrorOr<SimProgram> Lowered = lowerAsmTest(R.OptAsm);
+  if (Lowered)
+    R.TargetSim = simulateProgram(
+        *Lowered, archModelName(P.Target, O.ConstAugmentedModel), O.Sim);
+
+  // Step 3: simulate S under the source model. Its error wins over
+  // lowering and target errors.
+  R.SourceSim = Source.result(SimulateSource);
   if (!R.SourceSim.ok()) {
     R.Error = "source simulation: " + R.SourceSim.Error;
+    R.TargetSim = SimResult();
     return R;
   }
-
-  // Step 4: simulate C under the architecture model.
-  ErrorOr<SimProgram> Lowered = lowerAsmTest(R.OptAsm);
   if (!Lowered) {
     R.Error = "lowering compiled test: " + Lowered.error();
     return R;
   }
-  R.TargetSim = simulateProgram(
-      *Lowered, archModelName(P.Target, O.ConstAugmentedModel), O.Sim);
   if (!R.TargetSim.ok()) {
     R.Error = "target simulation: " + R.TargetSim.Error;
     return R;

@@ -28,6 +28,8 @@
 #include "core/MCompare.h"
 #include "sim/Simulator.h"
 
+#include <functional>
+
 namespace telechat {
 
 /// Knobs for one end-to-end run.
@@ -66,9 +68,40 @@ struct TelechatResult {
   bool isBug() const { return ok() && !timedOut() && Compare.isBug(); }
 };
 
+/// The options step 3 runs with. The source side is the comparison
+/// oracle, so it always runs exhaustively: a dynamic (explore) selection
+/// or an ExploreBudget reroute applies to the *target* only. A
+/// sound-subset source set would turn explore under-coverage into
+/// positive differences, i.e. false bug reports.
+SimOptions sourceSimOptions(SimOptions Sim);
+
+/// Where a pipeline run takes step 3 from. The pipeline hands each hook
+/// the source simulation as it would run it; the hook only decides when
+/// it runs and who else sees the result. This base class is the plain
+/// pipeline: it simulates when the result is asked for. The campaign
+/// executor (core/Campaign.h) derives from it to let every config of a
+/// test share one source simulation.
+class SourceSide {
+public:
+  using Simulate = std::function<SimResult()>;
+  virtual ~SourceSide() = default;
+  /// Called once l2c has produced the test to simulate, before c2s.
+  virtual void prepared(const Simulate &) {}
+  /// Step 3's result. Called after the target side has run, and only
+  /// when c2s and s2l succeeded.
+  virtual SimResult result(const Simulate &Run) { return Run(); }
+};
+
 /// Runs the full pipeline on one test under one profile.
 TelechatResult runTelechat(const LitmusTest &S, const Profile &P,
                            const TestOptions &O = TestOptions());
+
+/// The one body of the Fig. 5 sequence, taking step 3 from \p Source.
+/// Whatever the hook does, the result is runTelechat's: a compile or s2l
+/// error carries no SourceSim, and a source error wins over lowering and
+/// target errors and carries no TargetSim.
+TelechatResult runTelechat(const LitmusTest &S, const Profile &P,
+                           const TestOptions &O, SourceSide &Source);
 
 /// Campaign driver: runs the full pipeline on every test, spread over a
 /// thread pool of \p Jobs workers (0 = one per hardware thread). Results

@@ -113,17 +113,22 @@ bool writeJson(const std::string &Path, const std::string &Contents) {
 }
 
 /// Pipeline-campaign summary (bug table); exit 2 on bugs, like
-/// single-test mode.
+/// single-test mode. With several configs, a bug line names its unit's
+/// profile too.
 int summarisePipeline(const std::vector<CampaignUnitMeta> &Units,
+                      const std::vector<CampaignConfig> &Configs,
                       const std::vector<TelechatResult> &Results) {
   size_t Bugs = 0, Errors = 0, Timeouts = 0;
   for (size_t I = 0; I != Results.size(); ++I) {
     const TelechatResult &R = Results[I];
     if (R.isBug()) {
       ++Bugs;
-      printf("  BUG  %-28s %s\n",
-             I < Units.size() ? Units[I].TestName.c_str() : "?",
-             campaignVerdict(R).c_str());
+      std::string Test = I < Units.size() ? Units[I].TestName : "?";
+      if (Configs.size() > 1)
+        Test += I < Units.size() && Units[I].Config < Configs.size()
+                    ? " " + Configs[Units[I].Config].P.name()
+                    : " ?";
+      printf("  BUG  %-28s %s\n", Test.c_str(), campaignVerdict(R).c_str());
     } else if (!R.ok()) {
       ++Errors;
     } else if (R.timedOut()) {
@@ -133,6 +138,14 @@ int summarisePipeline(const std::vector<CampaignUnitMeta> &Units,
   printf("campaign: %zu units, %zu bugs, %zu errors, %zu timeouts\n",
          Results.size(), Bugs, Errors, Timeouts);
   return Bugs ? 2 : 0;
+}
+
+/// The configs' profile names in table order, space-separated.
+std::string profileList(const std::vector<CampaignConfig> &Configs) {
+  std::string Names;
+  for (const CampaignConfig &C : Configs)
+    Names += (Names.empty() ? "" : " ") + C.P.name();
+  return Names;
 }
 
 /// Simulation-only summary: herd-style state counts per test.
@@ -154,7 +167,7 @@ int summariseSim(const std::vector<CampaignUnitMeta> &Units,
 int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
                                CampaignCliMode Mode) {
   bool Serve = Mode != CampaignCliMode::Local;
-  std::string ProfileName = "llvm-O2-AArch64";
+  std::vector<std::string> ProfileNames; ///< One config each, flag order.
   TestOptions Options;
   bool ConfigFlagsSet = false; ///< --profile/--model/... explicitly given.
   unsigned Jobs = 0;
@@ -263,7 +276,7 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      ProfileName = V;
+      ProfileNames.push_back(V);
       ConfigFlagsSet = true;
     } else if (Arg == "--model") {
       if (!(V = Next())) {
@@ -424,12 +437,19 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
     printf("resuming campaign from %s: %zu results replayed\n",
            JournalPath.c_str(), Replay.size());
   } else {
-    Profile P;
-    if (!SimOnly && !profileFromName(ProfileName, P)) {
-      fprintf(stderr, "error: unknown profile '%s'\n", ProfileName.c_str());
-      return 1;
-    }
-    Configs = {{P, Options, SimOnly}};
+    if (ProfileNames.empty())
+      ProfileNames.push_back("llvm-O2-AArch64");
+    if (SimOnly) // The profile plays no part in a simulation unit.
+      Configs = {{Profile(), Options, true}};
+    else
+      for (const std::string &Name : ProfileNames) {
+        Profile P;
+        if (!profileFromName(Name, P)) {
+          fprintf(stderr, "error: unknown profile '%s'\n", Name.c_str());
+          return 1;
+        }
+        Configs.push_back({P, Options, false});
+      }
     if (UseGen && !Materialise) {
       // Streamed: the corpus exists only as this spec; units are
       // generated as they are leased (or executed, locally).
@@ -451,7 +471,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         return 1;
       }
       Spec.K = CampaignSourceSpec::Kind::Corpus;
-      Spec.Units = makeCampaignUnits(Tests);
+      Spec.Units =
+          makeCampaignUnits(Tests, uint32_t(Configs.size()), /*Cross=*/true);
     }
     if (!JournalPath.empty()) {
       // Never truncate an existing journal: it may be a crashed
@@ -517,7 +538,7 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
              Streamed ? "up to " : "",
              static_cast<unsigned long long>(Hint),
              ServerOpts.BindAddress.c_str(), unsigned(Server.port()),
-             Configs[0].P.name().c_str(),
+             profileList(Configs).c_str(),
              Configs[0].Opts.SourceModel.c_str());
     fflush(stdout);
     Report = Server.run();
@@ -573,7 +594,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
                                                        Report.Results)))
     return 1;
   int Exit = SimOnly ? summariseSim(Report.UnitsMeta, Report.Results)
-                     : summarisePipeline(Report.UnitsMeta, Report.Results);
+                     : summarisePipeline(Report.UnitsMeta, Configs,
+                                         Report.Results);
   if (!Report.Error.empty()) {
     // The merged results above are valid, but the run broke a promise
     // (journal stopped accepting appends, or the source misbehaved):

@@ -238,6 +238,8 @@ std::string telechat::campaignEngineJson(const CampaignReport &Report,
                  static_cast<unsigned long long>(Report.DedupedUnits));
   J += strFormat("  \"stale_replays\": %llu,\n",
                  static_cast<unsigned long long>(Report.StaleReplays));
+  J += strFormat("  \"source_sims_shared\": %llu,\n",
+                 static_cast<unsigned long long>(Report.SourceSimsShared));
   J += strFormat("  \"poll_wakeups\": %llu,\n",
                  static_cast<unsigned long long>(Report.PollWakeups));
   J += strFormat("  \"lease_size_min\": %llu,\n",

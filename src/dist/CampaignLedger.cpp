@@ -173,12 +173,14 @@ CampaignReport telechat::runLocalCampaign(
   } Lanes(Source, Ledger);
 
   auto Start = std::chrono::steady_clock::now();
-  runCampaignUnits(Lanes, Configs, Pool,
-                   [&](const CampaignUnit &U, TelechatResult R) {
-                     std::lock_guard<std::mutex> Lock(Lanes.M);
-                     Ledger.complete(U.Id, std::move(R));
-                   });
+  uint64_t Shared =
+      runCampaignUnits(Lanes, Configs, Pool,
+                       [&](const CampaignUnit &U, TelechatResult R) {
+                         std::lock_guard<std::mutex> Lock(Lanes.M);
+                         Ledger.complete(U.Id, std::move(R));
+                       });
   CampaignReport Report = Ledger.finish();
+  Report.SourceSimsShared = Shared;
   Report.Seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - Start)
                        .count();

@@ -73,6 +73,10 @@ struct CampaignReport {
   /// Replayed results whose unit ids the stream never produced (a
   /// journal replayed against the wrong spec); dropped from the merge.
   uint64_t StaleReplays = 0;
+  /// Units whose source side a lane took from another config's
+  /// simulation of the same test (runCampaignUnits' source memo). 0 for
+  /// a served run: workers share within a lease but do not report it.
+  uint64_t SourceSimsShared = 0;
   /// Poll-loop iterations of a served run: with the earliest-deadline
   /// timer this tracks actual work (frames, accepts, expiries), not a
   /// fixed tick rate. 0 for a local run.
@@ -158,7 +162,8 @@ private:
 
 /// The local driver: drains \p Source over \p Pool's lanes through
 /// \p Ledger, admitting and completing under one mutex, and returns the
-/// finished report with Seconds set to the pool's wall clock.
+/// finished report with Seconds set to the pool's wall clock and
+/// SourceSimsShared to runCampaignUnits' count.
 CampaignReport runLocalCampaign(UnitSource &Source,
                                 const std::vector<CampaignConfig> &Configs,
                                 ThreadPool &Pool, CampaignLedger &Ledger);

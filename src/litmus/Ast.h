@@ -56,6 +56,8 @@ struct Expr {
 
   /// Registers read by this expression, appended to \p Out.
   void collectRegs(std::vector<std::string> &Out) const;
+
+  bool operator==(const Expr &) const = default;
 };
 
 /// Read-modify-write flavours supported by the compiler under test.
@@ -98,6 +100,8 @@ struct Stmt {
   static Stmt localAssign(std::string Dst, Expr V);
   static Stmt ifNonZero(Expr Cond, std::vector<Stmt> Then,
                         std::vector<Stmt> Else = {});
+
+  bool operator==(const Stmt &) const = default;
 };
 
 /// A shared memory location declaration from the initial state.
@@ -107,12 +111,16 @@ struct LocDecl {
   bool Atomic = true;
   bool Const = false; ///< Read-only data; writes are const violations.
   Value Init;
+
+  bool operator==(const LocDecl &) const = default;
 };
 
 /// One thread of the concurrent program.
 struct Thread {
   std::string Name; ///< "P0", "P1", ...
   std::vector<Stmt> Body;
+
+  bool operator==(const Thread &) const = default;
 };
 
 /// A complete C/C++ litmus test.
@@ -128,6 +136,9 @@ struct LitmusTest {
   /// Structural sanity checks: registers defined before use, locations
   /// declared, thread names unique. Returns an error message or "".
   std::string validate() const;
+
+  /// Structural identity, names included.
+  bool operator==(const LitmusTest &) const = default;
 };
 
 /// Visits all statements of a body including nested branches.

@@ -32,6 +32,8 @@ struct PredAtom {
 
   /// The outcome key this atom constrains ("P1:r0" or "[y]").
   std::string key() const;
+
+  bool operator==(const PredAtom &) const = default;
 };
 
 /// Boolean combination of atoms.
@@ -56,6 +58,8 @@ struct Predicate {
   void collectKeys(std::vector<std::string> &Out) const;
 
   std::string toString() const;
+
+  bool operator==(const Predicate &) const = default;
 };
 
 /// Quantified final condition.
@@ -68,6 +72,8 @@ struct FinalCond {
   Predicate P;
 
   std::string toString() const;
+
+  bool operator==(const FinalCond &) const = default;
 };
 
 } // namespace telechat

@@ -142,6 +142,8 @@ struct SimOptions {
   /// function of the program, so every party of a distributed campaign
   /// splits identically. 0 (default) disables the split.
   uint64_t ExploreBudget = 0;
+
+  bool operator==(const SimOptions &) const = default;
 };
 
 /// The SimStats counters, declared once. A row is COUNT(Member, "key")

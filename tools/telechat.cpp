@@ -12,9 +12,10 @@
 ///     One test through the Fig. 5 pipeline: outcomes + verdict.
 ///     Exit 0 clean/negative, 1 usage or pipeline error, 2 bug found.
 ///
-///   telechat --campaign [corpus flags] --profile P [...]
+///   telechat --campaign [corpus flags] --profile P [--profile Q ...]
 ///     A local campaign over a corpus (files, --suite, --classics),
-///     pooled across tests; writes the deterministic results JSON.
+///     pooled across tests, one config per --profile; writes the
+///     deterministic results JSON.
 ///
 ///   telechat --serve <port> [corpus flags] --profile P [...]
 ///     The same campaign served to remote workers over TCP
@@ -94,6 +95,8 @@ static void usage() {
           "                     streaming (debugging; same results)\n"
           "\n"
           "campaign/serve options:\n"
+          "  --profile <name>     repeatable: one config per profile, in\n"
+          "                       flag order; units cross test-major\n"
           "  --campaign-json <f>  deterministic merged results (byte-equal\n"
           "                       between --campaign and --serve, streamed\n"
           "                       or materialised, resumed or not)\n"
