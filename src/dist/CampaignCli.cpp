@@ -17,7 +17,7 @@
 #include "diy/RealWorld.h"
 #include "litmus/Snippet.h"
 #include "sim/Backend.h"
-#include "sim/SkeletonCache.h"
+#include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
@@ -180,8 +180,6 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
   std::string CampaignJsonPath, EngineJsonPath;
   WorkServerOptions ServerOpts;
   bool Dedupe = false;
-  bool SkelCacheSet = false;
-  size_t SkelCacheCap = 0;
   bool Verbose = false;
   int I = 2;
   if (Serve) {
@@ -189,7 +187,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
       Usage();
       return 1;
     }
-    ServerOpts.Port = uint16_t(strtoul(argv[2], nullptr, 0));
+    if (!parseFlag(argv[1], argv[2], ServerOpts.Port))
+      return 1;
     I = 3;
   }
   for (; I < argc; ++I) {
@@ -203,7 +202,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      SuiteLimit = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlag(Arg, V, SuiteLimit))
+        return 1;
     } else if (Arg == "--corpus" || Arg == "--suite") {
       if (!(V = Next())) {
         Usage();
@@ -238,21 +238,24 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         return 1;
       }
       UseGen = true;
-      GenOpts.Seed = strtoull(V, nullptr, 0);
+      if (!parseFlag(Arg, V, GenOpts.Seed))
+        return 1;
     } else if (Arg == "--gen-count") {
       if (!(V = Next())) {
         Usage();
         return 1;
       }
       GenExtras = true;
-      GenOpts.Count = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlag(Arg, V, GenOpts.Count))
+        return 1;
     } else if (Arg == "--gen-max-edges") {
       if (!(V = Next())) {
         Usage();
         return 1;
       }
       GenExtras = true;
-      GenOpts.MaxEdges = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlag(Arg, V, GenOpts.MaxEdges))
+        return 1;
     } else if (Arg == "--materialise" || Arg == "--materialize") {
       Materialise = true;
     } else if (Arg == "--journal") {
@@ -270,7 +273,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      ServerOpts.StatusPort = int(strtol(V, nullptr, 0));
+      if (!parseFlag(Arg, V, ServerOpts.StatusPort, 65535))
+        return 1;
     } else if (Arg == "--profile") {
       if (!(V = Next())) {
         Usage();
@@ -305,7 +309,8 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      Options.Sim.ExploreBudget = strtoull(V, nullptr, 0);
+      if (!parseFlag(Arg, V, Options.Sim.ExploreBudget))
+        return 1;
       ConfigFlagsSet = true;
     } else if (Arg == "--no-prune") {
       Options.Sim.RfValuePruning = false;
@@ -318,14 +323,16 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      Options.Sim.MaxSteps = strtoull(V, nullptr, 0);
+      if (!parseFlag(Arg, V, Options.Sim.MaxSteps))
+        return 1;
       ConfigFlagsSet = true;
     } else if (Arg == "-j" || Arg == "--jobs") {
       if (!(V = Next())) {
         Usage();
         return 1;
       }
-      Jobs = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlag(Arg, V, Jobs))
+        return 1;
     } else if (Arg == "--campaign-json") {
       if (!(V = Next())) {
         Usage();
@@ -349,22 +356,17 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
         Usage();
         return 1;
       }
-      ServerOpts.LeaseTimeoutSeconds = strtod(V, nullptr);
+      if (!parseFlag(Arg, V, ServerOpts.LeaseTimeoutSeconds))
+        return 1;
     } else if (Arg == "--batch") {
       if (!(V = Next())) {
         Usage();
         return 1;
       }
-      ServerOpts.MaxUnitsPerRequest = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlag(Arg, V, ServerOpts.MaxUnitsPerRequest))
+        return 1;
     } else if (Arg == "--dedupe") {
       Dedupe = true;
-    } else if (Arg == "--skel-cache") {
-      if (!(V = Next())) {
-        Usage();
-        return 1;
-      }
-      SkelCacheSet = true;
-      SkelCacheCap = size_t(strtoull(V, nullptr, 0));
     } else if (Arg == "--verbose") {
       Verbose = true;
     } else {
@@ -487,12 +489,6 @@ int telechat::campaignToolMain(int argc, char **argv, void (*Usage)(),
       }
     }
   }
-
-  // The skeleton cache is process-wide; the knob matters to whoever
-  // *executes* units (the local pool here, --work workers in the served
-  // modes, where setting it is harmless but idle).
-  if (SkelCacheSet)
-    simcore::SkeletonCache::instance().setCapacity(SkelCacheCap);
 
   // A new journal's header needs the spec intact, so it is written before
   // the corpus moves into its source -- except when serving, where it is

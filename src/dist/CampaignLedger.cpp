@@ -6,6 +6,7 @@
 
 #include "dist/CampaignLedger.h"
 
+#include "core/LitmusToC.h"
 #include "dist/Journal.h"
 #include "support/StringUtils.h"
 
@@ -92,6 +93,12 @@ Admission CampaignLedger::admit(const CampaignUnit &U) {
     return Replayed ? Admission::Answered : Admission::Execute;
   uint64_t RepId = It->second.first;
   CanonRenaming Ren = composeRenaming(It->second.second, CR);
+  // l2c observes register r of thread P through the undeclared location
+  // obs_P_r (core/LitmusToC.h); rename those keys with their registers.
+  for (const auto &[Thread, Regs] : Ren.Regs)
+    for (const auto &[RepReg, DupReg] : Regs)
+      Ren.Locs.emplace(observationLocName(Thread, RepReg),
+                       observationLocName(Ren.Threads.at(Thread), DupReg));
   ++Report.DedupedUnits;
   if (Merged[RepId])
     record(Id, renameTelechatResult(Report.Results[RepId], Ren));

@@ -45,7 +45,7 @@ constexpr uint32_t WireMagic = 0x54434C54;
 /// Bumped on any payload layout change; the server refuses mismatched
 /// workers during the handshake (campaigns want bit-identical results,
 /// so "best effort" cross-version compatibility would be a bug).
-constexpr uint16_t WireVersion = 6;
+constexpr uint16_t WireVersion = 7;
 
 /// Frame type tags.
 enum class Msg : uint8_t {

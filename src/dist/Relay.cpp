@@ -287,7 +287,8 @@ int telechat::relayToolMain(int argc, char **argv, void (*Usage)()) {
     return 1;
   }
   RelayOptions Opts;
-  Opts.ListenPort = uint16_t(strtoul(argv[2], nullptr, 0));
+  if (!parseFlag(argv[1], argv[2], Opts.ListenPort))
+    return 1;
   if (!splitHostPort(argv[3], Opts.UpstreamHost, Opts.UpstreamPort)) {
     fprintf(stderr, "error: --relay expects <listen-port> <host:port>\n");
     return 1;
@@ -299,14 +300,14 @@ int telechat::relayToolMain(int argc, char **argv, void (*Usage)()) {
       ++I;
       Opts.BindAddress = V;
     } else if (Arg == "--batch" && V) {
-      ++I;
-      Opts.MaxUnitsPerRequest = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlag(Arg, argv[++I], Opts.MaxUnitsPerRequest))
+        return 1;
     } else if (Arg == "--lease-timeout" && V) {
-      ++I;
-      Opts.LeaseTimeoutSeconds = strtod(V, nullptr);
+      if (!parseFlag(Arg, argv[++I], Opts.LeaseTimeoutSeconds))
+        return 1;
     } else if (Arg == "--status-port" && V) {
-      ++I;
-      Opts.StatusPort = int(strtol(V, nullptr, 0));
+      if (!parseFlag(Arg, argv[++I], Opts.StatusPort, 65535))
+        return 1;
     } else if (Arg == "--verbose") {
       Opts.Verbose = true;
     } else {

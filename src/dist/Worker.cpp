@@ -11,7 +11,6 @@
 #include "dist/Serialize.h"
 #include "dist/Socket.h"
 #include "dist/Wire.h"
-#include "sim/SkeletonCache.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
@@ -39,20 +38,14 @@ int telechat::workerToolMain(int argc, char **argv, void (*Usage)()) {
     std::string Arg = argv[I];
     const char *V = I + 1 < argc ? argv[I + 1] : nullptr;
     if ((Arg == "-j" || Arg == "--jobs") && V) {
-      ++I;
-      Opts.Jobs = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlag(Arg, argv[++I], Opts.Jobs))
+        return 1;
     } else if (Arg == "--batch" && V) {
-      ++I;
-      Opts.BatchSize = unsigned(strtoul(V, nullptr, 0));
+      if (!parseFlag(Arg, argv[++I], Opts.BatchSize))
+        return 1;
     } else if (Arg == "--max-units" && V) {
-      ++I;
-      Opts.KillAfterResults = strtoull(V, nullptr, 0);
-    } else if (Arg == "--skel-cache" && V) {
-      ++I;
-      // Per-combo artifacts shared across this worker's units
-      // (sim/SkeletonCache.h); 0 (the default) disables.
-      simcore::SkeletonCache::instance().setCapacity(
-          size_t(strtoull(V, nullptr, 0)));
+      if (!parseFlag(Arg, argv[++I], Opts.KillAfterResults))
+        return 1;
     } else if (Arg == "--verbose") {
       Opts.Verbose = true;
     } else {

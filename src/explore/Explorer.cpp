@@ -153,7 +153,6 @@ public:
       }
       W.RfChoice.assign(NR, ComboWorker::kNoChoice);
     }
-    W.publishLayer(); // Offer the stable layer to the skeleton cache.
   }
 
 private:
@@ -392,16 +391,6 @@ SimResult telechat::exploreExecutions(const SimProgram &Program,
   Shared.MaxSteps = Options.MaxSteps;
   Shared.TimeoutSeconds = Options.TimeoutSeconds;
   Shared.Start = std::chrono::steady_clock::now();
-
-  // Skeleton cache: snapshot once per run so every worker sees the same
-  // cache state regardless of scheduling (see SkeletonCache.h).
-  SkeletonCache &SC = SkeletonCache::instance();
-  if (SC.capacity() != 0) {
-    Shared.SkelCacheEnabled = true;
-    Shared.SkelSnapshot = SC.snapshot();
-    hashSimProgram(Program, Shared.ProgHashHi, Shared.ProgHashLo);
-    Shared.ModelHash = hashCatModel(Model);
-  }
 
   uint64_t ComboCount = 1;
   for (const SimThread &T : Program.Threads)

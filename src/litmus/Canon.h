@@ -9,8 +9,7 @@
 /// threads, locations and registers driven by a structural traversal --
 /// the same move that makes diy cycles canonical. Two tests that differ
 /// only in naming (and thread order) canonicalize to the same text and
-/// therefore the same CanonKey, which is what corpus dedupe and the
-/// cross-test skeleton cache key on.
+/// therefore the same CanonKey, which is what corpus dedupe keys on.
 ///
 /// The renaming scheme:
 ///   - locations become "v0", "v1", ... in declaration order (declaration
@@ -29,7 +28,7 @@
 /// Alongside the canonical test, canonicalization records the complete
 /// original->canonical name maps. Composing one test's maps with
 /// another's yields a CanonRenaming that translates outcome keys (and
-/// whole TelechatResults -- see core/Campaign.h) from a canonical
+/// whole TelechatResults -- see dist/CampaignLedger.h) from a canonical
 /// representative's namespace into a duplicate's.
 ///
 //===----------------------------------------------------------------------===//

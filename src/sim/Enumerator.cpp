@@ -101,18 +101,9 @@ void ComboWorker::processShard(const Shard &S) {
 void ComboWorker::accountCombo() {
   ++WR.Stats.PathCombos;
   WR.Stats.RfSourcesPruned += ComboRfSourcesPruned;
-  // All workers of one run agree on the combo's hit/miss verdict (the
-  // cache lookup is pinned to the run's snapshot), so folding it here --
-  // once per combo, like PathCombos -- keeps the counters j-invariant.
-  if (ComboCacheHit)
-    ++WR.Stats.SkelCacheHits;
-  if (ComboCacheMiss)
-    ++WR.Stats.SkelCacheMisses;
-  WR.Stats.SkelCacheEvictions += ComboCacheEvictions;
 }
 
 uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
-  const uint64_t ComboIndex = Combo;
   std::vector<size_t> PathChoice(Prog.Threads.size(), 0);
   for (size_t T = 0; T != PathChoice.size(); ++T) {
     size_t N = Prog.Threads[T].Paths.size();
@@ -193,54 +184,6 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
       AllStaticCombo = false;
   }
 
-  // --- Process-wide skeleton cache (sim/SkeletonCache.h): serve the
-  // combo's artifacts from a prior run over the same program shape. ---
-  ComboCacheHit = false;
-  ComboCacheMiss = false;
-  ComboCacheEvictions = 0;
-  ComboCacheKeyValid = false;
-  ComboCachedLayer = nullptr;
-  std::shared_ptr<const SkelCacheEntry> CachedCombo;
-  if (Shared.SkelCacheEnabled) {
-    ComboCacheKey.ProgHi = Shared.ProgHashHi;
-    ComboCacheKey.ProgLo = Shared.ProgHashLo;
-    ComboCacheKey.Model = Shared.ModelHash;
-    ComboCacheKey.Combo = ComboIndex;
-    ComboCacheKey.RfValuePruning = Opts.RfValuePruning;
-    ComboCacheKeyValid = true;
-    CachedCombo = SkeletonCache::instance().lookup(
-        ComboCacheKey, Shared.SkelSnapshot, ComboCachedLayer);
-    if (CachedCombo && (CachedCombo->NumEvents != Events.size() ||
-                        CachedCombo->NumReads != Reads.size() ||
-                        CachedCombo->AllStatic != AllStaticCombo)) {
-      // 128-bit hash collision: degrade to a miss, never a wrong reuse.
-      CachedCombo = nullptr;
-      ComboCachedLayer = nullptr;
-    }
-    (CachedCombo ? ComboCacheHit : ComboCacheMiss) = true;
-  }
-  if (CachedCombo) {
-    // The abstract pass still runs: its PruneChecks/EvAbs point into
-    // the *live* program's expression AST (violatedCheck and the solve
-    // backend's nogood compiler dereference them). Everything else --
-    // candidate filtering, the skeleton execution, feasibility -- is
-    // structural and comes from the cache.
-    RfCand = CachedCombo->RfCand;
-    ComboRfSourcesPruned = CachedCombo->Pruned;
-    if (Opts.RfValuePruning)
-      computeAbstract();
-    else
-      PruneChecks.clear();
-    ComboInfeasible = CachedCombo->ComboInfeasible;
-    SkelEx = CachedCombo->SkelEx;
-    InitEvByLoc.clear();
-    for (unsigned I = 0; I != N; ++I)
-      if (Events[I].IsInit)
-        InitEvByLoc[Events[I].InitLoc] = I;
-    RfSpace = CachedCombo->RfSpace;
-    return RfSpace;
-  }
-
   // --- rf candidates per read. ---
   // Static-address reads take writes that are statically same-location
   // (plus all dynamic-address writes); dynamic-address reads must
@@ -289,19 +232,6 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
   if (ComboInfeasible)
     RfSpace = 0;
 
-  if (ComboCacheMiss) {
-    auto E = std::make_shared<SkelCacheEntry>();
-    E->SkelEx = SkelEx;
-    E->RfCand = RfCand;
-    E->RfSpace = RfSpace;
-    E->AllStatic = AllStaticCombo;
-    E->ComboInfeasible = ComboInfeasible;
-    E->Pruned = ComboRfSourcesPruned;
-    E->NumEvents = Events.size();
-    E->NumReads = Reads.size();
-    ComboCacheEvictions =
-        SkeletonCache::instance().insert(ComboCacheKey, std::move(E));
-  }
   return RfSpace;
 }
 
@@ -332,34 +262,14 @@ void ComboWorker::bindComboEvaluator(uint64_t Combo) {
     if (It != Shared.Layers.end())
       Cached = It->second;
   }
-  // The process-wide skeleton cache may carry the layer too (published
-  // by an earlier run over the same shape); it is keyed structurally and
-  // the layer stores no names, so adopting it across renamed programs is
-  // exactly the existing same-run sharing, one level up.
-  if (!Cached && ComboCachedLayer)
-    Cached = ComboCachedLayer;
   LayerPublished = Cached != nullptr;
   Eval.enterCombo(AllStaticCombo, std::move(Cached));
 }
 
 void ComboWorker::publishLayer() {
-  if (!Opts.IncrementalCatEval)
+  if (!Opts.IncrementalCatEval || !Shared.ShareLayerCache || LayerPublished)
     return;
-  std::shared_ptr<const CatStableLayer> Layer;
-  // Upgrade the process-wide cache entry (layer slot starts empty: the
-  // entry is inserted by prepareCombo before any candidate forced the
-  // layer into existence). First publisher wins; benefits later runs.
-  if (ComboCacheKeyValid && !ComboCachedLayer) {
-    Layer = Eval.stableLayer();
-    if (Layer) {
-      SkeletonCache::instance().publishLayer(ComboCacheKey, Layer);
-      ComboCachedLayer = Layer; // publish at most once per combo
-    }
-  }
-  if (!Shared.ShareLayerCache || LayerPublished)
-    return;
-  if (!Layer)
-    Layer = Eval.stableLayer();
+  std::shared_ptr<const CatStableLayer> Layer = Eval.stableLayer();
   if (!Layer)
     return;
   std::lock_guard<std::mutex> Lock(Shared.LayerM);
@@ -1166,16 +1076,6 @@ SimResult telechat::enumerateExecutions(const SimProgram &Program,
   Shared.MaxSteps = Options.MaxSteps;
   Shared.TimeoutSeconds = Options.TimeoutSeconds;
   Shared.Start = std::chrono::steady_clock::now();
-
-  // Skeleton cache: snapshot once per run so every worker sees the same
-  // cache state regardless of scheduling (see SkeletonCache.h).
-  SkeletonCache &SC = SkeletonCache::instance();
-  if (SC.capacity() != 0) {
-    Shared.SkelCacheEnabled = true;
-    Shared.SkelSnapshot = SC.snapshot();
-    hashSimProgram(Program, Shared.ProgHashHi, Shared.ProgHashLo);
-    Shared.ModelHash = hashCatModel(Model);
-  }
 
   // Path combos form a mixed-radix space over per-thread path counts
   // (index 0 least significant, matching the sequential odometer). The

@@ -156,10 +156,9 @@ struct SimOptions {
 /// simcore::mergeResults and litmus-sim's --stats line. Adding a
 /// counter is one row here plus the code that increments it.
 ///
-/// On completed runs every row but SkelCacheEvictions is a pure
-/// function of (program, model, options, skeleton-cache snapshot),
-/// whatever the job count: the parallel merge reassembles the rows in
-/// enumeration order.
+/// On completed runs every row is a pure function of (program, model,
+/// options), whatever the job count: the parallel merge reassembles the
+/// rows in enumeration order.
 #define TELECHAT_SIM_STATS(COUNT, NAMED)                                       \
   /** Path combinations: one choice of path in every thread. */                \
   COUNT(PathCombos, "path_combos")                                             \
@@ -183,16 +182,6 @@ struct SimOptions {
   /** Cat binding and check evaluations served from the per-combo stable       \
       layer instead of being recomputed per candidate. */                      \
   COUNT(CatEvalsAvoided, "cat_evals_avoided")                                  \
-  /** Path combos served from the process-wide skeleton cache                  \
-      (sim/SkeletonCache.h; zero while it is disabled, the default).           \
-      Lookups see only entries inserted before the run started. */             \
-  COUNT(SkelCacheHits, "skel_cache_hits")                                      \
-  /** Path combos computed and offered to the cache. */                        \
-  COUNT(SkelCacheMisses, "skel_cache_misses")                                  \
-  /** Entries this run's inserts evicted. NOT job-count-invariant:             \
-      whichever worker performs the insert pays the eviction, so identity      \
-      gates must not compare it across job counts. */                          \
-  COUNT(SkelCacheEvictions, "skel_cache_evictions")                            \
   /** Which backend actually ran (SimBackendKind::Sweep, ::Solve or            \
       ::Explore; Auto resolves before the run), so mixed-backend campaigns     \
       stay attributable and subset-mode comparison (core/MCompare.h)           \

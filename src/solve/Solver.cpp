@@ -99,7 +99,6 @@ public:
       ++W.WR.Stats.SolveConflicts; // Combo refuted at compile time.
     W.WR.Stats.SolveClauses += DB.added();
     W.WR.Stats.SolvePropagations += DB.propagations();
-    W.publishLayer(); // Offer the stable layer to the skeleton cache.
   }
 
 private:
@@ -257,16 +256,6 @@ SimResult telechat::solveExecutions(const SimProgram &Program,
   Shared.MaxSteps = Options.MaxSteps;
   Shared.TimeoutSeconds = Options.TimeoutSeconds;
   Shared.Start = std::chrono::steady_clock::now();
-
-  // Skeleton cache: snapshot once per run so every worker sees the same
-  // cache state regardless of scheduling (see SkeletonCache.h).
-  SkeletonCache &SC = SkeletonCache::instance();
-  if (SC.capacity() != 0) {
-    Shared.SkelCacheEnabled = true;
-    Shared.SkelSnapshot = SC.snapshot();
-    hashSimProgram(Program, Shared.ProgHashHi, Shared.ProgHashLo);
-    Shared.ModelHash = hashCatModel(Model);
-  }
 
   uint64_t ComboCount = 1;
   for (const SimThread &T : Program.Threads)

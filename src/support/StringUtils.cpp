@@ -6,8 +6,12 @@
 
 #include "support/StringUtils.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace telechat;
 
@@ -57,4 +61,40 @@ std::string telechat::strFormat(const char *Fmt, ...) {
     vsnprintf(Out.data(), Out.size() + 1, Fmt, ArgsCopy);
   va_end(ArgsCopy);
   return Out;
+}
+
+/// strtoull and strtod skip leading whitespace and accept a sign (strtoull
+/// negates "-1" into 2^64 - 1), so a flag value must open with a digit.
+static bool opensWithDigit(const char *Text) {
+  return isdigit(static_cast<unsigned char>(Text[0])) ||
+         (Text[0] == '.' && isdigit(static_cast<unsigned char>(Text[1])));
+}
+
+bool telechat::parseNumberFlag(std::string_view Flag, const char *Text,
+                               uint64_t Max, uint64_t &Out) {
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long V = opensWithDigit(Text) ? strtoull(Text, &End, 0) : 0;
+  if (!End || *End != '\0' || errno == ERANGE || V > Max) {
+    fprintf(stderr, "error: %.*s expects a whole number from 0 to %llu, "
+                    "got '%s'\n",
+            int(Flag.size()), Flag.data(),
+            static_cast<unsigned long long>(Max), Text);
+    return false;
+  }
+  Out = V;
+  return true;
+}
+
+bool telechat::parseFlag(std::string_view Flag, const char *Text,
+                         double &Out) {
+  char *End = nullptr;
+  double V = opensWithDigit(Text) ? strtod(Text, &End) : 0.0;
+  if (!End || *End != '\0' || !std::isfinite(V) || V <= 0) {
+    fprintf(stderr, "error: %.*s expects a finite number above 0, got '%s'\n",
+            int(Flag.size()), Flag.data(), Text);
+    return false;
+  }
+  Out = V;
+  return true;
 }

@@ -7,6 +7,8 @@
 #ifndef TELECHAT_SUPPORT_STRINGUTILS_H
 #define TELECHAT_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +28,29 @@ std::string joinStrings(const std::vector<std::string> &Parts,
 /// printf-style formatting into a std::string.
 std::string strFormat(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Parses \p Text, the value of the command-line flag \p Flag, as a whole
+/// number from 0 to \p Max in strtoull's base-0 notation (decimal, 0x
+/// hex, leading-0 octal). Empty input, a sign, whitespace, trailing
+/// characters and overflow print "error: <Flag> expects ..., got
+/// '<Text>'" and return false, leaving \p Out untouched.
+bool parseNumberFlag(std::string_view Flag, const char *Text, uint64_t Max,
+                     uint64_t &Out);
+
+/// parseNumberFlag into an integer flag, bounded by its type's range
+/// unless \p Max is smaller.
+template <typename T>
+bool parseFlag(std::string_view Flag, const char *Text, T &Out,
+               uint64_t Max = uint64_t(std::numeric_limits<T>::max())) {
+  uint64_t V = 0;
+  if (!parseNumberFlag(Flag, Text, Max, V))
+    return false;
+  Out = T(V);
+  return true;
+}
+
+/// The same for a real-valued flag: a finite number greater than zero.
+bool parseFlag(std::string_view Flag, const char *Text, double &Out);
 
 } // namespace telechat
 

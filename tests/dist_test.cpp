@@ -449,15 +449,12 @@ void expectUnitIdentical(const TelechatResult &L, const TelechatResult &D,
   EXPECT_EQ(L.SourceSim.TimedOut, D.SourceSim.TimedOut) << What;
   EXPECT_EQ(L.TargetSim.Allowed, D.TargetSim.Allowed) << What;
   EXPECT_EQ(L.TargetSim.Flags, D.TargetSim.Flags) << What;
-  // Every SimStats row on both sides, but the scheduling-dependent
-  // SkelCacheEvictions.
+  // Every SimStats row on both sides.
 #define EXPECT_ROW(Member, Key)                                                \
-  if (std::string(Key) != "skel_cache_evictions") {                            \
-    EXPECT_EQ(L.SourceSim.Stats.Member, D.SourceSim.Stats.Member)              \
-        << What << ": source " Key;                                            \
-    EXPECT_EQ(L.TargetSim.Stats.Member, D.TargetSim.Stats.Member)              \
-        << What << ": target " Key;                                            \
-  }
+  EXPECT_EQ(L.SourceSim.Stats.Member, D.SourceSim.Stats.Member)                \
+      << What << ": source " Key;                                              \
+  EXPECT_EQ(L.TargetSim.Stats.Member, D.TargetSim.Stats.Member)                \
+      << What << ": target " Key;
   TELECHAT_SIM_STATS(EXPECT_ROW, EXPECT_ROW)
 #undef EXPECT_ROW
   EXPECT_EQ(L.Compare.K, D.Compare.K) << What;
@@ -1438,33 +1435,40 @@ TEST(DedupeCampaignTest, LocalDedupeJsonByteIdentical) {
   // The local driver's ledger: duplicates never reach a lane, they are
   // answered by renaming the representative's result -- and the merged
   // campaign JSON is byte-identical to the run that executed everything.
+  // The full pipeline adds l2c's observation locations (obs_P1_r0),
+  // whose names follow the thread and register they persist.
   std::vector<LitmusTest> Tests = {classicTest("MP"), classicTest("SB")};
   Tests.push_back(renamedDup(Tests[0], /*SwapThreads=*/false));
   Tests.push_back(renamedDup(Tests[1], /*SwapThreads=*/false));
-  std::vector<CampaignConfig> Configs = simOnlyConfig();
   std::vector<CampaignUnit> Units = makeCampaignUnits(Tests);
+  Profile P;
+  ASSERT_TRUE(profileFromName("llvm-O2-AArch64", P));
+  std::vector<std::vector<CampaignConfig>> Tables = {
+      simOnlyConfig(), {{P, TestOptions(), false}}};
+  for (const std::vector<CampaignConfig> &Configs : Tables) {
+    SCOPED_TRACE(Configs[0].SimulateOnly ? "simulate-only" : P.name());
+    std::vector<TelechatResult> Undeduped(Units.size());
+    {
+      VectorUnitSource Source(Units);
+      ThreadPool Pool(2);
+      runCampaignUnits(Source, Configs, Pool,
+                       [&](const CampaignUnit &U, TelechatResult R) {
+                         Undeduped[U.Id] = std::move(R);
+                       });
+    }
 
-  std::vector<TelechatResult> Undeduped(Units.size());
-  {
     VectorUnitSource Source(Units);
+    CampaignLedger Ledger(/*Dedupe=*/true);
     ThreadPool Pool(2);
-    runCampaignUnits(Source, Configs, Pool,
-                     [&](const CampaignUnit &U, TelechatResult R) {
-                       Undeduped[U.Id] = std::move(R);
-                     });
+    CampaignReport Report = runLocalCampaign(Source, Configs, Pool, Ledger);
+    EXPECT_EQ(Report.DedupedUnits, 2u);
+    EXPECT_EQ(Report.ReplayedResults, 0u);
+    // Counted where the lanes hand results over, not derived from the
+    // dedupe count: a duplicate reaching a lane would make this 3 or 4.
+    EXPECT_EQ(Report.ExecutedUnits, 2u) << "duplicates must not be executed";
+    EXPECT_EQ(campaignResultsJson(Units, Configs, Report.Results),
+              campaignResultsJson(Units, Configs, Undeduped));
   }
-
-  VectorUnitSource Source(Units);
-  CampaignLedger Ledger(/*Dedupe=*/true);
-  ThreadPool Pool(2);
-  CampaignReport Report = runLocalCampaign(Source, Configs, Pool, Ledger);
-  EXPECT_EQ(Report.DedupedUnits, 2u);
-  EXPECT_EQ(Report.ReplayedResults, 0u);
-  // Counted where the lanes hand results over, not derived from the
-  // dedupe count: a duplicate reaching a lane would make this 3 or 4.
-  EXPECT_EQ(Report.ExecutedUnits, 2u) << "duplicates must not be executed";
-  EXPECT_EQ(campaignResultsJson(Units, Configs, Report.Results),
-            campaignResultsJson(Units, Configs, Undeduped));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1696,6 +1700,43 @@ TEST(CampaignCliTest, HostileJournalIdIsAnErrorNotACrash) {
     EXPECT_NE(Err.find("error: unit source produced id 5 at stream "
                        "position " +
                        std::to_string(Bad)),
+              std::string::npos)
+        << Err;
+  }
+}
+
+TEST(CampaignCliTest, NumericFlagsRefuseGarbage) {
+  // A numeric flag takes a whole number in its range, or the tool exits 1
+  // naming the flag and the value: never a silent 0, a parsed prefix or a
+  // wrapped negative.
+  auto Run = [](std::vector<std::string> Args, bool Worker) {
+    std::vector<char *> Argv;
+    for (std::string &A : Args)
+      Argv.push_back(A.data());
+    testing::internal::CaptureStderr();
+    int Rc = Worker ? workerToolMain(int(Argv.size()), Argv.data(), noUsage)
+                    : campaignToolMain(int(Argv.size()), Argv.data(),
+                                       noUsage, CampaignCliMode::Local);
+    return std::make_pair(Rc, testing::internal::GetCapturedStderr());
+  };
+  for (std::string Bad : {"abc", "10x", "-1", "99999999999999999999"}) {
+    for (std::string Flag : {"--max-steps", "-j", "--limit", "--gen-count"}) {
+      SCOPED_TRACE("--campaign " + Flag + " " + Bad);
+      auto [Rc, Err] = Run({"telechat", "--campaign", "--classics", Flag,
+                            Bad},
+                           /*Worker=*/false);
+      EXPECT_EQ(Rc, 1);
+      EXPECT_NE(Err.find("error: " + Flag + " expects"), std::string::npos)
+          << Err;
+      EXPECT_NE(Err.find("got '" + Bad + "'"), std::string::npos) << Err;
+    }
+    SCOPED_TRACE("--work -j " + Bad);
+    auto [Rc, Err] =
+        Run({"telechat", "--work", "127.0.0.1:1", "-j", Bad}, /*Worker=*/true);
+    EXPECT_EQ(Rc, 1);
+    EXPECT_NE(Err.find("error: -j expects a whole number from 0 to "
+                       "4294967295, got '" +
+                       Bad + "'"),
               std::string::npos)
         << Err;
   }

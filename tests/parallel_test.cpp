@@ -28,8 +28,8 @@ using namespace telechat;
 namespace {
 
 /// Everything that must match between a sequential and a sharded run of
-/// the same test: every SimStats row but the scheduling-dependent
-/// SkelCacheEvictions (Seconds is wall clock and outside the table).
+/// the same test: every SimStats row (Seconds is wall clock and outside
+/// the table).
 void expectIdentical(const SimResult &Seq, const SimResult &Par,
                      const std::string &What) {
   EXPECT_EQ(Seq.Error, Par.Error) << What;
@@ -37,8 +37,7 @@ void expectIdentical(const SimResult &Seq, const SimResult &Par,
   EXPECT_EQ(Seq.Allowed, Par.Allowed) << What;
   EXPECT_EQ(Seq.Flags, Par.Flags) << What;
 #define EXPECT_ROW(Member, Key)                                                \
-  if (std::string(Key) != "skel_cache_evictions")                              \
-    EXPECT_EQ(Seq.Stats.Member, Par.Stats.Member) << What << ": " Key;
+  EXPECT_EQ(Seq.Stats.Member, Par.Stats.Member) << What << ": " Key;
   TELECHAT_SIM_STATS(EXPECT_ROW, EXPECT_ROW)
 #undef EXPECT_ROW
 }

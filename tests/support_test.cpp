@@ -281,6 +281,62 @@ TEST(StringUtilsTest, Format) {
             std::string(300, 'a'));
 }
 
+TEST(StringUtilsTest, ParseFlagTakesWholeNumbersInRangeOnly) {
+  testing::internal::CaptureStderr();
+  unsigned Jobs = 7;
+  EXPECT_TRUE(parseFlag("-j", "4", Jobs));
+  EXPECT_EQ(Jobs, 4u);
+  EXPECT_TRUE(parseFlag("-j", "0x10", Jobs));
+  EXPECT_EQ(Jobs, 16u);
+  EXPECT_TRUE(parseFlag("-j", "4294967295", Jobs));
+  EXPECT_EQ(Jobs, 4294967295u);
+  for (const char *Bad : {"", "abc", "10x", "-1", "+1", " 1", "1 ", "0x",
+                          ".5", "4294967296", "99999999999999999999"}) {
+    Jobs = 7;
+    EXPECT_FALSE(parseFlag("-j", Bad, Jobs)) << "'" << Bad << "'";
+    EXPECT_EQ(Jobs, 7u) << "'" << Bad << "'";
+  }
+  uint16_t Port = 0;
+  EXPECT_TRUE(parseFlag("--serve", "65535", Port));
+  EXPECT_EQ(Port, 65535u);
+  EXPECT_FALSE(parseFlag("--serve", "70000", Port));
+  int StatusPort = -1;
+  EXPECT_TRUE(parseFlag("--status-port", "0", StatusPort, 65535));
+  EXPECT_EQ(StatusPort, 0);
+  EXPECT_FALSE(parseFlag("--status-port", "65536", StatusPort, 65535));
+  uint64_t Steps = 0;
+  EXPECT_TRUE(parseFlag("--max-steps", "18446744073709551615", Steps));
+  EXPECT_EQ(Steps, ~uint64_t(0));
+  EXPECT_FALSE(parseFlag("--max-steps", "18446744073709551616", Steps));
+
+  // Real-valued flags: finite and above zero.
+  double Seconds = 1;
+  EXPECT_TRUE(parseFlag("--lease-timeout", "0.25", Seconds));
+  EXPECT_EQ(Seconds, 0.25);
+  EXPECT_TRUE(parseFlag("--lease-timeout", "120", Seconds));
+  EXPECT_EQ(Seconds, 120.0);
+  for (const char *Bad :
+       {"", "abc", "10x", "-1", "0", "0.0", "inf", "nan", "1e999", " 1"}) {
+    Seconds = 1;
+    EXPECT_FALSE(parseFlag("--lease-timeout", Bad, Seconds))
+        << "'" << Bad << "'";
+    EXPECT_EQ(Seconds, 1.0) << "'" << Bad << "'";
+  }
+  std::string Err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(Err.find("error: -j expects a whole number from 0 to "
+                     "4294967295, got '10x'\n"),
+            std::string::npos)
+      << Err;
+  EXPECT_NE(Err.find("error: --serve expects a whole number from 0 to "
+                     "65535, got '70000'\n"),
+            std::string::npos)
+      << Err;
+  EXPECT_NE(Err.find("error: --lease-timeout expects a finite number "
+                     "above 0, got 'nan'\n"),
+            std::string::npos)
+      << Err;
+}
+
 TEST(ThreadPoolTest, ParallelForCoversEveryIndex) {
   ThreadPool Pool(4);
   std::vector<std::atomic<int>> Hits(257);

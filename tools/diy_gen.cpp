@@ -19,6 +19,7 @@
 #include "diy/Cycle.h"
 #include "diy/RealWorld.h"
 #include "litmus/Printer.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstring>
@@ -72,8 +73,9 @@ int main(int argc, char **argv) {
     if (Suite.rfind("realworld", 0) == 0) {
       unsigned Limit = 0;
       for (int I = 3; I + 1 < argc; I += 2)
-        if (strcmp(argv[I], "--limit") == 0)
-          Limit = unsigned(strtoul(argv[I + 1], nullptr, 0));
+        if (strcmp(argv[I], "--limit") == 0 &&
+            !parseFlag(argv[I], argv[I + 1], Limit))
+          return 1;
       std::vector<LitmusTest> Tests;
       if (Suite.size() > strlen("realworld") &&
           Suite[strlen("realworld")] == ':') {
@@ -98,8 +100,9 @@ int main(int argc, char **argv) {
                              ? SuiteConfig::c11Acq()
                              : SuiteConfig::c11();
     for (int I = 3; I + 1 < argc; I += 2)
-      if (strcmp(argv[I], "--limit") == 0)
-        Config.Limit = strtoul(argv[I + 1], nullptr, 0);
+      if (strcmp(argv[I], "--limit") == 0 &&
+          !parseFlag(argv[I], argv[I + 1], Config.Limit))
+        return 1;
     for (const LitmusTest &T : generateSuite(Config))
       printf("%s\n", printLitmusC(T).c_str());
     return 0;

@@ -33,6 +33,7 @@
 #include "litmus/Parser.h"
 #include "sim/CFrontend.h"
 #include "sim/Simulator.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -59,7 +60,7 @@ static void usage() {
           "       litmus-sim --relay <listen-port> <host:port> "
           "[--bind <addr>] [--batch <n>] [--status-port <p>]\n"
           "       litmus-sim --work <host:port> [-j <n>] [--batch <n>] "
-          "[--max-units <n>] [--skel-cache <n>]\n"
+          "[--max-units <n>]\n"
           "  -j <n>          enumeration worker threads (0 = all hardware "
           "threads; default 1)\n"
           "  --backend <b>   consistency engine: sweep (explicit enumeration,\n"
@@ -73,9 +74,7 @@ static void usage() {
           "  --no-prune      disable rf value-constraint pruning\n"
           "  --no-cat-cache  disable incremental Cat evaluation\n"
           "  --dedupe        serve one unit per canonical test shape and\n"
-          "                  rename its result onto the duplicates\n"
-          "  --skel-cache <n> cache per-combo skeletons across tests\n"
-          "                  (entries; 0 disables; campaign/worker modes)\n");
+          "                  rename its result onto the duplicates\n");
 }
 
 int main(int argc, char **argv) {
@@ -110,16 +109,12 @@ int main(int argc, char **argv) {
     if (Arg == "--model")
       Model = Value();
     else if (Arg == "-j" || Arg == "--jobs") {
-      const char *V = Value();
-      char *End = nullptr;
-      Jobs = unsigned(strtoul(V, &End, 0));
-      if (End == V || *End != '\0') {
-        fprintf(stderr, "error: -j expects a number, got '%s'\n", V);
+      if (!parseFlag(Arg, Value(), Jobs))
         return 1;
-      }
-    } else if (Arg == "--max-steps")
-      MaxSteps = strtoull(Value(), nullptr, 0);
-    else if (Arg == "--dot")
+    } else if (Arg == "--max-steps") {
+      if (!parseFlag(Arg, Value(), MaxSteps))
+        return 1;
+    } else if (Arg == "--dot")
       Dot = true;
     else if (Arg == "--stats")
       Stats = true;
@@ -133,11 +128,13 @@ int main(int argc, char **argv) {
         fprintf(stderr, "error: unknown backend '%s'\n", V);
         return 1;
       }
-    } else if (Arg == "--explore-iters")
-      ExploreIters = strtoull(Value(), nullptr, 0);
-    else if (Arg == "--explore-seed")
-      ExploreSeed = strtoull(Value(), nullptr, 0);
-    else {
+    } else if (Arg == "--explore-iters") {
+      if (!parseFlag(Arg, Value(), ExploreIters))
+        return 1;
+    } else if (Arg == "--explore-seed") {
+      if (!parseFlag(Arg, Value(), ExploreSeed))
+        return 1;
+    } else {
       fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
       usage();
       return 1;

@@ -39,6 +39,7 @@
 #include "litmus/Parser.h"
 #include "litmus/Printer.h"
 #include "sim/Backend.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <fstream>
@@ -115,9 +116,6 @@ static void usage() {
           "  --dedupe             execute one unit per canonical test\n"
           "                       shape (litmus/Canon.h) and rename its\n"
           "                       result onto the duplicates\n"
-          "  --skel-cache <n>     cache per-combo skeletons across tests\n"
-          "                       (entries; 0 = off; --campaign executes\n"
-          "                       locally, --work caches in the worker)\n"
           "  --bind <addr>        listen address (default 127.0.0.1)\n"
           "  --lease-timeout <s>  re-issue stalled leases (default 120)\n"
           "  --batch <n>          max units per Work frame / request\n"
@@ -170,7 +168,8 @@ int mainSingle(int argc, char **argv) {
         usage();
         return 1;
       }
-      Options.Sim.ExploreBudget = strtoull(V, nullptr, 0);
+      if (!parseFlag(Arg, V, Options.Sim.ExploreBudget))
+        return 1;
     } else if (Arg == "--no-prune") {
       Options.Sim.RfValuePruning = false;
     } else if (Arg == "--no-cat-cache") {
@@ -183,26 +182,24 @@ int mainSingle(int argc, char **argv) {
         usage();
         return 1;
       }
-      FuzzSeed = strtoull(V, nullptr, 0);
+      if (!parseFlag(Arg, V, FuzzSeed))
+        return 1;
     } else if (Arg == "--max-steps") {
       const char *V = Next();
       if (!V) {
         usage();
         return 1;
       }
-      Options.Sim.MaxSteps = strtoull(V, nullptr, 0);
+      if (!parseFlag(Arg, V, Options.Sim.MaxSteps))
+        return 1;
     } else if (Arg == "-j" || Arg == "--jobs") {
       const char *V = Next();
       if (!V) {
         usage();
         return 1;
       }
-      char *End = nullptr;
-      Options.Sim.Jobs = unsigned(strtoul(V, &End, 0));
-      if (End == V || *End != '\0') {
-        fprintf(stderr, "error: -j expects a number, got '%s'\n", V);
+      if (!parseFlag(Arg, V, Options.Sim.Jobs))
         return 1;
-      }
     } else {
       fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
       usage();
