@@ -10,7 +10,9 @@
 #include "litmus/Parser.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 using namespace telechat;
@@ -39,7 +41,8 @@ std::vector<std::string> splitOperands(std::string_view Text) {
   return Out;
 }
 
-bool parseIntToken(std::string_view S, int64_t &Out) {
+/// A decimal integer token: an optional '-', then digits.
+bool isIntToken(std::string_view S) {
   if (S.empty())
     return false;
   size_t I = S[0] == '-' ? 1 : 0;
@@ -48,8 +51,17 @@ bool parseIntToken(std::string_view S, int64_t &Out) {
   for (size_t J = I; J != S.size(); ++J)
     if (!isdigit(static_cast<unsigned char>(S[J])))
       return false;
-  Out = strtoll(std::string(S).c_str(), nullptr, 10);
   return true;
+}
+
+/// False when \p S is not an integer token or its value does not fit in
+/// 64 bits: an out-of-range immediate is refused, never saturated.
+bool parseIntToken(std::string_view S, int64_t &Out) {
+  if (!isIntToken(S))
+    return false;
+  errno = 0;
+  Out = strtoll(std::string(S).c_str(), nullptr, 10);
+  return errno != ERANGE;
 }
 
 /// Parses the inside of an ARM-style [ ... ] memory operand.
@@ -138,10 +150,11 @@ ErrorOr<AsmOperand> parseOperand(Arch A, const InstSemantics &Sem,
       return makeError("bad immediate " + S);
     return AsmOperand::imm(Imm);
   }
-  {
+  if (isIntToken(S)) {
     int64_t Imm;
-    if (parseIntToken(S, Imm))
-      return AsmOperand::imm(Imm);
+    if (!parseIntToken(S, Imm))
+      return makeError("bad immediate " + S);
+    return AsmOperand::imm(Imm);
   }
   // :mod:sym relocations.
   if (S.front() == ':') {
@@ -236,13 +249,17 @@ std::string parseInitEntry(std::string_view Entry, AsmLitmusTest &Test) {
   if (!Rhs.empty() && Rhs[0] == '&') {
     L.InitAddrOf = Rhs.substr(1);
   } else {
-    size_t Colon2 = Rhs.find(':');
-    if (Colon2 != std::string::npos) {
-      L.Init = Value(strtoull(Rhs.substr(Colon2 + 1).c_str(), nullptr, 0),
-                     strtoull(Rhs.substr(0, Colon2).c_str(), nullptr, 0));
-    } else {
-      L.Init = Value(strtoull(Rhs.c_str(), nullptr, 0));
+    // "N" or the 128-bit spelling "HI:LO".
+    std::string HiText = "0", LoText = Rhs;
+    if (size_t Colon2 = Rhs.find(':'); Colon2 != std::string::npos) {
+      HiText = Rhs.substr(0, Colon2);
+      LoText = Rhs.substr(Colon2 + 1);
     }
+    uint64_t Hi = 0, Lo = 0;
+    if (!parseNumber(HiText.c_str(), ~uint64_t(0), Hi) ||
+        !parseNumber(LoText.c_str(), ~uint64_t(0), Lo))
+      return "malformed initial value: " + S;
+    L.Init = Value(Lo, Hi);
   }
   Test.Locations.push_back(std::move(L));
   return "";
@@ -320,17 +337,27 @@ ErrorOr<AsmLitmusTest> telechat::parseAsmLitmus(std::string_view Text) {
   std::optional<std::string> Open = NextLine();
   if (!Open || (*Open)[0] != '{')
     return makeError("expected '{' after header");
+  // Entries may span lines: InitLines[K] is the file line of line K of
+  // InitText, so an entry's error names the line the entry starts on.
   std::string InitText = Open->substr(1);
+  std::vector<size_t> InitLines{LineNo};
   while (InitText.find('}') == std::string::npos) {
     std::optional<std::string> L = NextLine();
     if (!L)
       return makeError("unterminated initial state");
     InitText += "\n" + *L;
+    InitLines.push_back(LineNo);
   }
   InitText = InitText.substr(0, InitText.find('}'));
-  for (const std::string &RawEntry : splitString(InitText, ';'))
-    if (std::string E = parseInitEntry(RawEntry, Test); !E.empty())
-      return makeError(E);
+  size_t K = 0;
+  for (const std::string &RawEntry : splitString(InitText, ';')) {
+    if (std::string E = parseInitEntry(RawEntry, Test); !E.empty()) {
+      auto Start = RawEntry.begin() + RawEntry.find_first_not_of(" \t\r\n");
+      K += std::count(RawEntry.begin(), Start, '\n');
+      return makeError(strFormat("line %zu: %s", InitLines[K], E.c_str()));
+    }
+    K += std::count(RawEntry.begin(), RawEntry.end(), '\n');
+  }
 
   // Threads and final condition.
   while (true) {

@@ -38,16 +38,12 @@
 /// history offers every coherence-legal stale store at that point.
 ///
 /// Iteration i of combo c is a pure function of (ExploreSeed, c, i)
-/// and one combo is one shard, so results merge Jobs-invariantly like
-/// the other backends.
+/// and the run driver (simcore::runEngine) gives this engine one combo
+/// per shard, so results merge Jobs-invariantly like the other engines.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "explore/Explorer.h"
-
 #include "sim/EnumCore.h"
-#include "sim/ShardScheduler.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <set>
@@ -99,59 +95,47 @@ bool hasRelTag(const std::set<std::string> &Tags) {
 /// Everything below is re-initialised per combo (scaffold) or per
 /// iteration (schedule state); nothing leaks across combos, keeping
 /// per-combo iteration counts deterministic for any Jobs value.
-class ExploreWorker {
+class ExploreWorker final : public ComboWorker {
 public:
-  ExploreWorker(const SimProgram &Program, const CatModel &Model,
-                const SimOptions &Options, SharedState &Shared)
-      : W(Program, Model, Options, Shared) {}
+  using ComboWorker::ComboWorker;
 
-  ComboWorker W;
-
-  void processCombo(uint64_t Combo, size_t Index) {
-    if (W.shouldStop())
-      return;
-    W.CurShardIdx = Index;
-    W.prepareCombo(Combo);
-    W.CurCombo = Combo;
-    W.bindComboEvaluator(Combo);
-    W.accountCombo();
-    if (W.RfSpace == 0)
-      return; // Infeasible or empty-domain combo: nothing to explore.
-    const size_t NR = W.Reads.size();
-    W.RfChoice.assign(NR, ComboWorker::kNoChoice);
+  /// Explores the whole prepared combo (one combo is one shard).
+  void searchCombo(uint64_t, uint64_t) override {
+    const size_t NR = Reads.size();
+    RfChoice.assign(NR, kNoChoice);
     if (NR == 0) {
       // The one-assignment combo; mirrors the sweep's single step and
       // counts as one (trivially complete) schedule so read-free units
       // still report nonzero exploration coverage.
-      if (!W.budget())
+      if (!budget())
         return;
-      ++W.WR.Stats.ExploreIterations;
-      ++W.WR.Stats.ExploreSchedules;
-      if (!W.violatedCheck(nullptr))
-        W.runAssignment();
+      ++WR.Stats.ExploreIterations;
+      ++WR.Stats.ExploreSchedules;
+      if (!violatedCheck(nullptr))
+        runAssignment();
       return;
     }
     buildScaffold();
     Tried.clear();
-    for (uint64_t It = 0; It != W.Opts.ExploreIterations; ++It) {
-      if (W.shouldStop() || !W.budget())
+    for (uint64_t It = 0; It != Opts.ExploreIterations; ++It) {
+      if (shouldStop() || !budget())
         break;
-      ++W.WR.Stats.ExploreIterations;
-      if (runSchedule(Combo, It) && Tried.insert(W.RfChoice).second) {
-        ++W.WR.Stats.ExploreSchedules;
-        if (W.violatedCheck(nullptr))
-          ++W.WR.Stats.RfPruned;
+      ++WR.Stats.ExploreIterations;
+      if (runSchedule(CurCombo, It) && Tried.insert(RfChoice).second) {
+        ++WR.Stats.ExploreSchedules;
+        if (violatedCheck(nullptr))
+          ++WR.Stats.RfPruned;
         else
-          W.runAssignment();
-        if (W.shouldStop())
+          runAssignment();
+        if (shouldStop())
           break;
         // Every assignment of the (filtered) space has been reached:
         // further schedules cannot add outcomes. This is what makes
         // the default budget *equal* to the sweep on small spaces.
-        if (uint64_t(Tried.size()) == W.RfSpace)
+        if (uint64_t(Tried.size()) == RfSpace)
           break;
       }
-      W.RfChoice.assign(NR, ComboWorker::kNoChoice);
+      RfChoice.assign(NR, kNoChoice);
     }
   }
 
@@ -181,7 +165,7 @@ private:
   unsigned locOf(const EvInfo &E) const {
     std::string Name =
         E.IsInit ? E.InitLoc
-                 : (E.Op->Addr.isStatic() ? ComboWorker::staticLocOf(*E.Op)
+                 : (E.Op->Addr.isStatic() ? staticLocOf(*E.Op)
                                           : std::string());
     if (Name.empty())
       return kNoLoc;
@@ -191,23 +175,23 @@ private:
 
   void buildScaffold() {
     LocIndex.clear();
-    for (const EvInfo &E : W.Events) {
+    for (const EvInfo &E : Events) {
       std::string Name =
           E.IsInit ? E.InitLoc
                    : ((E.Kind == EventKind::Fence || !E.Op->Addr.isStatic())
                           ? std::string()
-                          : ComboWorker::staticLocOf(*E.Op));
+                          : staticLocOf(*E.Op));
       if (!Name.empty())
         LocIndex.emplace(Name, unsigned(LocIndex.size()));
     }
     // emplace skips duplicates, so renumber densely in first-seen order.
     NumLocs = unsigned(LocIndex.size());
-    const size_t N = W.Events.size();
+    const size_t N = Events.size();
     EvLoc.assign(N, kNoLoc);
     EvAcq.assign(N, false);
     EvRel.assign(N, false);
     for (size_t I = 0; I != N; ++I) {
-      const EvInfo &E = W.Events[I];
+      const EvInfo &E = Events[I];
       if (E.Kind != EventKind::Fence)
         EvLoc[I] = locOf(E);
       if (E.IsInit)
@@ -220,20 +204,20 @@ private:
   }
 
   /// Executes one schedule; true when every thread ran to completion
-  /// (W.RfChoice is then complete), false when the schedule deadlocked
+  /// (RfChoice is then complete), false when the schedule deadlocked
   /// on loads with no visible source.
   bool runSchedule(uint64_t Combo, uint64_t It) {
-    const size_t NT = W.OpEvents.size();
+    const size_t NT = OpEvents.size();
     // --- Reset per-iteration state. ---
     Cursor.assign(NT, 0);
-    const size_t N = W.Events.size();
+    const size_t N = Events.size();
     Executed.assign(N, false);
     HistPos.assign(N, kNoPos);
     HistLen.assign(NumLocs, 0);
     // Init writes are position 0 of their location's history and are
     // visible to everyone from the start.
     for (size_t I = 0; I != N; ++I)
-      if (W.Events[I].IsInit) {
+      if (Events[I].IsInit) {
         Executed[I] = true;
         if (EvLoc[I] != kNoLoc) {
           HistPos[I] = 0;
@@ -243,34 +227,34 @@ private:
     Floors.assign(NT, std::vector<size_t>(NumLocs, 0));
     RelSnap.clear();
 
-    SplitMix64 Rng{mix64(W.Opts.ExploreSeed ^ mix64(Combo + 1) ^
+    SplitMix64 Rng{mix64(Opts.ExploreSeed ^ mix64(Combo + 1) ^
                          mix64(It * 0x2545f4914f6cdd1dull + 17))};
     const bool RoundRobin = (It & 1) != 0;
     unsigned Prev = ~0u; // Last thread that executed a step.
-    unsigned SwitchesLeft = W.Opts.ExploreMaxContextSwitches;
+    unsigned SwitchesLeft = Opts.ExploreMaxContextSwitches;
     unsigned RR = RoundRobin ? unsigned((It / 2) % (NT ? NT : 1)) : 0;
     unsigned Quantum = RoundRobin ? unsigned(1 + (It / 2) % 4) : 0;
     unsigned QuantumLeft = Quantum;
 
     size_t Remaining = 0;
     for (size_t T = 0; T != NT; ++T)
-      Remaining += W.OpEvents[T].size() > 0;
+      Remaining += OpEvents[T].size() > 0;
 
     while (Remaining != 0) {
       // --- Pick the preferred thread for this step. ---
       unsigned Preferred;
       if (RoundRobin) {
-        if (QuantumLeft == 0 || Cursor[RR] == W.OpEvents[RR].size()) {
+        if (QuantumLeft == 0 || Cursor[RR] == OpEvents[RR].size()) {
           // Quantum spent or thread done: next live thread, fresh
           // quantum. Remaining != 0 guarantees termination.
           do
             RR = unsigned((RR + 1) % NT);
-          while (Cursor[RR] == W.OpEvents[RR].size());
+          while (Cursor[RR] == OpEvents[RR].size());
           QuantumLeft = Quantum;
         }
         Preferred = RR;
         --QuantumLeft;
-      } else if (Prev != ~0u && Cursor[Prev] != W.OpEvents[Prev].size() &&
+      } else if (Prev != ~0u && Cursor[Prev] != OpEvents[Prev].size() &&
                  SwitchesLeft == 0) {
         Preferred = Prev; // Preemption budget spent: run to completion.
       } else {
@@ -278,16 +262,16 @@ private:
         // thread costs one preemption.
         size_t NL = 0;
         for (unsigned T = 0; T != NT; ++T)
-          NL += Cursor[T] != W.OpEvents[T].size();
+          NL += Cursor[T] != OpEvents[T].size();
         uint64_t Pick = Rng.below(NL);
         Preferred = 0;
         for (unsigned T = 0; T != NT; ++T)
-          if (Cursor[T] != W.OpEvents[T].size() && Pick-- == 0) {
+          if (Cursor[T] != OpEvents[T].size() && Pick-- == 0) {
             Preferred = T;
             break;
           }
         if (Prev != ~0u && Preferred != Prev &&
-            Cursor[Prev] != W.OpEvents[Prev].size() && SwitchesLeft != 0)
+            Cursor[Prev] != OpEvents[Prev].size() && SwitchesLeft != 0)
           --SwitchesLeft;
       }
       // --- Execute the first executable thread from the preferred one
@@ -297,10 +281,10 @@ private:
       bool Ran = false;
       for (unsigned K = 0; K != NT; ++K) {
         unsigned T = unsigned((Preferred + K) % NT);
-        if (Cursor[T] == W.OpEvents[T].size())
+        if (Cursor[T] == OpEvents[T].size())
           continue;
         if (step(T, Rng)) {
-          if (Cursor[T] == W.OpEvents[T].size())
+          if (Cursor[T] == OpEvents[T].size())
             --Remaining;
           Prev = T;
           Ran = true;
@@ -317,8 +301,8 @@ private:
   /// one atomic step). False when the event is a load with no visible
   /// source under the current history -- the thread stays blocked.
   bool step(unsigned T, SplitMix64 &Rng) {
-    const auto &[OpIdx, Ev] = W.OpEvents[T][Cursor[T]];
-    const EvInfo &E = W.Events[Ev];
+    const auto &[OpIdx, Ev] = OpEvents[T][Cursor[T]];
+    const EvInfo &E = Events[Ev];
     if (E.Kind == EventKind::Fence) {
       // Fences order surrounding accesses in the *model*; the history
       // tracks only per-atomic visibility, so execution just advances.
@@ -331,8 +315,8 @@ private:
       return true;
     }
     // A load (or the read half of an Rmw).
-    const unsigned RI = W.ReadIndexOf[Ev];
-    const std::vector<unsigned> &Cand = W.RfCand[RI];
+    const unsigned RI = ReadIndexOf[Ev];
+    const std::vector<unsigned> &Cand = RfCand[RI];
     const unsigned L = EvLoc[Ev];
     std::vector<unsigned> Visible; // Indexes into Cand.
     Visible.reserve(Cand.size());
@@ -348,7 +332,7 @@ private:
     if (Visible.empty())
       return false; // Blocked: other threads must store first.
     const unsigned CI = Visible[size_t(Rng.below(Visible.size()))];
-    W.RfChoice[RI] = CI;
+    RfChoice[RI] = CI;
     const unsigned Src = Cand[CI];
     if (L != kNoLoc && EvLoc[Src] == L && HistPos[Src] != kNoPos)
       Floors[T][L] = std::max(Floors[T][L], HistPos[Src]);
@@ -360,9 +344,9 @@ private:
     }
     ++Cursor[T];
     // The write half of an Rmw executes atomically with its read.
-    if (Cursor[T] != W.OpEvents[T].size()) {
-      const auto &[NextOp, NextEv] = W.OpEvents[T][Cursor[T]];
-      if (NextOp == OpIdx && W.Events[NextEv].Kind == EventKind::Write) {
+    if (Cursor[T] != OpEvents[T].size()) {
+      const auto &[NextOp, NextEv] = OpEvents[T][Cursor[T]];
+      if (NextOp == OpIdx && Events[NextEv].Kind == EventKind::Write) {
         executeWrite(T, NextEv);
         ++Cursor[T];
       }
@@ -384,60 +368,10 @@ private:
 
 } // namespace
 
-SimResult telechat::exploreExecutions(const SimProgram &Program,
-                                      const CatModel &Model,
-                                      const SimOptions &Options) {
-  SharedState Shared;
-  Shared.MaxSteps = Options.MaxSteps;
-  Shared.TimeoutSeconds = Options.TimeoutSeconds;
-  Shared.Start = std::chrono::steady_clock::now();
-
-  uint64_t ComboCount = 1;
-  for (const SimThread &T : Program.Threads)
-    ComboCount = satMul(ComboCount, T.Paths.size());
-
-  unsigned Jobs = resolveJobs(Options.Jobs);
-  std::vector<std::unique_ptr<ExploreWorker>> Workers;
-
-  if (Jobs <= 1) {
-    Workers.push_back(
-        std::make_unique<ExploreWorker>(Program, Model, Options, Shared));
-    ExploreWorker &EW = *Workers.front();
-    for (uint64_t C = 0; C != ComboCount && !EW.W.shouldStop(); ++C)
-      EW.processCombo(C, size_t(C));
-  } else {
-    for (unsigned J = 0; J != Jobs; ++J)
-      Workers.push_back(
-          std::make_unique<ExploreWorker>(Program, Model, Options, Shared));
-    // One combo = one shard: iteration i of combo c is self-contained,
-    // so per-combo work is deterministic and the merged outcome set is
-    // a Jobs-invariant union, like the solver's decision trees.
-    constexpr uint64_t kWaveCombos = 1 << 18;
-    uint64_t Next = 0;
-    while (Next < ComboCount && !Shared.stopped()) {
-      uint64_t End =
-          Next + std::min<uint64_t>(kWaveCombos, ComboCount - Next);
-      ShardScheduler::run(
-          size_t(End - Next), Jobs,
-          [&](unsigned Wk, size_t I) {
-            Workers[Wk]->processCombo(Next + I, size_t(Next + I));
-          },
-          [&] { return Shared.stopped(); });
-      Next = End;
-    }
-  }
-
-  std::vector<ComboWorker *> Merged;
-  Merged.reserve(Workers.size());
-  for (std::unique_ptr<ExploreWorker> &EW : Workers)
-    Merged.push_back(&EW->W);
-  SimResult Result = mergeResults(Merged, Shared, Options);
-  Result.Stats.BackendUsed = uint8_t(SimBackendKind::Explore);
-  // Stamped post-merge: the coverage summary subset-mode consumers read
-  // without walking the outcome set.
-  Result.Stats.ExploreOutcomesFound = Result.Allowed.size();
-  auto End = std::chrono::steady_clock::now();
-  Result.Stats.Seconds =
-      std::chrono::duration<double>(End - Shared.Start).count();
-  return Result;
+std::unique_ptr<ComboWorker>
+telechat::simcore::makeExploreWorker(const SimProgram &Program,
+                                     const CatModel &Model,
+                                     const SimOptions &Options,
+                                     SharedState &Shared) {
+  return std::make_unique<ExploreWorker>(Program, Model, Options, Shared);
 }

@@ -285,6 +285,13 @@ private:
                      T.Text.c_str());
   }
 
+  /// The value of a Number token (see parseNumber).
+  std::string numberOf(const Token &T, uint64_t &Out) {
+    if (!parseNumber(T.Text.c_str(), ~uint64_t(0), Out))
+      return errStr(T, "malformed number");
+    return "";
+  }
+
   /// { [const] [type] [*]name = value ; ... }
   std::string parseInit(LitmusTest &Test) {
     while (true) {
@@ -328,7 +335,10 @@ private:
       T = Lex.next();
       if (T.K != Token::Kind::Number)
         return errStr(T, "expected numeric initial value");
-      L.Init = Value(strtoull(T.Text.c_str(), nullptr, 0));
+      uint64_t Init = 0;
+      if (std::string E = numberOf(T, Init); !E.empty())
+        return E;
+      L.Init = Value(Init);
       Test.Locations.push_back(std::move(L));
       T = Lex.next();
       if (isPunct(T, ';'))
@@ -603,18 +613,11 @@ private:
   std::string parsePrimary(Expr &Out) {
     Token T = Lex.next();
     if (T.K == Token::Kind::Number) {
-      uint64_t First = strtoull(T.Text.c_str(), nullptr, 0);
-      // 128-bit literals spell "HI:LO".
-      Token Colon = Lex.next();
-      if (isPunct(Colon, ':')) {
-        Token Lo = Lex.next();
-        if (Lo.K != Token::Kind::Number)
-          return errStr(Lo, "expected low half after ':'");
-        Out = Expr::imm(Value(strtoull(Lo.Text.c_str(), nullptr, 0), First));
-        return "";
-      }
-      Lex.putBack(Colon);
-      Out = Expr::imm(Value(First));
+      Lex.putBack(T);
+      Value V;
+      if (std::string E = parseValue(V); !E.empty())
+        return E;
+      Out = Expr::imm(V);
       return "";
     }
     if (T.K == Token::Kind::Ident) {
@@ -760,7 +763,9 @@ private:
     Token V = Lex.next();
     if (V.K != Token::Kind::Number)
       return errStr(V, "expected numeric value");
-    uint64_t First = strtoull(V.Text.c_str(), nullptr, 0);
+    uint64_t First = 0;
+    if (std::string E = numberOf(V, First); !E.empty())
+      return E;
     Token Colon = Lex.next();
     if (!isPunct(Colon, ':')) {
       Lex.putBack(Colon);
@@ -770,7 +775,10 @@ private:
     Token Lo = Lex.next();
     if (Lo.K != Token::Kind::Number)
       return errStr(Lo, "expected low half after ':'");
-    Out = Value(strtoull(Lo.Text.c_str(), nullptr, 0), First);
+    uint64_t Low = 0;
+    if (std::string E = numberOf(Lo, Low); !E.empty())
+      return E;
+    Out = Value(Low, First);
     return "";
   }
 

@@ -252,6 +252,13 @@ private:
                      T.Text.c_str());
   }
 
+  /// The value of a Number token (see parseNumber).
+  std::string numberOf(const Token &T, uint64_t &Out) {
+    if (!parseNumber(T.Text.c_str(), ~uint64_t(0), Out))
+      return errStr(T, "malformed number");
+    return "";
+  }
+
   bool isAtomicLoc(const std::string &Name) const {
     auto It = Locs.find(Name);
     return It != Locs.end() && It->second;
@@ -295,7 +302,10 @@ private:
     Token V = Lex.next();
     if (V.K != Token::Kind::Number)
       return errStr(V, "expected numeric initial value");
-    L.Init = Value(strtoull(V.Text.c_str(), nullptr, 0));
+    uint64_t Init = 0;
+    if (std::string E = numberOf(V, Init); !E.empty())
+      return E;
+    L.Init = Value(Init);
     Token Semi = Lex.next();
     if (!isPunct(Semi, ';'))
       return errStr(Semi, "expected ';' after declaration");
@@ -558,7 +568,10 @@ private:
   std::string parsePrimary(Expr &Out) {
     Token T = Lex.next();
     if (T.K == Token::Kind::Number) {
-      Out = Expr::imm(Value(strtoull(T.Text.c_str(), nullptr, 0)));
+      uint64_t V = 0;
+      if (std::string E = numberOf(T, V); !E.empty())
+        return E;
+      Out = Expr::imm(Value(V));
       return "";
     }
     if (T.K == Token::Kind::Ident) {

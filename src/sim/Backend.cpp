@@ -6,59 +6,20 @@
 
 #include "sim/Backend.h"
 
-#include "explore/Explorer.h"
 #include "sim/EnumCore.h"
-#include "solve/Solver.h"
 
 #include <algorithm>
+#include <iterator>
 
 using namespace telechat;
 
 namespace {
 
-class SweepBackend final : public SimBackend {
-public:
-  const char *name() const override { return "sweep"; }
-  SimResult run(const SimProgram &Program, const CatModel &Model,
-                const SimOptions &Options) const override {
-    return enumerateExecutions(Program, Model, Options);
-  }
-};
-
-class SolveBackend final : public SimBackend {
-public:
-  const char *name() const override { return "solve"; }
-  SimResult run(const SimProgram &Program, const CatModel &Model,
-                const SimOptions &Options) const override {
-    return solveExecutions(Program, Model, Options);
-  }
-};
-
-class ExploreBackend final : public SimBackend {
-public:
-  const char *name() const override { return "explore"; }
-  SimResult run(const SimProgram &Program, const CatModel &Model,
-                const SimOptions &Options) const override {
-    return exploreExecutions(Program, Model, Options);
-  }
-};
+/// The backend names, indexed by SimBackendKind.
+constexpr const char *kBackendNames[] = {"sweep", "solve", "auto", "explore"};
+static_assert(std::size(kBackendNames) == size_t(SimBackendKind::Explore) + 1);
 
 } // namespace
-
-const SimBackend &telechat::sweepBackend() {
-  static const SweepBackend B;
-  return B;
-}
-
-const SimBackend &telechat::solveBackend() {
-  static const SolveBackend B;
-  return B;
-}
-
-const SimBackend &telechat::exploreBackend() {
-  static const ExploreBackend B;
-  return B;
-}
 
 uint64_t telechat::estimatedRfSpace(const SimProgram &Program) {
   using simcore::satMul;
@@ -101,65 +62,36 @@ uint64_t telechat::estimatedRfSpace(const SimProgram &Program) {
   return satMul(Combos, Space);
 }
 
-const SimBackend &telechat::resolveBackend(SimBackendKind Kind,
-                                           const SimProgram &Program) {
-  switch (Kind) {
-  case SimBackendKind::Sweep:
-    return sweepBackend();
-  case SimBackendKind::Solve:
-    return solveBackend();
-  case SimBackendKind::Auto:
-    // Never Explore: Auto promises the exhaustive set, just cheaper.
+SimBackendKind telechat::resolveBackend(SimBackendKind Kind,
+                                        const SimProgram &Program) {
+  // Never Explore: Auto promises the exhaustive set, just cheaper.
+  if (Kind == SimBackendKind::Auto)
     return estimatedRfSpace(Program) >= kAutoSolveThreshold
-               ? solveBackend()
-               : sweepBackend();
-  case SimBackendKind::Explore:
-    return exploreBackend();
-  }
-  return sweepBackend();
+               ? SimBackendKind::Solve
+               : SimBackendKind::Sweep;
+  return Kind;
 }
 
 bool telechat::backendFromName(const std::string &Name,
                                SimBackendKind &Out) {
-  if (Name == "sweep")
-    Out = SimBackendKind::Sweep;
-  else if (Name == "solve")
-    Out = SimBackendKind::Solve;
-  else if (Name == "auto")
-    Out = SimBackendKind::Auto;
-  else if (Name == "explore")
-    Out = SimBackendKind::Explore;
-  else
-    return false;
-  return true;
+  for (size_t I = 0; I != std::size(kBackendNames); ++I)
+    if (Name == kBackendNames[I]) {
+      Out = SimBackendKind(I);
+      return true;
+    }
+  return false;
 }
 
 const char *telechat::backendName(SimBackendKind Kind) {
-  switch (Kind) {
-  case SimBackendKind::Sweep:
-    return "sweep";
-  case SimBackendKind::Solve:
-    return "solve";
-  case SimBackendKind::Auto:
-    return "auto";
-  case SimBackendKind::Explore:
-    return "explore";
-  }
-  return "sweep";
+  return kBackendNames[size_t(Kind)];
 }
 
 const char *telechat::backendUsedName(uint8_t Used) {
-  switch (SimBackendKind(Used)) {
-  case SimBackendKind::Sweep:
-    return "sweep";
-  case SimBackendKind::Solve:
-    return "solve";
-  case SimBackendKind::Explore:
-    return "explore";
-  case SimBackendKind::Auto:
-    break; // Resolves before any run: as unknown as a future byte.
-  }
-  return "unknown";
+  // Auto resolves before any run: as unknown as a future byte.
+  if (Used >= std::size(kBackendNames) ||
+      SimBackendKind(Used) == SimBackendKind::Auto)
+    return "unknown";
+  return kBackendNames[Used];
 }
 
 SimResult telechat::simulate(const SimProgram &Program, const CatModel &Model,
@@ -167,10 +99,10 @@ SimResult telechat::simulate(const SimProgram &Program, const CatModel &Model,
   // The campaign budget split: estimatedRfSpace is a pure function of
   // the program, so local drivers, workers and journal replays all
   // reroute the same units.
-  if (Options.ExploreBudget != 0 &&
-      Options.Backend != SimBackendKind::Explore &&
-      estimatedRfSpace(Program) >= Options.ExploreBudget)
-    return exploreBackend().run(Program, Model, Options);
-  return resolveBackend(Options.Backend, Program)
-      .run(Program, Model, Options);
+  bool Split = Options.ExploreBudget != 0 &&
+               Options.Backend != SimBackendKind::Explore &&
+               estimatedRfSpace(Program) >= Options.ExploreBudget;
+  return simcore::runEngine(Program, Model, Options,
+                            Split ? SimBackendKind::Explore
+                                  : resolveBackend(Options.Backend, Program));
 }

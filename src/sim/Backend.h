@@ -6,21 +6,21 @@
 ///
 /// \file
 /// The backend seam: simulate() is the one entry point that runs a
-/// SimProgram under a Cat model, dispatching on SimOptions::Backend to
-/// a SimBackend implementation -- the explicit sweep (Enumerator.cpp),
-/// the constraint solver (solve/Solver.h), or the dynamic exploration
-/// oracle (explore/Explorer.h). Sweep and solve produce byte-identical
+/// SimProgram under a Cat model. It resolves SimOptions::Backend to one
+/// of three engines -- the explicit sweep (sim/Enumerator.cpp), the
+/// constraint solver (src/solve/) or the dynamic exploration oracle
+/// (src/explore/) -- and runs it on the one run driver
+/// (simcore::runEngine, sim/EnumCore.h); the engines differ only in
+/// their per-combo search. Sweep and solve produce byte-identical
 /// outcomes, flags and collected executions on completed runs (the
-/// backend only changes how the candidate space is covered); explore
+/// engine only changes how the candidate space is covered); explore
 /// reports a sound *subset* of that set within its iteration budget.
 /// Callers pick by cost profile, or pass Auto and let the estimated
 /// rf-space size decide (Auto never picks explore: an unsound-by-
 /// omission oracle is an explicit opt-in, per flag or per
 /// SimOptions::ExploreBudget). Everything above this header
 /// (Simulator.h, batch drivers, campaigns, journal replay) is
-/// backend-agnostic; nothing outside the engines should name
-/// enumerateExecutions(), solveExecutions() or exploreExecutions()
-/// directly.
+/// backend-agnostic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,26 +32,6 @@
 #include <string>
 
 namespace telechat {
-
-/// One consistency engine. Implementations are stateless singletons;
-/// all per-run state lives inside run().
-class SimBackend {
-public:
-  virtual ~SimBackend() = default;
-  /// Stable lowercase identifier ("sweep", "solve") used by the CLI
-  /// flag, stats lines and campaign JSON.
-  virtual const char *name() const = 0;
-  virtual SimResult run(const SimProgram &Program, const CatModel &Model,
-                        const SimOptions &Options) const = 0;
-};
-
-/// The explicit-enumeration backend (wraps enumerateExecutions).
-const SimBackend &sweepBackend();
-/// The constraint-solver backend (wraps solve/Solver.h).
-const SimBackend &solveBackend();
-/// The dynamic exploration oracle (wraps explore/Explorer.h). Sound
-/// subset semantics: see SimBackendKind::Explore.
-const SimBackend &exploreBackend();
 
 /// Upper bound on the enumerated space (path combos x rf assignments),
 /// saturating at UINT64_MAX: combos times (writes upper bound raised
@@ -65,21 +45,21 @@ uint64_t estimatedRfSpace(const SimProgram &Program);
 /// only constraint pruning has a chance of finishing within budget.
 constexpr uint64_t kAutoSolveThreshold = uint64_t(1) << 20;
 
-/// Resolves a backend selection against a program: Sweep, Solve and
-/// Explore map to their engines, Auto by estimatedRfSpace vs
-/// kAutoSolveThreshold (never to explore; see the file comment).
-const SimBackend &resolveBackend(SimBackendKind Kind,
-                                 const SimProgram &Program);
+/// Resolves a backend selection against a program to the engine that
+/// runs: Sweep, Solve and Explore are themselves, Auto is Solve or Sweep
+/// by estimatedRfSpace vs kAutoSolveThreshold (never Explore; see the
+/// file comment).
+SimBackendKind resolveBackend(SimBackendKind Kind, const SimProgram &Program);
 
-/// Parses a --backend value ("sweep" | "solve" | "auto" | "explore");
+/// Parses a --backend value, one of the names backendName() gives;
 /// false and \p Out untouched on anything else.
 bool backendFromName(const std::string &Name, SimBackendKind &Out);
 
-/// Display name of a selection ("sweep" / "solve" / "auto" /
-/// "explore").
+/// Display name of a selection: the enumerator's name in lowercase, as
+/// the CLI flag, stats lines and campaign JSON spell it.
 const char *backendName(SimBackendKind Kind);
-/// Display name of SimStats::BackendUsed ("sweep" / "solve" /
-/// "explore"; Auto resolves before a run, so it never appears here).
+/// Display name of SimStats::BackendUsed: backendName() of Sweep, Solve
+/// or Explore (Auto resolves before a run, so it never appears here).
 /// Any other byte -- a stats blob from a newer peer -- names itself
 /// "unknown" rather than aliasing a real engine.
 const char *backendUsedName(uint8_t Used);

@@ -5,29 +5,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The machinery both consistency backends share, factored out of the
-/// sweep enumerator so the constraint solver (src/solve/) is an
-/// alternative *driver* over the same per-combo engine rather than a
-/// second implementation of the semantics:
+/// The machinery the three consistency engines share, factored out of
+/// the sweep enumerator so the constraint solver (src/solve/) and the
+/// explorer (src/explore/) are alternative *searches* over the same
+/// per-combo engine rather than second implementations of the
+/// semantics:
 ///
-///  - ComboWorker owns everything below the backend's search strategy:
+///  - ComboWorker owns everything below an engine's search strategy:
 ///    skeleton construction, rf candidate lists, the abstract value
 ///    pass and its prune checks, the value-resolution fixpoint,
 ///    coherence enumeration and Cat filtering, stats and collection.
-///    The sweep iterates its rf index space (processShard/runRfRange);
-///    the solver drives a decision tree over the same candidate lists
-///    and calls runAssignment() per surviving leaf. Because both visit
-///    complete assignments in mixed-radix odometer order, completed
-///    runs are byte-identical across backends.
+///    processShard() prepares a combo and hands its rf range to
+///    searchCombo(): the sweep iterates the rf index space, the solver
+///    drives a decision tree over the same candidate lists, the
+///    explorer replays schedules; both of the latter call
+///    runAssignment() per complete assignment. Sweep and solve visit
+///    complete assignments in mixed-radix odometer order, so completed
+///    runs are byte-identical across them.
 ///
-///  - SharedState is the run-wide atomic step budget and stop flags;
-///    WorkerResult / mergeResults reassemble per-shard results in
-///    enumeration order (the solver treats each path combo as one
-///    shard).
+///  - runEngine() is the one run driver: SharedState (the run-wide
+///    atomic step budget and stop flags), the sequential or sharded
+///    walk over path combos, and the merge of per-worker results in
+///    enumeration order.
 ///
-/// This header is an internal seam between src/sim/ and src/solve/,
+/// This header is an internal seam between src/sim/ and the engines,
 /// not public API: everything is deliberately open (public members) and
-/// may change shape between the backends' needs. External callers use
+/// may change shape between the engines' needs. External callers use
 /// sim/Backend.h.
 ///
 //===----------------------------------------------------------------------===//
@@ -147,16 +150,16 @@ struct WorkerResult {
 };
 
 /// A worker: owns all per-combo scratch state plus the candidate test
-/// pipeline (fixpoint, co, Cat). The sweep backend drives it by shard
-/// (processShard); the solve backend prepares combos itself and calls
-/// runAssignment() per complete rf assignment. The last-prepared combo
-/// skeleton is cached, so a worker draining its contiguous shard range
-/// re-prepares only on combo boundaries.
+/// pipeline (fixpoint, co, Cat). The driver hands it shards
+/// (processShard); an engine supplies only its per-combo search by
+/// overriding searchCombo(), whose default is the sweep. The
+/// last-prepared combo skeleton is cached, so a worker draining its
+/// contiguous shard range re-prepares only on combo boundaries.
 class ComboWorker {
 public:
-  /// RfChoice slot value for "this read is not assigned yet". Only the
-  /// solve backend produces partial assignments; the sweep always runs
-  /// with every slot filled.
+  /// RfChoice slot value for "this read is not assigned yet". The solve
+  /// and explore searches build assignments read by read; the sweep
+  /// always runs with every slot filled.
   static constexpr size_t kNoChoice = ~size_t(0);
 
   /// The rf-chain support of one resolved check evaluation: the
@@ -167,6 +170,9 @@ public:
 
   ComboWorker(const SimProgram &Program, const CatModel &Model,
               const SimOptions &Options, SharedState &Shared);
+  virtual ~ComboWorker() = default;
+  ComboWorker(const ComboWorker &) = delete;
+  ComboWorker &operator=(const ComboWorker &) = delete;
 
   WorkerResult WR;
 
@@ -178,20 +184,24 @@ public:
     return Eval.stats().BindingEvalsAvoided + Eval.stats().CheckEvalsAvoided;
   }
 
-  /// Sweep driver: processes one shard of the rf index space.
+  /// Processes one shard: prepares its combo (on a combo boundary),
+  /// accounts the combo once (at the origin of its rf space), and runs
+  /// searchCombo over the shard's part of the space.
   void processShard(const Shard &S);
+
+  /// The engine's search over rf assignments [Lo, Hi) of the prepared
+  /// combo; called only for a nonempty range. This default is the
+  /// sweep: it iterates the mixed-radix index space with RfChoice[0]
+  /// least significant, matching the sequential odometer order. The
+  /// solve and explore workers override it and are only ever handed a
+  /// whole combo.
+  virtual void searchCombo(uint64_t Lo, uint64_t Hi);
 
   /// Builds the event skeleton and rf candidates for one path combo and
   /// returns the size of its rf index space (saturating, after
-  /// constraint-based filtering). Used by shard processing, by the
-  /// sweep driver's splitting pre-pass, and by the solve backend's
-  /// per-combo setup; all must agree on the space.
+  /// constraint-based filtering). Used by shard processing and by the
+  /// driver's rf-splitting pre-pass; both must agree on the space.
   uint64_t prepareCombo(uint64_t Combo);
-
-  /// Folds the prepared combo's space-reduction accounting into the
-  /// stats. Call exactly once per combo (the sweep: from the shard at
-  /// the origin of the combo's rf space).
-  void accountCombo();
 
   /// Draws one step; on exhaustion (or another worker stopping) requests
   /// local unwinding.
@@ -209,8 +219,8 @@ public:
   /// Tests the complete rf assignment in RfChoice: value-resolution
   /// fixpoint, then coherence enumeration and Cat filtering of the
   /// consistent candidate. One sweep inner-loop iteration without the
-  /// budget draw and pre-fixpoint prune (the solve backend has already
-  /// charged its decision and propagated its constraints).
+  /// budget draw and pre-fixpoint prune (the solve and explore searches
+  /// charge and check their own).
   void runAssignment();
 
   /// O(events) rejection of the current rf assignment: true when
@@ -281,11 +291,6 @@ public:
   /// Sweep-path shorthand: violatedCheck without support collection.
   bool prunedByConstraints() const { return violatedCheck(nullptr); }
 
-  /// Iterates rf assignments [Lo, Hi) of the prepared combo. The rf index
-  /// space is mixed-radix with RfChoice[0] least significant, matching
-  /// the sequential odometer order.
-  void runRfRange(uint64_t Lo, uint64_t Hi);
-
   SimPath resolveStaticAddresses(const SimPath &In) const;
   SimVal truncAt(const std::string &Loc, SimVal V) const;
   static std::string staticLocOf(const SimOp &Op) {
@@ -308,11 +313,23 @@ public:
   void collectExecution(const Execution &Ex);
 };
 
-/// Merges per-worker results in shard order into one SimResult. Takes
-/// non-owning pointers so each backend driver can hold its workers in
-/// whatever structure wraps its own per-worker search state.
-SimResult mergeResults(const std::vector<ComboWorker *> &Workers,
-                       const SharedState &Shared, const SimOptions &Opts);
+/// The solve engine's worker (src/solve/Solver.cpp).
+std::unique_ptr<ComboWorker> makeSolveWorker(const SimProgram &Program,
+                                             const CatModel &Model,
+                                             const SimOptions &Options,
+                                             SharedState &Shared);
+/// The explore engine's worker (src/explore/Explorer.cpp).
+std::unique_ptr<ComboWorker> makeExploreWorker(const SimProgram &Program,
+                                               const CatModel &Model,
+                                               const SimOptions &Options,
+                                               SharedState &Shared);
+
+/// Runs \p Program under \p Model on \p Engine (Sweep, Solve or
+/// Explore; resolved by simulate()): walks the path combos sequentially
+/// or over the work-stealing scheduler, merges the workers in shard
+/// order and stamps SimStats::BackendUsed and Seconds.
+SimResult runEngine(const SimProgram &Program, const CatModel &Model,
+                    const SimOptions &Options, SimBackendKind Engine);
 
 } // namespace simcore
 } // namespace telechat

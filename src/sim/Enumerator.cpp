@@ -43,9 +43,9 @@
 ///    published through the run's shared state and adopted by the rest.
 ///
 /// The per-combo machinery (ComboWorker and friends) lives in
-/// sim/EnumCore.h so the constraint-solver backend (src/solve/) can
-/// drive the same engine with a different search strategy; this file
-/// defines the methods plus the sweep driver, enumerateExecutions.
+/// sim/EnumCore.h so the solve (src/solve/) and explore (src/explore/)
+/// engines reuse it with a different per-combo search; this file
+/// defines the methods plus the one run driver, runEngine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,17 +90,14 @@ void ComboWorker::processShard(const Shard &S) {
   // The shard at the origin of the combo's rf space owns the
   // PathCombos count (exactly one such shard exists per combo), and
   // with it the combo's space-reduction accounting.
-  if (S.RfLo == 0)
-    accountCombo();
+  if (S.RfLo == 0) {
+    ++WR.Stats.PathCombos;
+    WR.Stats.RfSourcesPruned += ComboRfSourcesPruned;
+  }
   uint64_t Hi = std::min(RfSpace, S.RfHi);
   if (S.RfLo < Hi)
-    runRfRange(S.RfLo, Hi);
+    searchCombo(S.RfLo, Hi);
   publishLayer();
-}
-
-void ComboWorker::accountCombo() {
-  ++WR.Stats.PathCombos;
-  WR.Stats.RfSourcesPruned += ComboRfSourcesPruned;
 }
 
 uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
@@ -277,7 +274,7 @@ void ComboWorker::publishLayer() {
   LayerPublished = true;
 }
 
-void ComboWorker::runRfRange(uint64_t Lo, uint64_t Hi) {
+void ComboWorker::searchCombo(uint64_t Lo, uint64_t Hi) {
   RfChoice.assign(Reads.size(), 0);
   uint64_t Tmp = Lo;
   for (size_t I = 0; I != RfChoice.size() && Tmp != 0; ++I) {
@@ -1031,20 +1028,20 @@ void ComboWorker::collectExecution(const Execution &Ex) {
   WR.Execs.erase(It, WR.Execs.end());
 }
 
-SimResult
-telechat::simcore::mergeResults(const std::vector<ComboWorker *> &Workers,
-                                const SharedState &Shared,
-                                const SimOptions &Opts) {
+/// Merges per-worker results in shard order into one SimResult.
+static SimResult
+mergeResults(const std::vector<std::unique_ptr<ComboWorker>> &Workers,
+             const SharedState &Shared, const SimOptions &Opts) {
   SimResult R;
   size_t ErrorShard = ~size_t(0);
   std::map<size_t, std::vector<Execution>> Execs;
-  for (ComboWorker *W : Workers) {
+  for (const std::unique_ptr<ComboWorker> &W : Workers) {
     WorkerResult &WRes = W->WR;
     R.Allowed.insert(WRes.Allowed.begin(), WRes.Allowed.end());
     for (Symbol F : WRes.Flags)
       R.Flags.insert(F.str());
     // The evaluator keeps its own count; BackendUsed and
-    // ExploreOutcomesFound are stamped by the backend after the merge.
+    // ExploreOutcomesFound are stamped by runEngine after the merge.
     WRes.Stats.CatEvalsAvoided = W->catEvalsAvoided();
 #define SUM_COUNT(Member, Key) R.Stats.Member += WRes.Stats.Member;
 #define SKIP_NAMED(Member, Key)
@@ -1069,9 +1066,10 @@ telechat::simcore::mergeResults(const std::vector<ComboWorker *> &Workers,
   return R;
 }
 
-SimResult telechat::enumerateExecutions(const SimProgram &Program,
-                                        const CatModel &Model,
-                                        const SimOptions &Options) {
+SimResult telechat::simcore::runEngine(const SimProgram &Program,
+                                       const CatModel &Model,
+                                       const SimOptions &Options,
+                                       SimBackendKind Engine) {
   SharedState Shared;
   Shared.MaxSteps = Options.MaxSteps;
   Shared.TimeoutSeconds = Options.TimeoutSeconds;
@@ -1084,14 +1082,23 @@ SimResult telechat::enumerateExecutions(const SimProgram &Program,
   for (const SimThread &T : Program.Threads)
     ComboCount = satMul(ComboCount, T.Paths.size());
 
+  auto MakeWorker = [&]() -> std::unique_ptr<ComboWorker> {
+    switch (Engine) {
+    case SimBackendKind::Solve:
+      return makeSolveWorker(Program, Model, Options, Shared);
+    case SimBackendKind::Explore:
+      return makeExploreWorker(Program, Model, Options, Shared);
+    default:
+      return std::make_unique<ComboWorker>(Program, Model, Options, Shared);
+    }
+  };
   unsigned Jobs = resolveJobs(Options.Jobs);
   std::vector<std::unique_ptr<ComboWorker>> Workers;
 
   if (Jobs <= 1) {
     // Sequential: one worker walks every combo in order; shards are never
     // materialised. Identical code path, zero threading overhead.
-    Workers.push_back(
-        std::make_unique<ComboWorker>(Program, Model, Options, Shared));
+    Workers.push_back(MakeWorker());
     ComboWorker &W = *Workers.front();
     for (uint64_t C = 0; C != ComboCount && !W.shouldStop(); ++C) {
       Shard S;
@@ -1101,29 +1108,30 @@ SimResult telechat::enumerateExecutions(const SimProgram &Program,
     }
   } else {
     for (unsigned J = 0; J != Jobs; ++J)
-      Workers.push_back(
-          std::make_unique<ComboWorker>(Program, Model, Options, Shared));
+      Workers.push_back(MakeWorker());
+
+    // With few combos the sweep splits each combo's rf space so all
+    // workers share even a single-combo test (the common litmus case,
+    // and the paper's §IV-E explosion case). A solve decision tree or an
+    // explore schedule set is not splittable mid-search, so those
+    // engines run one combo per shard: their parallelism is across
+    // combos and across campaign units. Splitting is also the only case
+    // where publishing per-combo Cat layers can save duplicate work.
+    const bool SplitRf =
+        Engine == SimBackendKind::Sweep && ComboCount < uint64_t(Jobs) * 4;
+    Shared.ShareLayerCache = SplitRf;
 
     // Shards are built in waves so combo-heavy programs (many branches)
     // never materialise an unbounded shard vector; each wave runs on the
     // work-stealing scheduler.
     constexpr uint64_t kWaveCombos = 1 << 18;
-    // Splitting pre-pass scratch (prepares skeletons to size rf spaces).
-    ComboWorker Scratch(Program, Model, Options, Shared);
-
-    // Several workers share single combos only in the rf-splitting
-    // regime below; that is the only case where publishing per-combo
-    // Cat layers can save duplicate work.
-    Shared.ShareLayerCache = ComboCount < uint64_t(Jobs) * 4;
-
     uint64_t NextCombo = 0;
     size_t NextIndex = 0;
     while (NextCombo < ComboCount && !Shared.stopped()) {
       std::vector<Shard> Wave;
-      if (ComboCount < uint64_t(Jobs) * 4) {
-        // Few combos: split each combo's rf space into chunks so all
-        // workers share even a single-combo test (the common litmus
-        // case, and the paper's §IV-E explosion case).
+      if (SplitRf) {
+        // Pre-pass scratch: prepares skeletons to size the rf spaces.
+        ComboWorker Scratch(Program, Model, Options, Shared);
         for (uint64_t C = NextCombo; C != ComboCount; ++C) {
           uint64_t Space = Scratch.prepareCombo(C);
           uint64_t MaxChunks = uint64_t(Jobs) * 8;
@@ -1164,12 +1172,12 @@ SimResult telechat::enumerateExecutions(const SimProgram &Program,
     }
   }
 
-  std::vector<ComboWorker *> Merged;
-  Merged.reserve(Workers.size());
-  for (std::unique_ptr<ComboWorker> &W : Workers)
-    Merged.push_back(W.get());
-  SimResult Result = mergeResults(Merged, Shared, Options);
-  Result.Stats.BackendUsed = uint8_t(SimBackendKind::Sweep);
+  SimResult Result = mergeResults(Workers, Shared, Options);
+  Result.Stats.BackendUsed = uint8_t(Engine);
+  // The coverage summary subset-mode consumers read without walking
+  // the outcome set.
+  if (Engine == SimBackendKind::Explore)
+    Result.Stats.ExploreOutcomesFound = Result.Allowed.size();
   auto End = std::chrono::steady_clock::now();
   Result.Stats.Seconds =
       std::chrono::duration<double>(End - Shared.Start).count();

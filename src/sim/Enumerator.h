@@ -40,11 +40,12 @@
 
 namespace telechat {
 
-/// Which consistency engine runs a simulation (sim/Backend.h). Both
-/// backends explore the same candidate space in the same enumeration
+/// Which consistency engine runs a simulation (sim/Backend.h). Sweep
+/// and Solve explore the same candidate space in the same enumeration
 /// order and produce byte-identical outcomes, flags and collected
 /// executions on completed runs; they differ in *how* the space is
-/// covered, which the work counters in SimStats measure.
+/// covered, which the work counters in SimStats measure. Explore
+/// reports a sound subset of that set.
 enum class SimBackendKind : uint8_t {
   /// The explicit sweep: every rf index is drawn from the mixed-radix
   /// space and tested (Enumerator.cpp). Lowest per-candidate overhead;
@@ -152,8 +153,8 @@ struct SimOptions {
 /// consumer expands the table in row order, which is the results-JSON
 /// key order: the struct members, the wire/journal encoding
 /// (dist/Serialize.cpp), the per-unit "stats" object of the results
-/// JSON (dist/CampaignJson.cpp), the per-worker sum in
-/// simcore::mergeResults and litmus-sim's --stats line. Adding a
+/// JSON (dist/CampaignJson.cpp), the per-worker sum in the merge of
+/// simcore::runEngine and litmus-sim's --stats line. Adding a
 /// counter is one row here plus the code that increments it.
 ///
 /// On completed runs every row is a pure function of (program, model,
@@ -231,15 +232,6 @@ struct SimResult {
 
   bool ok() const { return Error.empty(); }
 };
-
-/// Enumerates all candidate executions of \p Program, filters them through
-/// \p Model, and collects outcomes of the allowed ones. This is the
-/// *sweep* backend's entry point; call sim/Backend.h's simulate() instead
-/// unless you specifically want the sweep regardless of
-/// SimOptions::Backend.
-SimResult enumerateExecutions(const SimProgram &Program,
-                              const CatModel &Model,
-                              const SimOptions &Options = SimOptions());
 
 /// True when the final condition of \p Program holds for \p Result
 /// (exists: some allowed outcome satisfies it; forall: all do; ~exists:

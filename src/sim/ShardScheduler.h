@@ -18,9 +18,9 @@
 /// Thread safety: run() owns its threads and joins them before
 /// returning; Body(worker, item) is called concurrently from different
 /// threads but never concurrently for the same worker index, so
-/// per-worker state (the enumerator's ShardWorker, including its
+/// per-worker state (the run driver's ComboWorker, including its
 /// per-combo caches) needs no locking. Cross-worker reuse of per-combo
-/// Cat layers goes through the enumerator's SharedState instead, which
+/// Cat layers goes through the run's SharedState instead, which
 /// publishes immutable layers under a mutex.
 ///
 //===----------------------------------------------------------------------===//

@@ -33,20 +33,15 @@
 /// constraint-dense tests the solver finishes spaces the sweep's
 /// budget cannot touch, which is the point of the backend.
 ///
-/// Parallelism shards by path combo (one combo = one shard = one
-/// decision tree); the per-combo searches are independent and merge in
-/// combo order, so completed runs are Jobs-invariant like the sweep.
+/// The run driver (simcore::runEngine) shards by path combo for this
+/// engine (one combo = one shard = one decision tree); the per-combo
+/// searches are independent and merge in combo order, so completed
+/// runs are Jobs-invariant like the sweep.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "solve/Solver.h"
-
 #include "sim/EnumCore.h"
-#include "sim/ShardScheduler.h"
 #include "solve/Clauses.h"
-#include "support/ThreadPool.h"
-
-#include <algorithm>
 
 using namespace telechat;
 using namespace telechat::simcore;
@@ -54,51 +49,39 @@ using namespace telechat::solve;
 
 namespace {
 
-/// One worker: the shared per-combo engine plus this backend's search
+/// One worker: the shared per-combo engine plus this engine's search
 /// state. The database is re-initialised per combo; nothing is shared
 /// across combos, which keeps per-combo decision counts deterministic
 /// for any Jobs value.
-class SolveWorker {
+class SolveWorker final : public ComboWorker {
 public:
-  SolveWorker(const SimProgram &Program, const CatModel &Model,
-              const SimOptions &Options, SharedState &Shared)
-      : W(Program, Model, Options, Shared) {}
+  using ComboWorker::ComboWorker;
 
-  ComboWorker W;
-
-  void processCombo(uint64_t Combo, size_t Index) {
-    if (W.shouldStop())
-      return;
-    W.CurShardIdx = Index;
-    W.prepareCombo(Combo);
-    W.CurCombo = Combo;
-    W.bindComboEvaluator(Combo);
-    W.accountCombo();
-    if (W.RfSpace == 0)
-      return; // Infeasible or empty-domain combo: nothing to search.
-    size_t NR = W.Reads.size();
-    W.RfChoice.assign(NR, ComboWorker::kNoChoice);
+  /// Searches the whole prepared combo (one combo is one shard).
+  void searchCombo(uint64_t, uint64_t) override {
+    size_t NR = Reads.size();
+    RfChoice.assign(NR, kNoChoice);
     if (NR == 0) {
       // The one-assignment combo; mirrors the sweep's single step.
-      if (!W.budget())
+      if (!budget())
         return;
-      if (!W.violatedCheck(nullptr))
-        W.runAssignment();
+      if (!violatedCheck(nullptr))
+        runAssignment();
       return;
     }
     std::vector<unsigned> Sizes(NR);
     for (size_t RI = 0; RI != NR; ++RI)
-      Sizes[RI] = unsigned(W.RfCand[RI].size());
+      Sizes[RI] = unsigned(RfCand[RI].size());
     DB.init(Sizes);
     bool Feasible = true;
-    if (W.Opts.RfValuePruning)
+    if (Opts.RfValuePruning)
       Feasible = compilePairNogoods();
     if (Feasible)
       search();
     else
-      ++W.WR.Stats.SolveConflicts; // Combo refuted at compile time.
-    W.WR.Stats.SolveClauses += DB.added();
-    W.WR.Stats.SolvePropagations += DB.propagations();
+      ++WR.Stats.SolveConflicts; // Combo refuted at compile time.
+    WR.Stats.SolveClauses += DB.added();
+    WR.Stats.SolvePropagations += DB.propagations();
   }
 
 private:
@@ -121,7 +104,7 @@ private:
   /// dead in one quadratic compile over two rf candidate lists.
   bool compilePairNogoods() {
     constexpr size_t kMaxPairProduct = 4096;
-    for (const PruneCheck &PC : W.PruneChecks) {
+    for (const PruneCheck &PC : PruneChecks) {
       unsigned R1 = ~0u, R2 = ~0u;
       bool MoreRoots = false;
       for (const auto &[Reg, A] : PC.Regs) {
@@ -138,27 +121,27 @@ private:
       }
       if (MoreRoots || R2 == ~0u)
         continue; // Single-root checks were already rf-list-filtered.
-      const EvInfo &E1 = W.Events[R1], &E2 = W.Events[R2];
+      const EvInfo &E1 = Events[R1], &E2 = Events[R2];
       if (!E1.Op->Addr.isStatic() || !E2.Op->Addr.isStatic())
         continue;
-      unsigned RI1 = W.ReadIndexOf[R1], RI2 = W.ReadIndexOf[R2];
-      const std::vector<unsigned> &Cand1 = W.RfCand[RI1];
-      const std::vector<unsigned> &Cand2 = W.RfCand[RI2];
+      unsigned RI1 = ReadIndexOf[R1], RI2 = ReadIndexOf[R2];
+      const std::vector<unsigned> &Cand1 = RfCand[RI1];
+      const std::vector<unsigned> &Cand2 = RfCand[RI2];
       if (Cand1.size() * Cand2.size() > kMaxPairProduct)
         continue;
-      std::string L1 = ComboWorker::staticLocOf(*E1.Op);
-      std::string L2 = ComboWorker::staticLocOf(*E2.Op);
+      std::string L1 = staticLocOf(*E1.Op);
+      std::string L2 = staticLocOf(*E2.Op);
       std::vector<std::pair<unsigned, unsigned>> Violated;
       for (unsigned C1 = 0; C1 != Cand1.size(); ++C1) {
-        const AbsVal &A1 = W.EvAbs[Cand1[C1]];
+        const AbsVal &A1 = EvAbs[Cand1[C1]];
         if (A1.K != AbsVal::Kind::Known)
           continue;
-        SimVal V1 = W.truncAt(L1, A1.V);
+        SimVal V1 = truncAt(L1, A1.V);
         for (unsigned C2 = 0; C2 != Cand2.size(); ++C2) {
-          const AbsVal &A2 = W.EvAbs[Cand2[C2]];
+          const AbsVal &A2 = EvAbs[Cand2[C2]];
           if (A2.K != AbsVal::Kind::Known)
             continue;
-          SimVal V2 = W.truncAt(L2, A2.V);
+          SimVal V2 = truncAt(L2, A2.V);
           std::map<std::string, SimVal> Regs;
           for (const auto &[Reg, A] : PC.Regs) {
             if (A.K == AbsVal::Kind::Known)
@@ -187,15 +170,15 @@ private:
   /// checks on the partial assignment, learning the violated check's
   /// support as a nogood before abandoning the subtree.
   void search() {
-    const size_t NR = W.Reads.size();
+    const size_t NR = Reads.size();
     std::vector<unsigned> CandPos(NR, 0);
     size_t Depth = 0;
-    ComboWorker::SupportVec Support;
+    SupportVec Support;
     while (true) {
-      if (W.shouldStop())
+      if (shouldStop())
         return;
       unsigned Var = unsigned(NR - 1 - Depth);
-      const unsigned NC = unsigned(W.RfCand[Var].size());
+      const unsigned NC = unsigned(RfCand[Var].size());
       unsigned C = CandPos[Depth];
       while (C < NC && !DB.candActive(Var, C))
         ++C;
@@ -205,17 +188,17 @@ private:
           return; // Root exhausted: combo done.
         --Depth;
         DB.popLevel();
-        W.RfChoice[NR - 1 - Depth] = ComboWorker::kNoChoice;
+        RfChoice[NR - 1 - Depth] = kNoChoice;
         ++CandPos[Depth];
         continue;
       }
-      if (!W.budget())
+      if (!budget())
         return;
-      ++W.WR.Stats.SolveDecisions;
+      ++WR.Stats.SolveDecisions;
       DB.pushLevel();
-      W.RfChoice[Var] = C;
+      RfChoice[Var] = C;
       bool Ok = DB.assign(Var, C);
-      if (Ok && W.violatedCheck(&Support)) {
+      if (Ok && violatedCheck(&Support)) {
         Ok = false;
         if (!Support.empty()) {
           std::vector<SolveLit> Lits;
@@ -226,18 +209,18 @@ private:
         }
       }
       if (!Ok) {
-        ++W.WR.Stats.SolveConflicts;
+        ++WR.Stats.SolveConflicts;
         DB.popLevel();
-        W.RfChoice[Var] = ComboWorker::kNoChoice;
+        RfChoice[Var] = kNoChoice;
         ++CandPos[Depth];
         continue;
       }
       if (Depth + 1 == NR) {
-        W.runAssignment(); // Complete: fixpoint + co + Cat.
-        if (W.shouldStop())
+        runAssignment(); // Complete: fixpoint + co + Cat.
+        if (shouldStop())
           return;
         DB.popLevel();
-        W.RfChoice[Var] = ComboWorker::kNoChoice;
+        RfChoice[Var] = kNoChoice;
         ++CandPos[Depth];
         continue;
       }
@@ -249,58 +232,10 @@ private:
 
 } // namespace
 
-SimResult telechat::solveExecutions(const SimProgram &Program,
-                                    const CatModel &Model,
-                                    const SimOptions &Options) {
-  SharedState Shared;
-  Shared.MaxSteps = Options.MaxSteps;
-  Shared.TimeoutSeconds = Options.TimeoutSeconds;
-  Shared.Start = std::chrono::steady_clock::now();
-
-  uint64_t ComboCount = 1;
-  for (const SimThread &T : Program.Threads)
-    ComboCount = satMul(ComboCount, T.Paths.size());
-
-  unsigned Jobs = resolveJobs(Options.Jobs);
-  std::vector<std::unique_ptr<SolveWorker>> Workers;
-
-  if (Jobs <= 1) {
-    Workers.push_back(
-        std::make_unique<SolveWorker>(Program, Model, Options, Shared));
-    SolveWorker &SW = *Workers.front();
-    for (uint64_t C = 0; C != ComboCount && !SW.W.shouldStop(); ++C)
-      SW.processCombo(C, size_t(C));
-  } else {
-    for (unsigned J = 0; J != Jobs; ++J)
-      Workers.push_back(
-          std::make_unique<SolveWorker>(Program, Model, Options, Shared));
-    // One combo = one shard: decision trees are independent, and unlike
-    // the sweep a single combo's tree is not splittable mid-search, so
-    // single-combo tests run sequentially even under -j (the solver's
-    // parallelism is across combos and across campaign units).
-    constexpr uint64_t kWaveCombos = 1 << 18;
-    uint64_t Next = 0;
-    while (Next < ComboCount && !Shared.stopped()) {
-      uint64_t End =
-          Next + std::min<uint64_t>(kWaveCombos, ComboCount - Next);
-      ShardScheduler::run(
-          size_t(End - Next), Jobs,
-          [&](unsigned Wk, size_t I) {
-            Workers[Wk]->processCombo(Next + I, size_t(Next + I));
-          },
-          [&] { return Shared.stopped(); });
-      Next = End;
-    }
-  }
-
-  std::vector<ComboWorker *> Merged;
-  Merged.reserve(Workers.size());
-  for (std::unique_ptr<SolveWorker> &SW : Workers)
-    Merged.push_back(&SW->W);
-  SimResult Result = mergeResults(Merged, Shared, Options);
-  Result.Stats.BackendUsed = uint8_t(SimBackendKind::Solve);
-  auto End = std::chrono::steady_clock::now();
-  Result.Stats.Seconds =
-      std::chrono::duration<double>(End - Shared.Start).count();
-  return Result;
+std::unique_ptr<ComboWorker>
+telechat::simcore::makeSolveWorker(const SimProgram &Program,
+                                   const CatModel &Model,
+                                   const SimOptions &Options,
+                                   SharedState &Shared) {
+  return std::make_unique<SolveWorker>(Program, Model, Options, Shared);
 }

@@ -70,20 +70,25 @@ static bool opensWithDigit(const char *Text) {
          (Text[0] == '.' && isdigit(static_cast<unsigned char>(Text[1])));
 }
 
-bool telechat::parseNumberFlag(std::string_view Flag, const char *Text,
-                               uint64_t Max, uint64_t &Out) {
+bool telechat::parseNumber(const char *Text, uint64_t Max, uint64_t &Out) {
   char *End = nullptr;
   errno = 0;
   unsigned long long V = opensWithDigit(Text) ? strtoull(Text, &End, 0) : 0;
-  if (!End || *End != '\0' || errno == ERANGE || V > Max) {
-    fprintf(stderr, "error: %.*s expects a whole number from 0 to %llu, "
-                    "got '%s'\n",
-            int(Flag.size()), Flag.data(),
-            static_cast<unsigned long long>(Max), Text);
+  if (!End || *End != '\0' || errno == ERANGE || V > Max)
     return false;
-  }
   Out = V;
   return true;
+}
+
+bool telechat::parseNumberFlag(std::string_view Flag, const char *Text,
+                               uint64_t Max, uint64_t &Out) {
+  if (parseNumber(Text, Max, Out))
+    return true;
+  fprintf(stderr, "error: %.*s expects a whole number from 0 to %llu, "
+                  "got '%s'\n",
+          int(Flag.size()), Flag.data(), static_cast<unsigned long long>(Max),
+          Text);
+  return false;
 }
 
 bool telechat::parseFlag(std::string_view Flag, const char *Text,

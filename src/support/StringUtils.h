@@ -29,11 +29,15 @@ std::string joinStrings(const std::vector<std::string> &Parts,
 std::string strFormat(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Parses \p Text, the value of the command-line flag \p Flag, as a whole
-/// number from 0 to \p Max in strtoull's base-0 notation (decimal, 0x
-/// hex, leading-0 octal). Empty input, a sign, whitespace, trailing
-/// characters and overflow print "error: <Flag> expects ..., got
-/// '<Text>'" and return false, leaving \p Out untouched.
+/// Parses \p Text as a whole number from 0 to \p Max in strtoull's
+/// base-0 notation (decimal, 0x hex, leading-0 octal): the one definition
+/// of a number for the command line and the text frontends. Empty input,
+/// a sign, whitespace, trailing characters and overflow return false,
+/// leaving \p Out untouched.
+bool parseNumber(const char *Text, uint64_t Max, uint64_t &Out);
+
+/// parseNumber for \p Text, the value of the command-line flag \p Flag;
+/// a rejected value prints "error: <Flag> expects ..., got '<Text>'".
 bool parseNumberFlag(std::string_view Flag, const char *Text, uint64_t Max,
                      uint64_t &Out);
 

@@ -86,6 +86,23 @@ TEST(AsmParserTest, RejectsGarbage) {
   EXPECT_FALSE(parseAsmInst(Arch::AArch64, "ldr w9, [x8").hasValue());
   EXPECT_FALSE(parseAsmLitmus("NOARCH test\n{\n}\nexists (x=0)\n")
                    .hasValue());
+  // An out-of-range immediate is refused, not saturated, with or
+  // without the '#' prefix.
+  EXPECT_FALSE(
+      parseAsmInst(Arch::AArch64, "mov w9, #99999999999999999999").hasValue());
+  EXPECT_FALSE(
+      parseAsmInst(Arch::X86_64, "mov eax, 99999999999999999999").hasValue());
+  // Malformed initial values name the line of their entry.
+  for (const char *Init : {"x = 7junk;", "x = 99999999999999999999999;",
+                           "x = 1:2zz;", "x = ;"}) {
+    std::string Src = std::string("AArch64 t\n{\n  y = 0;\n  ") + Init +
+                      "\n}\nP0 {\n  ret\n}\nexists (x=0)\n";
+    auto T = parseAsmLitmus(Src);
+    ASSERT_FALSE(T.hasValue()) << Src;
+    EXPECT_NE(T.error().find("line 4: malformed initial value"),
+              std::string::npos)
+        << T.error();
+  }
 }
 
 TEST(AsmSemanticsTest, CanonicalRegisters) {

@@ -302,9 +302,11 @@ TEST(ExploreBackendTest, AutoNeverResolvesToExplore) {
   // an explicit opt-in (flag or ExploreBudget).
   for (const char *Name : {"MP", "IRIW"}) {
     SimProgram P = lowerLitmusC(classicTest(Name));
-    EXPECT_NE(&resolveBackend(SimBackendKind::Auto, P), &exploreBackend())
+    EXPECT_NE(resolveBackend(SimBackendKind::Auto, P),
+              SimBackendKind::Explore)
         << Name;
   }
   SimProgram P = lowerLitmusC(classicTest("MP"));
-  EXPECT_EQ(&resolveBackend(SimBackendKind::Explore, P), &exploreBackend());
+  EXPECT_EQ(resolveBackend(SimBackendKind::Explore, P),
+            SimBackendKind::Explore);
 }

@@ -230,10 +230,38 @@ TEST(ParserTest, FinalConditionForms) {
 }
 
 TEST(ParserTest, ErrorsCarryLineNumbers) {
-  auto T = parseLitmusC("C x\n{ *x = 0; }\nvoid P0(int* x) {\n  *x = ;\n}\n"
-                        "exists (x=0)\n");
-  ASSERT_FALSE(T.hasValue());
-  EXPECT_NE(T.error().find("line 4"), std::string::npos) << T.error();
+  struct BadCase {
+    const char *Src;
+    const char *Expect; ///< Substring of the error.
+  };
+  const BadCase Cases[] = {
+      {"C x\n{ *x = 0; }\nvoid P0(int* x) {\n  *x = ;\n}\nexists (x=0)\n",
+       "line 4"},
+      // Numeric literals: trailing characters and overflow are refused
+      // in the initial state, in thread code and in the final condition.
+      {"C x\n{ *x = 12abc; }\nvoid P0(int* x) {\n  *x = 1;\n}\n"
+       "exists (x=0)\n",
+       "line 2: malformed number"},
+      {"C x\n{ *x = 12345678901234567890123; }\nvoid P0(int* x) {\n"
+       "  *x = 1;\n}\nexists (x=0)\n",
+       "line 2: malformed number"},
+      {"C x\n{ *x = 0; }\nvoid P0(atomic_int* x) {\n"
+       "  atomic_store_explicit(x, 1zz, memory_order_relaxed);\n}\n"
+       "exists (x=0)\n",
+       "line 4: malformed number"},
+      {"C x\n{ *x = 0; }\nvoid P0(int* x) {\n  *x = 1;\n}\nexists (x=1q)\n",
+       "line 6: malformed number"},
+      {"C x\n{ *x = 0; }\nvoid P0(int* x) {\n  *x = 1;\n}\n"
+       "exists (x=0:1q)\n",
+       "line 6: malformed number"},
+  };
+  for (const BadCase &C : Cases) {
+    auto T = parseLitmusC(C.Src);
+    ASSERT_FALSE(T.hasValue()) << C.Src;
+    EXPECT_NE(T.error().find(C.Expect), std::string::npos)
+        << "error for\n"
+        << C.Src << "\nwas: " << T.error();
+  }
 }
 
 TEST(ParserTest, RejectsUndeclaredLocation) {

@@ -13,6 +13,7 @@
 #include "diy/Classics.h"
 #include "events/Dot.h"
 #include "litmus/Parser.h"
+#include "sim/Backend.h"
 #include "sim/CFrontend.h"
 #include "sim/ShardScheduler.h"
 #include "sim/Simulator.h"
@@ -79,33 +80,46 @@ void P1(atomic_int* x, atomic_int* y, atomic_int* z) {
 exists (P0:r0=1 /\ P1:r0=2)
 )";
 
+/// Every engine runs on the one sharded driver, so every SimStats row
+/// of each must be Jobs-invariant.
+const SimBackendKind Engines[] = {SimBackendKind::Sweep, SimBackendKind::Solve,
+                                  SimBackendKind::Explore};
+
 TEST(ParallelEnumerationTest, ClassicsIdenticalAcrossJobs) {
-  for (const std::string &Name : classicNames()) {
-    SimOptions Seq;
-    Seq.Jobs = 1;
-    SimOptions Par;
-    Par.Jobs = 4;
-    SimResult A = simulateC(classicTest(Name), "rc11", Seq);
-    SimResult B = simulateC(classicTest(Name), "rc11", Par);
-    ASSERT_TRUE(A.ok()) << Name;
-    expectIdentical(A, B, Name);
-    EXPECT_FALSE(A.TimedOut) << Name;
-  }
+  for (SimBackendKind Engine : Engines)
+    for (const std::string &Name : classicNames()) {
+      std::string What = Name + " " + backendName(Engine);
+      SimOptions Seq;
+      Seq.Backend = Engine;
+      Seq.Jobs = 1;
+      SimOptions Par = Seq;
+      Par.Jobs = 4;
+      SimResult A = simulateC(classicTest(Name), "rc11", Seq);
+      SimResult B = simulateC(classicTest(Name), "rc11", Par);
+      ASSERT_TRUE(A.ok()) << What;
+      expectIdentical(A, B, What);
+      EXPECT_FALSE(A.TimedOut) << What;
+    }
 }
 
 TEST(ParallelEnumerationTest, PathCombosShardIdentically) {
   auto T = parseLitmusC(Branchy);
   ASSERT_TRUE(T.hasValue()) << T.error();
-  SimOptions Seq;
-  Seq.Jobs = 1;
-  SimResult A = simulateC(*T, "rc11", Seq);
-  ASSERT_TRUE(A.ok()) << A.Error;
-  EXPECT_EQ(A.Stats.PathCombos, 8u); // 4 paths x 2 paths
-  for (unsigned J : {2u, 3u, 4u, 8u}) {
-    SimOptions Par;
-    Par.Jobs = J;
-    SimResult B = simulateC(*T, "rc11", Par);
-    expectIdentical(A, B, "branchy -j " + std::to_string(J));
+  for (SimBackendKind Engine : Engines) {
+    SimOptions Seq;
+    Seq.Backend = Engine;
+    Seq.Jobs = 1;
+    SimResult A = simulateC(*T, "rc11", Seq);
+    ASSERT_TRUE(A.ok()) << A.Error;
+    EXPECT_EQ(A.Stats.PathCombos, 8u); // 4 paths x 2 paths
+    for (unsigned J : {2u, 3u, 4u, 8u}) {
+      SimOptions Par = Seq;
+      Par.Jobs = J;
+      SimResult B = simulateC(*T, "rc11", Par);
+      expectIdentical(A, B,
+                      std::string("branchy ") + backendName(Engine) +
+                          " -j " + std::to_string(J));
+    }
   }
 }
 

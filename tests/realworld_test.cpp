@@ -378,6 +378,9 @@ TEST(KernelSnippetTest, RejectsMalformedKernelsWithLineNumbers) {
        "use .load"},
       {"std::atomic<int> x = 0;\nthread P0 { x.store(1); }", "final"},
       {"std::atomic<int> x;\nexists (x=0)", "initial value"},
+      {"std::atomic<int> x = 7qq;\nexists (x=0)", "line 1: malformed number"},
+      {"std::atomic<int> x = 0;\nthread P0 { x.store(1zz); }\nexists (x=1)",
+       "line 2: malformed number"},
   };
   for (const BadCase &C : Cases) {
     ErrorOr<LitmusTest> T = parseKernelSnippet(C.Src);

@@ -311,17 +311,18 @@ TEST(SolveBackendTest, AutoResolvesByEstimatedSpace) {
   LitmusTest Small = classicTest("MP");
   SimProgram SmallP = lowerLitmusC(Small);
   EXPECT_LT(estimatedRfSpace(SmallP), kAutoSolveThreshold);
-  EXPECT_EQ(&resolveBackend(SimBackendKind::Auto, SmallP),
-            &sweepBackend());
-  EXPECT_EQ(&resolveBackend(SimBackendKind::Sweep, SmallP),
-            &sweepBackend());
-  EXPECT_EQ(&resolveBackend(SimBackendKind::Solve, SmallP),
-            &solveBackend());
+  EXPECT_EQ(resolveBackend(SimBackendKind::Auto, SmallP),
+            SimBackendKind::Sweep);
+  EXPECT_EQ(resolveBackend(SimBackendKind::Sweep, SmallP),
+            SimBackendKind::Sweep);
+  EXPECT_EQ(resolveBackend(SimBackendKind::Solve, SmallP),
+            SimBackendKind::Solve);
 
   LitmusTest Big = crossoverTest(14);
   SimProgram BigP = lowerLitmusC(Big);
   EXPECT_GE(estimatedRfSpace(BigP), kAutoSolveThreshold);
-  EXPECT_EQ(&resolveBackend(SimBackendKind::Auto, BigP), &solveBackend());
+  EXPECT_EQ(resolveBackend(SimBackendKind::Auto, BigP),
+            SimBackendKind::Solve);
 
   // And the dispatch stamps what actually ran.
   SimOptions AutoO;

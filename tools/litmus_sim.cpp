@@ -90,12 +90,8 @@ int main(int argc, char **argv) {
     return relayToolMain(argc, argv, usage);
   std::string Path = argv[1];
   std::string Model;
-  bool Dot = false, Stats = false;
-  bool Prune = true, CatCache = true;
-  SimBackendKind Backend = SimBackendKind::Sweep;
-  unsigned Jobs = 1;
-  uint64_t MaxSteps = 0;
-  uint64_t ExploreIters = 0, ExploreSeed = 0; // 0 = SimOptions default.
+  bool Stats = false;
+  SimOptions Opts;
   for (int I = 2; I < argc; ++I) {
     std::string Arg = argv[I];
     // A flag missing its value is refused like an unknown flag.
@@ -109,30 +105,30 @@ int main(int argc, char **argv) {
     if (Arg == "--model")
       Model = Value();
     else if (Arg == "-j" || Arg == "--jobs") {
-      if (!parseFlag(Arg, Value(), Jobs))
+      if (!parseFlag(Arg, Value(), Opts.Jobs))
         return 1;
     } else if (Arg == "--max-steps") {
-      if (!parseFlag(Arg, Value(), MaxSteps))
+      if (!parseFlag(Arg, Value(), Opts.MaxSteps))
         return 1;
     } else if (Arg == "--dot")
-      Dot = true;
+      Opts.CollectExecutions = true;
     else if (Arg == "--stats")
       Stats = true;
     else if (Arg == "--no-prune")
-      Prune = false;
+      Opts.RfValuePruning = false;
     else if (Arg == "--no-cat-cache")
-      CatCache = false;
+      Opts.IncrementalCatEval = false;
     else if (Arg == "--backend") {
       const char *V = Value();
-      if (!backendFromName(V, Backend)) {
+      if (!backendFromName(V, Opts.Backend)) {
         fprintf(stderr, "error: unknown backend '%s'\n", V);
         return 1;
       }
     } else if (Arg == "--explore-iters") {
-      if (!parseFlag(Arg, Value(), ExploreIters))
+      if (!parseFlag(Arg, Value(), Opts.ExploreIterations))
         return 1;
     } else if (Arg == "--explore-seed") {
-      if (!parseFlag(Arg, Value(), ExploreSeed))
+      if (!parseFlag(Arg, Value(), Opts.ExploreSeed))
         return 1;
     } else {
       fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
@@ -176,18 +172,6 @@ int main(int argc, char **argv) {
       Model = archModelName(T->TargetArch);
   }
 
-  SimOptions Opts;
-  Opts.CollectExecutions = Dot;
-  Opts.Jobs = Jobs;
-  Opts.RfValuePruning = Prune;
-  Opts.IncrementalCatEval = CatCache;
-  Opts.Backend = Backend;
-  if (ExploreIters)
-    Opts.ExploreIterations = ExploreIters;
-  if (ExploreSeed)
-    Opts.ExploreSeed = ExploreSeed;
-  if (MaxSteps)
-    Opts.MaxSteps = MaxSteps;
   SimResult R = simulateProgram(Program, Model, Opts);
   if (!R.ok()) {
     fprintf(stderr, "simulation error: %s\n", R.Error.c_str());
@@ -218,7 +202,7 @@ int main(int argc, char **argv) {
 #undef PRINT_NAMED
     printf(")\n");
   }
-  if (Dot)
+  if (Opts.CollectExecutions)
     for (size_t I = 0; I != R.Executions.size() && I < 4; ++I)
       printf("%s", executionToDot(R.Executions[I],
                                   Program.Name + std::to_string(I))

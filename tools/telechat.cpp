@@ -130,7 +130,8 @@ int mainSingle(int argc, char **argv) {
   std::string ProfileName = "llvm-O2-AArch64";
   TestOptions Options;
   bool ShowAsm = false;
-  uint64_t FuzzSeed = 0;
+  bool Fuzz = false;
+  FuzzOptions F;
   for (int I = 2; I < argc; ++I) {
     std::string Arg = argv[I];
     auto Next = [&]() -> const char * {
@@ -182,8 +183,9 @@ int mainSingle(int argc, char **argv) {
         usage();
         return 1;
       }
-      if (!parseFlag(Arg, V, FuzzSeed))
+      if (!parseFlag(Arg, V, F.Seed))
         return 1;
+      Fuzz = true;
     } else if (Arg == "--max-steps") {
       const char *V = Next();
       if (!V) {
@@ -225,12 +227,10 @@ int mainSingle(int argc, char **argv) {
     return 1;
   }
   LitmusTest Input = *Test;
-  if (FuzzSeed) {
-    FuzzOptions F;
-    F.Seed = FuzzSeed;
+  if (Fuzz) {
     Input = mutateTest(Input, F);
     printf("fuzzed test (seed %llu):\n%s\n",
-           static_cast<unsigned long long>(FuzzSeed),
+           static_cast<unsigned long long>(F.Seed),
            printLitmusC(Input).c_str());
   }
 
