@@ -163,12 +163,25 @@ ErrorOr<SimProgram> telechat::lowerAsmTest(const AsmLitmusTest &Test) {
   P.Name = Test.Name;
   P.Final = Test.Final;
   P.Locations = Test.Locations;
+  // Every address taken must name a declared location: the simulator
+  // gives addresses to declared locations only.
+  auto Undeclared = [&](const std::string &Where, const std::string &Sym) {
+    return makeError(Where + ": address of undeclared location '" + Sym +
+                     "'");
+  };
+  for (const SimLoc &L : P.Locations)
+    if (!L.InitAddrOf.empty() && !P.findLocation(L.InitAddrOf))
+      return Undeclared("initial value of " + L.Name, L.InitAddrOf);
   std::vector<std::string> Keys;
   Test.Final.P.collectKeys(Keys);
   for (const AsmThread &T : Test.Threads) {
     ErrorOr<std::vector<SimPath>> Paths = enumerateAsmPaths(T, Sem);
     if (!Paths)
       return makeError(Paths.error());
+    for (const SimPath &Path : *Paths)
+      for (const SimOp &Op : Path.Ops)
+        if (Op.K == SimOp::Kind::AddrOf && !P.findLocation(Op.Sym))
+          return Undeclared(T.Name, Op.Sym);
     SimThread ST;
     ST.Name = T.Name;
     ST.Paths = std::move(*Paths);

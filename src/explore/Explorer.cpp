@@ -75,7 +75,6 @@ uint64_t mix64(uint64_t Z) {
 }
 
 constexpr size_t kNoPos = ~size_t(0);
-constexpr unsigned kNoLoc = ~0u;
 
 /// Acquire-or-stronger read tags (C/C++ and AArch64 spellings). The
 /// tags only tune the visibility heuristic -- misclassifying one keeps
@@ -145,10 +144,9 @@ private:
   std::set<std::vector<size_t>> Tried;
 
   // --- Per-combo scaffold (schedule-invariant). ---
-  /// Static location name -> dense index; dynamic addresses get kNoLoc.
-  std::map<std::string, unsigned> LocIndex;
+  /// Location ids are the worker's (EvInfo::Loc: kNoLoc for dynamic
+  /// addresses and fences), all below NumLocs.
   unsigned NumLocs = 0;
-  std::vector<unsigned> EvLoc;   ///< Event id -> location index.
   std::vector<bool> EvAcq;       ///< Read events: acquire-or-stronger.
   std::vector<bool> EvRel;       ///< Write events: release-or-stronger.
 
@@ -162,38 +160,13 @@ private:
   /// merged into the floors of every acquire load that reads it.
   std::map<unsigned, std::vector<size_t>> RelSnap;
 
-  unsigned locOf(const EvInfo &E) const {
-    std::string Name =
-        E.IsInit ? E.InitLoc
-                 : (E.Op->Addr.isStatic() ? staticLocOf(*E.Op)
-                                          : std::string());
-    if (Name.empty())
-      return kNoLoc;
-    auto It = LocIndex.find(Name);
-    return It == LocIndex.end() ? kNoLoc : It->second;
-  }
-
   void buildScaffold() {
-    LocIndex.clear();
-    for (const EvInfo &E : Events) {
-      std::string Name =
-          E.IsInit ? E.InitLoc
-                   : ((E.Kind == EventKind::Fence || !E.Op->Addr.isStatic())
-                          ? std::string()
-                          : staticLocOf(*E.Op));
-      if (!Name.empty())
-        LocIndex.emplace(Name, unsigned(LocIndex.size()));
-    }
-    // emplace skips duplicates, so renumber densely in first-seen order.
-    NumLocs = unsigned(LocIndex.size());
+    NumLocs = unsigned(Locs.size());
     const size_t N = Events.size();
-    EvLoc.assign(N, kNoLoc);
     EvAcq.assign(N, false);
     EvRel.assign(N, false);
     for (size_t I = 0; I != N; ++I) {
       const EvInfo &E = Events[I];
-      if (E.Kind != EventKind::Fence)
-        EvLoc[I] = locOf(E);
       if (E.IsInit)
         continue;
       if (E.Kind == EventKind::Read)
@@ -219,9 +192,9 @@ private:
     for (size_t I = 0; I != N; ++I)
       if (Events[I].IsInit) {
         Executed[I] = true;
-        if (EvLoc[I] != kNoLoc) {
+        if (Events[I].Loc != kNoLoc) {
           HistPos[I] = 0;
-          HistLen[EvLoc[I]] = 1;
+          HistLen[Events[I].Loc] = 1;
         }
       }
     Floors.assign(NT, std::vector<size_t>(NumLocs, 0));
@@ -317,14 +290,14 @@ private:
     // A load (or the read half of an Rmw).
     const unsigned RI = ReadIndexOf[Ev];
     const std::vector<unsigned> &Cand = RfCand[RI];
-    const unsigned L = EvLoc[Ev];
+    const unsigned L = Events[Ev].Loc;
     std::vector<unsigned> Visible; // Indexes into Cand.
     Visible.reserve(Cand.size());
     for (unsigned CI = 0; CI != Cand.size(); ++CI) {
       const unsigned Src = Cand[CI];
       if (!Executed[Src])
         continue; // Not written yet in this schedule (incl. po-later).
-      if (L != kNoLoc && EvLoc[Src] == L && HistPos[Src] != kNoPos &&
+      if (L != kNoLoc && Events[Src].Loc == L && HistPos[Src] != kNoPos &&
           HistPos[Src] < Floors[T][L])
         continue; // Overwritten below this thread's visibility floor.
       Visible.push_back(CI);
@@ -334,7 +307,7 @@ private:
     const unsigned CI = Visible[size_t(Rng.below(Visible.size()))];
     RfChoice[RI] = CI;
     const unsigned Src = Cand[CI];
-    if (L != kNoLoc && EvLoc[Src] == L && HistPos[Src] != kNoPos)
+    if (L != kNoLoc && Events[Src].Loc == L && HistPos[Src] != kNoPos)
       Floors[T][L] = std::max(Floors[T][L], HistPos[Src]);
     if (EvAcq[Ev]) {
       auto Snap = RelSnap.find(Src);
@@ -356,7 +329,7 @@ private:
 
   void executeWrite(unsigned T, unsigned Ev) {
     Executed[Ev] = true;
-    const unsigned L = EvLoc[Ev];
+    const unsigned L = Events[Ev].Loc;
     if (L != kNoLoc) {
       HistPos[Ev] = HistLen[L]++;
       Floors[T][L] = HistPos[Ev]; // Own store: no older reads after it.

@@ -55,10 +55,6 @@ AbsXform toNode(const AbsVal &A) {
   return A.F;
 }
 
-std::string staticLocOf(const SimOp &Op) {
-  return SimAddr::locName(Op.Addr.Sym, Op.Addr.Off);
-}
-
 } // namespace
 
 SimVal telechat::combineSimVals(Expr::Kind K, const SimVal &L,
@@ -76,14 +72,14 @@ SimVal telechat::combineSimVals(Expr::Kind K, const SimVal &L,
   // Xd, Xn, #:lo12:sym patterns resolve earlier, but be permissive).
   if (K == Expr::Kind::Add && L.K == SimVal::Kind::Addr && R.V.isZero())
     return L;
-  return SimVal{SimVal::Kind::Int, Out, ""};
+  return SimVal{SimVal::Kind::Int, Out, Symbol()};
 }
 
 SimVal telechat::evalSimExpr(const Expr &E,
                              const std::map<std::string, SimVal> &Regs) {
   switch (E.K) {
   case Expr::Kind::Imm:
-    return SimVal{SimVal::Kind::Int, E.Imm, ""};
+    return SimVal{SimVal::Kind::Int, E.Imm, Symbol()};
   case Expr::Kind::Reg: {
     auto It = Regs.find(E.RegName);
     if (It == Regs.end())
@@ -100,11 +96,9 @@ SimVal telechat::evalSimExpr(const Expr &E,
   return SimVal{};
 }
 
-SimVal telechat::truncAtLoc(const SimProgram &Prog, const std::string &Loc,
-                            SimVal V) {
-  if (const SimLoc *L = Prog.findLocation(Loc))
-    if (V.K == SimVal::Kind::Int)
-      V.V = V.V.truncated(L->Type);
+SimVal telechat::truncAtLoc(const SimLoc *L, SimVal V) {
+  if (L && V.K == SimVal::Kind::Int)
+    V.V = V.V.truncated(L->Type);
   return V;
 }
 
@@ -137,15 +131,15 @@ SimVal AbsXform::apply(const SimVal &Arg) const {
     // The RMW combine forces Kind::Int and never preserves address
     // symbols (sweep(): New.K = Int; New.V = Old.V.add(Operand.V)).
     SimVal L = Ops[0].apply(Arg), R = Ops[1].apply(Arg);
-    return SimVal{SimVal::Kind::Int, L.V.add(R.V), ""};
+    return SimVal{SimVal::Kind::Int, L.V.add(R.V), Symbol()};
   }
   case Kind::RmwSub: {
     SimVal L = Ops[0].apply(Arg), R = Ops[1].apply(Arg);
-    return SimVal{SimVal::Kind::Int, L.V.sub(R.V), ""};
+    return SimVal{SimVal::Kind::Int, L.V.sub(R.V), Symbol()};
   }
   case Kind::ToInt: {
     SimVal V = Ops[0].apply(Arg);
-    return SimVal{SimVal::Kind::Int, V.V, ""};
+    return SimVal{SimVal::Kind::Int, V.V, Symbol()};
   }
   case Kind::Trunc: {
     SimVal V = Ops[0].apply(Arg);
@@ -155,15 +149,15 @@ SimVal AbsXform::apply(const SimVal &Arg) const {
   }
   case Kind::Lo64: {
     SimVal V = Ops[0].apply(Arg);
-    return SimVal{SimVal::Kind::Int, Value(V.V.Lo), ""};
+    return SimVal{SimVal::Kind::Int, Value(V.V.Lo), Symbol()};
   }
   case Kind::Hi64: {
     SimVal V = Ops[0].apply(Arg);
-    return SimVal{SimVal::Kind::Int, Value(V.V.Hi), ""};
+    return SimVal{SimVal::Kind::Int, Value(V.V.Hi), Symbol()};
   }
   case Kind::Pack128: {
     SimVal Lo = Ops[0].apply(Arg), Hi = Ops[1].apply(Arg);
-    return SimVal{SimVal::Kind::Int, Value(Lo.V.Lo, Hi.V.Lo), ""};
+    return SimVal{SimVal::Kind::Int, Value(Lo.V.Lo, Hi.V.Lo), Symbol()};
   }
   }
   return SimVal{};
@@ -187,7 +181,7 @@ AbsVal AbsInterpreter::combine(Expr::Kind K, AbsVal L, AbsVal R) const {
   if ((K == Expr::Kind::Xor || K == Expr::Kind::Sub) &&
       L.K == AbsVal::Kind::Xform && R.K == AbsVal::Kind::Xform &&
       L.F == R.F)
-    return AbsVal::known(SimVal{SimVal::Kind::Int, Value(), ""});
+    return AbsVal::known(SimVal{SimVal::Kind::Int, Value(), Symbol()});
   unsigned Ev = L.K == AbsVal::Kind::Xform ? L.ReadEv : R.ReadEv;
   AbsXform F = AbsXform::binary(xformKindFor(K), toNode(L), toNode(R));
   if (F.size() > kMaxXformNodes)
@@ -200,7 +194,7 @@ AbsVal AbsInterpreter::absEval(const Expr &E,
     const {
   switch (E.K) {
   case Expr::Kind::Imm:
-    return AbsVal::known(SimVal{SimVal::Kind::Int, E.Imm, ""});
+    return AbsVal::known(SimVal{SimVal::Kind::Int, E.Imm, Symbol()});
   case Expr::Kind::Reg:
     return absRegLookup(Regs, E.RegName);
   case Expr::Kind::Add:
@@ -245,21 +239,13 @@ void AbsInterpreter::captureConstraint(
 
 void AbsInterpreter::run(
     unsigned NumEvents,
-    const std::vector<std::pair<unsigned, std::string>> &InitWrites,
+    const std::vector<std::pair<unsigned, SimVal>> &InitWrites,
     const std::vector<std::vector<AbsThreadOp>> &Threads) {
   EvAbs.assign(NumEvents, AbsVal());
   Checks.clear();
   Infeasible = false;
-  for (const auto &[Ev, Loc] : InitWrites) {
-    const SimLoc *L = Prog.findLocation(Loc);
-    SimVal V;
-    if (!L->InitAddrOf.empty())
-      V = SimVal{SimVal::Kind::Addr, LocAddr.at(L->InitAddrOf),
-                 L->InitAddrOf};
-    else
-      V = SimVal{SimVal::Kind::Int, L->Init, ""};
-    EvAbs[Ev] = AbsVal::known(std::move(V));
-  }
+  for (const auto &[Ev, V] : InitWrites)
+    EvAbs[Ev] = AbsVal::known(V);
   for (const std::vector<AbsThreadOp> &Thread : Threads) {
     std::map<std::string, AbsVal> Regs;
     for (const AbsThreadOp &TO : Thread) {
@@ -269,8 +255,7 @@ void AbsInterpreter::run(
         Regs[Op.Dst] = absEval(Op.Val, Regs);
         break;
       case SimOp::Kind::AddrOf:
-        Regs[Op.Dst] = AbsVal::known(
-            SimVal{SimVal::Kind::Addr, LocAddr.at(Op.Sym), Op.Sym});
+        Regs[Op.Dst] = AbsVal::known(TO.Addr);
         break;
       case SimOp::Kind::Constraint:
         captureConstraint(Op, Regs);
@@ -306,7 +291,7 @@ void AbsInterpreter::run(
           AbsVal Hi = absEval(Op.ValHi, Regs);
           if (Lo.K == AbsVal::Kind::Known && Hi.K == AbsVal::Kind::Known) {
             V = AbsVal::known(SimVal{SimVal::Kind::Int,
-                                     Value(Lo.V.V.Lo, Hi.V.V.Lo), ""});
+                                     Value(Lo.V.V.Lo, Hi.V.V.Lo), Symbol()});
           } else if (Lo.K != AbsVal::Kind::Top &&
                      Hi.K != AbsVal::Kind::Top &&
                      !(Lo.K == AbsVal::Kind::Xform &&
@@ -328,13 +313,12 @@ void AbsInterpreter::run(
         // value. Known values pre-truncate at the store site (the sweep
         // truncates on Update); transforms bake the store-site
         // truncation into the tree, applied when the chain is resolved.
-        if (!Op.Addr.isStatic())
+        if (!TO.Static)
           V = AbsVal();
         else if (V.K == AbsVal::Kind::Known)
-          V.V = truncAtLoc(Prog, staticLocOf(Op), std::move(V.V));
-        else if (V.K == AbsVal::Kind::Xform)
-          if (const SimLoc *L = Prog.findLocation(staticLocOf(Op)))
-            V.F = AbsXform::trunc(L->Type, std::move(V.F));
+          V.V = truncAtLoc(TO.Decl, V.V);
+        else if (V.K == AbsVal::Kind::Xform && TO.Decl)
+          V.F = AbsXform::trunc(TO.Decl->Type, std::move(V.F));
         EvAbs[TO.Ev0] = std::move(V);
         // Exclusive-store status register. Sound to model as a known
         // constant: the concrete sweep -- the oracle pruning must
@@ -345,16 +329,15 @@ void AbsInterpreter::run(
         // capture above condemns the combo identically.
         if (!Op.Dst.empty())
           Regs[Op.Dst] = AbsVal::known(
-              SimVal{SimVal::Kind::Int, Value(Op.StatusSuccess), ""});
+              SimVal{SimVal::Kind::Int, Value(Op.StatusSuccess), Symbol()});
         break;
       }
       case SimOp::Kind::Rmw: {
         unsigned ReadEv = TO.Ev0, WriteEv = TO.Ev1;
         AbsVal Operand = absEval(Op.Val, Regs);
         AbsVal New; // Top unless the combine is expressible below.
-        if (Op.Addr.isStatic()) {
-          std::string Loc = staticLocOf(Op);
-          const SimLoc *L = Prog.findLocation(Loc);
+        if (TO.Static) {
+          const SimLoc *L = TO.Decl;
           auto StoreTrunc = [&](AbsXform F) {
             return L ? AbsXform::trunc(L->Type, std::move(F))
                      : std::move(F);
@@ -363,8 +346,8 @@ void AbsInterpreter::run(
           case SimOp::RmwOpKind::Xchg:
             if (Operand.K == AbsVal::Kind::Known) {
               // The sweep coerces the stored value to Kind::Int.
-              SimVal V{SimVal::Kind::Int, Operand.V.V, ""};
-              New = AbsVal::known(truncAtLoc(Prog, Loc, std::move(V)));
+              New = AbsVal::known(truncAtLoc(
+                  L, SimVal{SimVal::Kind::Int, Operand.V.V, Symbol()}));
             } else if (Operand.K == AbsVal::Kind::Xform) {
               New = AbsVal::xform(
                   Operand.ReadEv,

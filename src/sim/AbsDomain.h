@@ -31,8 +31,11 @@
 /// accepts, the value sweep() computes for a tracked event equals
 /// Known's constant / f(read value) exactly -- same truncation sites,
 /// same address/integer coercions, same zero-default for registers that
-/// were never assigned. AbsXform::apply and evalSimExpr share the
-/// combine helpers with the sweep so the two cannot drift.
+/// were never assigned. The sweep runs on slot-resolved ops (registers
+/// are register-file slots, locations dense ids), but it combines
+/// values with combineSimVals and truncates with truncAtLoc, the same
+/// two helpers AbsXform::apply and this pass use, so the two cannot
+/// drift.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +43,7 @@
 #define TELECHAT_SIM_ABSDOMAIN_H
 
 #include "sim/Program.h"
+#include "support/Interner.h"
 
 #include <map>
 #include <string>
@@ -48,10 +52,11 @@
 namespace telechat {
 
 /// A runtime value: an integer or the address of a named location.
+/// Trivially copyable: the location name is interned.
 struct SimVal {
   enum class Kind { Int, Addr } K = Kind::Int;
-  Value V;         ///< Numeric value (addresses get a synthetic numeric).
-  std::string Sym; ///< Kind::Addr: the location name.
+  Value V;    ///< Numeric value (addresses get a synthetic numeric).
+  Symbol Sym; ///< Kind::Addr: the location name.
 
   bool operator==(const SimVal &RHS) const {
     return K == RHS.K && V == RHS.V && Sym == RHS.Sym;
@@ -68,9 +73,9 @@ SimVal combineSimVals(Expr::Kind K, const SimVal &L, const SimVal &R);
 SimVal evalSimExpr(const Expr &E, const std::map<std::string, SimVal> &Regs);
 
 /// The width rule shared by the sweep and the abstract pass: values
-/// stored to / loaded from a location truncate to its declared type
-/// (no-op for unknown locations and address values).
-SimVal truncAtLoc(const SimProgram &Prog, const std::string &Loc, SimVal V);
+/// stored to / loaded from a location truncate to its declared type \p L
+/// (no-op for undeclared locations, null \p L, and address values).
+SimVal truncAtLoc(const SimLoc *L, SimVal V);
 
 /// A bounded expression tree over one read result ("Arg") with constant
 /// leaves. Each node kind mirrors one concrete operation of the sweep;
@@ -168,7 +173,7 @@ struct AbsVal {
 /// transform of one read event's value. Checkable per rf assignment
 /// without running the resolution fixpoint.
 struct PruneCheck {
-  const Expr *E = nullptr; ///< Points into the caller's resolved paths.
+  const Expr *E = nullptr; ///< Points into the program's paths.
   bool ExpectNonZero = true;
   /// Register snapshot at the constraint site, restricted to registers
   /// the expression uses. No entry is Top (such constraints are not
@@ -177,13 +182,22 @@ struct PruneCheck {
 };
 
 /// One op of one chosen path together with the events it emitted (in
-/// creation order; ~0u when the op emits fewer events). The enumerator
-/// flattens its per-combo skeleton into this form so the abstract pass
-/// needs no knowledge of the event table's layout.
+/// creation order; ~0u when the op emits fewer events) and the facts
+/// the enumerator resolved for it. The enumerator flattens its
+/// per-combo skeleton into this form so the abstract pass needs no
+/// knowledge of the event table's layout or of location names.
 struct AbsThreadOp {
   const SimOp *Op = nullptr;
   unsigned Ev0 = ~0u;
   unsigned Ev1 = ~0u;
+  /// Accesses: the address is static (known before any rf choice,
+  /// possibly through registers holding address constants).
+  bool Static = false;
+  /// Static accesses: the declared location (the width rule), null
+  /// when undeclared.
+  const SimLoc *Decl = nullptr;
+  /// AddrOf: the address value the sweep assigns.
+  SimVal Addr;
 };
 
 /// The abstract value pass: runs each chosen path once over the domain,
@@ -193,17 +207,11 @@ struct AbsThreadOp {
 /// anything it cannot mirror becomes Top and is never pruned on.
 class AbsInterpreter {
 public:
-  /// \p LocAddr maps location names to their synthetic numeric
-  /// addresses (must outlive the interpreter, as must \p Prog).
-  AbsInterpreter(const SimProgram &Prog,
-                 const std::map<std::string, Value> &LocAddr)
-      : Prog(Prog), LocAddr(LocAddr) {}
-
   /// Runs the pass over one path combo. \p InitWrites lists (event id,
-  /// location) of the init writes; \p Threads holds each chosen path's
-  /// ops with their events.
+  /// initial value) of the init writes; \p Threads holds each chosen
+  /// path's ops with their events.
   void run(unsigned NumEvents,
-           const std::vector<std::pair<unsigned, std::string>> &InitWrites,
+           const std::vector<std::pair<unsigned, SimVal>> &InitWrites,
            const std::vector<std::vector<AbsThreadOp>> &Threads);
 
   const std::vector<AbsVal> &evAbs() const { return EvAbs; }
@@ -218,8 +226,6 @@ private:
   void captureConstraint(const SimOp &Op,
                          const std::map<std::string, AbsVal> &Regs);
 
-  const SimProgram &Prog;
-  const std::map<std::string, Value> &LocAddr;
   std::vector<AbsVal> EvAbs;
   std::vector<PruneCheck> Checks;
   bool Infeasible = false;

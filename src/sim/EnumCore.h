@@ -50,16 +50,76 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace telechat {
 namespace simcore {
 
+/// A dense location id: an index into a worker's LocTable.
+using LocId = unsigned;
+constexpr LocId kNoLoc = ~0u;
+/// "No register": an index past every register-file slot.
+constexpr unsigned kNoSlot = ~0u;
+
+/// A worker's dense location ids. Every name an access can resolve to
+/// gets one id on first sight: the declared locations up front, then
+/// observed locations and static "sym+off" names, and dynamic (base
+/// symbol, offset) pairs when value resolution meets them. Ids never
+/// change once handed out, and they are worker-local: nothing
+/// observable depends on their numbering (coherence groups are ordered
+/// by name), so workers may number dynamic locations differently.
+class LocTable {
+public:
+  /// Interns the program's declared locations. Init event I of every
+  /// combo writes Prog.Locations[I].
+  explicit LocTable(const SimProgram &Prog);
+
+  /// The id of \p Name, added on first sight.
+  LocId intern(const std::string &Name);
+  /// The id of location "Base+Off" (SimAddr::locName), cached per
+  /// (base, offset) pair so repeated resolutions build no string.
+  LocId resolve(Symbol Base, int64_t Off);
+
+  size_t size() const { return Names.size(); }
+  const std::string &name(LocId L) const { return Names[L]; }
+  /// The first declaration of the name (SimProgram::findLocation's
+  /// answer), or null: the width rule and the Const flag.
+  const SimLoc *decl(LocId L) const { return Decls[L]; }
+  /// The init write of the location (its last declaration), or ~0u.
+  unsigned initEvent(LocId L) const { return InitEvs[L]; }
+  /// The location's initial value (init writes carry the value of the
+  /// first declaration, addresses resolved through addressOf).
+  SimVal initValue(LocId L) const { return InitVals[L]; }
+  /// The value of "&Name": the synthetic address 0x1000 * (I + 1) of
+  /// its last declaration I. Throws std::out_of_range for an undeclared
+  /// name (the frontends reject those).
+  SimVal addressOf(const std::string &Name) const;
+
+private:
+  struct BaseKeyHash {
+    size_t operator()(const std::pair<const void *, int64_t> &K) const {
+      return std::hash<const void *>()(K.first) ^
+             (std::hash<int64_t>()(K.second) * 0x9e3779b97f4a7c15ull);
+    }
+  };
+
+  const SimProgram &Prog;
+  std::vector<std::string> Names;
+  std::vector<const SimLoc *> Decls;
+  std::vector<unsigned> InitEvs;
+  std::vector<SimVal> Addrs; ///< addressOf per id; Kind::Int when undeclared.
+  std::vector<SimVal> InitVals;
+  std::unordered_map<std::string, LocId> ByName;
+  std::unordered_map<std::pair<const void *, int64_t>, LocId, BaseKeyHash>
+      ByBase;
+};
+
 /// Per-event mutable state during value resolution.
 struct EvState {
-  SimVal Val;      ///< Value written (W) or read (R).
-  std::string Loc; ///< Resolved location; empty while unknown.
+  SimVal Val;         ///< Value written (W) or read (R).
+  LocId Loc = kNoLoc; ///< Resolved location; kNoLoc while unknown.
 
   bool operator==(const EvState &RHS) const {
     return Val == RHS.Val && Loc == RHS.Loc;
@@ -73,7 +133,41 @@ struct EvInfo {
   EventKind Kind = EventKind::Read;
   const SimOp *Op = nullptr; ///< Null for init writes.
   bool IsInit = false;
-  std::string InitLoc; ///< Init writes: the location.
+  /// Init writes and statically addressed accesses: the location;
+  /// kNoLoc for dynamically addressed accesses and fences.
+  LocId Loc = kNoLoc;
+};
+
+/// One node of a slot-resolved expression: Expr with register names
+/// replaced by register-file slots.
+struct SlotExpr {
+  Expr::Kind K = Expr::Kind::Imm;
+  SimVal Imm;               ///< Kind::Imm, as evalSimExpr yields it.
+  unsigned Slot = kNoSlot;  ///< Kind::Reg.
+  unsigned L = 0, R = 0;    ///< Binary kinds: child node indexes.
+};
+
+/// One op of a chosen path compiled for the resolution sweep: registers
+/// are slots, static locations ids, and everything that depends only on
+/// the path combo is computed once, in prepareCombo.
+struct SweepOp {
+  const SimOp *Op = nullptr;
+  unsigned Ev0 = ~0u, Ev1 = ~0u; ///< Events in creation order.
+  /// Register written by the op (kNoSlot when it writes none); Dst2 is
+  /// the high half of a 128-bit load.
+  unsigned Dst = kNoSlot, Dst2 = kNoSlot;
+  unsigned Val = 0, ValHi = 0; ///< SlotExpr roots (when the op has them).
+  /// Slots the op's expressions read, [UsesBegin, UsesEnd) of the
+  /// combo's use list: the sources of data and control taint.
+  unsigned UsesBegin = 0, UsesEnd = 0;
+  /// Static accesses: the location and its declaration. Dynamic ones:
+  /// the base register and byte offset, resolved per sweep.
+  LocId Loc = kNoLoc;
+  const SimLoc *Decl = nullptr;
+  unsigned Base = kNoSlot;
+  int64_t Off = 0;
+  /// AddrOf: the address. Exclusive stores: the status value.
+  SimVal Const;
 };
 
 constexpr uint64_t kFullRange = ~uint64_t(0);
@@ -245,12 +339,11 @@ public:
   uint64_t RfSpace = 0;
   bool LayerPublished = false;
 
-  std::map<std::string, Value> LocAddr;
+  LocTable Locs;
 
   // Per path-combo state.
   std::vector<EvInfo> Events;
-  std::vector<SimPath> ResolvedStorage;
-  std::vector<const SimPath *> Paths;
+  std::vector<const SimPath *> Paths; ///< The chosen path per thread.
   /// Per thread: (op index, event id) pairs in creation order.
   std::vector<std::vector<std::pair<unsigned, unsigned>>> OpEvents;
   std::vector<unsigned> Reads;
@@ -260,23 +353,48 @@ public:
   std::vector<size_t> RfChoice;
   bool AllStaticCombo = false;
   Execution SkelEx; ///< Candidate-invariant part of the execution.
-  std::map<std::string, unsigned> InitEvByLoc;
+  // The chosen paths compiled for the sweep: ops in thread order
+  // (thread T's are [ThreadEnd[T-1], ThreadEnd[T])), their expression
+  // nodes and taint sources, and per observed register its slot.
+  std::vector<SweepOp> Code;
+  std::vector<unsigned> ThreadEnd;
+  std::vector<SlotExpr> Exprs;
+  std::vector<unsigned> Uses;
+  std::vector<unsigned> ObservedSlot;
+  unsigned NumSlots = 0;
   // Constraint-propagation state (see computeAbstract / AbsDomain.h).
-  std::vector<std::pair<unsigned, std::string>> InitWrites;
+  std::vector<std::pair<unsigned, SimVal>> InitWrites;
   std::vector<std::vector<AbsThreadOp>> ThreadOps;
   std::vector<AbsVal> EvAbs;
   std::vector<PruneCheck> PruneChecks;
   bool ComboInfeasible = false;
   uint64_t ComboRfSourcesPruned = 0;
 
-  // Per rf-candidate state.
+  // Per rf-candidate state. Taints and dependencies are bit rows over
+  // event ids, RowWords words each: one row per register slot (Taint),
+  // one per event (AddrDeps/DataDeps/CtrlDeps: the row of event E holds
+  // the reads E depends on) and the running control taint.
   std::vector<EvState> State;
-  std::vector<std::set<unsigned>> AddrDeps, DataDeps, CtrlDeps;
+  std::vector<SimVal> RegFile;
+  unsigned RowWords = 0;
+  std::vector<uint64_t> Taint, AddrDeps, DataDeps, CtrlDeps, CtrlTaint,
+      TaintTmp;
   std::vector<std::pair<Symbol, Value>> ObservedRegs;
   /// Outcome keys, interned once per run: observed registers flattened
-  /// in thread order, and observed locations in program order.
+  /// in thread order, and observed locations in program order (with
+  /// their location ids).
   std::vector<Symbol> ObservedRegSym, ObservedLocSym;
+  std::vector<LocId> ObservedLocId;
   Execution CandEx; ///< Skeleton + values + rf + deps; Co set per perm.
+  /// The location each CandEx event currently names (CandEx is reset to
+  /// the skeleton once per combo and patched per candidate).
+  std::vector<LocId> CandLoc;
+  // Coherence groups of the current candidate: non-init writes per
+  // location, groups ordered by location name; GroupOf maps a location
+  // id to its group (~0u for none).
+  std::vector<std::vector<unsigned>> CoGroups;
+  std::vector<LocId> CoGroupLoc;
+  std::vector<unsigned> GroupOf;
 
   /// The value read event \p ReadEv observes under the current RfChoice,
   /// following rf through copy and transform writes; nullopt when it
@@ -291,10 +409,16 @@ public:
   /// Sweep-path shorthand: violatedCheck without support collection.
   bool prunedByConstraints() const { return violatedCheck(nullptr); }
 
-  SimPath resolveStaticAddresses(const SimPath &In) const;
-  SimVal truncAt(const std::string &Loc, SimVal V) const;
-  static std::string staticLocOf(const SimOp &Op) {
-    return SimAddr::locName(Op.Addr.Sym, Op.Addr.Off);
+  /// The width rule at location \p L (kNoLoc: no-op).
+  SimVal truncAt(LocId L, SimVal V) const {
+    return L == kNoLoc ? V : truncAtLoc(Locs.decl(L), V);
+  }
+  void compilePaths();
+  unsigned compileExpr(const Expr &E,
+                       std::map<std::string, unsigned> &Slots);
+  SimVal evalSlots(unsigned Node) const;
+  uint64_t *row(std::vector<uint64_t> &Bits, unsigned I) {
+    return Bits.data() + size_t(I) * RowWords;
   }
   void computeAbstract();
   void filterRfCandidates();
@@ -308,8 +432,8 @@ public:
   void buildSkeletonExecution();
   void buildCandidateExecution();
   void enumerateCo();
-  void permuteGroups(std::vector<std::vector<unsigned>> &Groups, size_t GI);
-  void checkCandidate(const std::vector<std::vector<unsigned>> &Groups);
+  void permuteGroups(size_t GI);
+  void checkCandidate();
   void collectExecution(const Execution &Ex);
 };
 

@@ -22,8 +22,14 @@
 /// reassembles per-shard results in enumeration order, so completed runs
 /// are bit-identical for any SimOptions::Jobs value.
 ///
-/// Two per-combo precomputations cut the per-candidate cost (see
+/// Three per-combo precomputations cut the per-candidate cost (see
 /// Enumerator.h for the user-facing contracts):
+///
+///  - The chosen paths are *compiled* for the resolution fixpoint
+///    (SweepOp, EnumCore.h): registers become register-file slots,
+///    locations dense ids, dependencies bit rows, so the sweep that
+///    runs several times per rf assignment builds no string and looks
+///    up no name.
 ///
 ///  - An *abstract value pass* (sim/AbsDomain.h) runs each chosen path
 ///    once over the single-source symbolic-transform domain: a value is
@@ -37,7 +43,7 @@
 ///    before the expensive resolution fixpoint runs.
 ///
 ///  - The *skeleton execution* (events, po, rmw, tags) is built once
-///    per combo and copied per candidate, and the Cat model's stable
+///    per combo and patched per candidate, and the Cat model's stable
 ///    layer is evaluated once per combo by CatEvaluator. When several
 ///    workers split one combo's rf space, the first computed layer is
 ///    published through the run's shared state and adopted by the rest.
@@ -56,26 +62,70 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 using namespace telechat;
 using namespace telechat::simcore;
 
+LocTable::LocTable(const SimProgram &Prog) : Prog(Prog) {
+  // Synthetic numeric addresses for locations (0x1000 apart, mirroring
+  // an ELF data section layout); a name declared twice keeps its last.
+  for (unsigned I = 0; I != Prog.Locations.size(); ++I) {
+    const std::string &Name = Prog.Locations[I].Name;
+    LocId L = intern(Name);
+    InitEvs[L] = I;
+    Addrs[L] = SimVal{SimVal::Kind::Addr, Value(0x1000 * (uint64_t(I) + 1)),
+                      internSymbol(Name)};
+  }
+  // Init writes carry their first declaration's value.
+  for (LocId L = 0; L != Names.size(); ++L) {
+    const SimLoc *D = Decls[L];
+    InitVals[L] = D->InitAddrOf.empty()
+                      ? SimVal{SimVal::Kind::Int, D->Init, Symbol()}
+                      : addressOf(D->InitAddrOf);
+  }
+}
+
+LocId LocTable::intern(const std::string &Name) {
+  auto [It, New] = ByName.try_emplace(Name, LocId(Names.size()));
+  if (New) {
+    Names.push_back(Name);
+    Decls.push_back(Prog.findLocation(Name));
+    InitEvs.push_back(~0u);
+    Addrs.emplace_back();
+    InitVals.emplace_back();
+  }
+  return It->second;
+}
+
+LocId LocTable::resolve(Symbol Base, int64_t Off) {
+  auto [It, New] = ByBase.try_emplace({&Base.str(), Off}, kNoLoc);
+  if (New)
+    It->second = intern(SimAddr::locName(Base.str(), Off));
+  return It->second;
+}
+
+SimVal LocTable::addressOf(const std::string &Name) const {
+  auto It = ByName.find(Name);
+  if (It == ByName.end() || !Decls[It->second])
+    throw std::out_of_range("address of undeclared location '" + Name + "'");
+  return Addrs[It->second];
+}
+
 ComboWorker::ComboWorker(const SimProgram &Program, const CatModel &Model,
                          const SimOptions &Options, SharedState &Shared)
     : Prog(Program), Model(Model), Opts(Options), Shared(Shared),
-      Eval(Model) {
+      Eval(Model), Locs(Program) {
   Eval.setCaching(Opts.IncrementalCatEval);
-  // Synthetic numeric addresses for locations (0x1000 apart, mirroring
-  // an ELF data section layout).
-  for (unsigned I = 0; I != Prog.Locations.size(); ++I)
-    LocAddr[Prog.Locations[I].Name] = Value(0x1000 * (uint64_t(I) + 1));
   // Outcome keys are fixed per program: intern them once so the
   // per-allowed-execution outcome build does no hashing.
   for (const SimThread &T : Prog.Threads)
     for (const auto &[Reg, Key] : T.Observed)
       ObservedRegSym.push_back(internSymbol(Key));
-  for (const std::string &Loc : Prog.ObservedLocs)
+  for (const std::string &Loc : Prog.ObservedLocs) {
     ObservedLocSym.push_back(internSymbol(Outcome::locKey(Loc)));
+    ObservedLocId.push_back(Locs.intern(Loc));
+  }
 }
 
 void ComboWorker::processShard(const Shard &S) {
@@ -100,6 +150,84 @@ void ComboWorker::processShard(const Shard &S) {
   publishLayer();
 }
 
+namespace {
+
+/// Abstract address resolution: registers holding *statically known*
+/// address constants (AddrOf, copies, constant offsets) turn their
+/// accesses into static ones, which the rf-candidate filter can then
+/// restrict by location. Addresses that flow through memory (GOT /
+/// literal-pool loads in unoptimised compiled tests) stay dynamic --
+/// the paper's §IV-E state explosion. This mirrors herd: symbolic
+/// init-state addresses are constants, loaded values are not.
+class StaticAddresses {
+public:
+  /// Steps over one op of a path, in order: the location name of a
+  /// static (or statically resolvable) access, nullopt otherwise.
+  std::optional<std::string> step(const SimOp &Op) {
+    std::optional<std::string> Name;
+    if (Op.K == SimOp::Kind::Load || Op.K == SimOp::Kind::Store ||
+        Op.K == SimOp::Kind::Rmw) {
+      if (Op.Addr.isStatic())
+        Name = SimAddr::locName(Op.Addr.Sym, Op.Addr.Off);
+      else if (auto It = Known.find(Op.Addr.Reg); It != Known.end())
+        Name = SimAddr::locName(It->second.first,
+                                It->second.second + Op.Addr.Off);
+    }
+    switch (Op.K) {
+    case SimOp::Kind::AddrOf:
+      Known[Op.Dst] = {Op.Sym, 0};
+      break;
+    case SimOp::Kind::Assign:
+      if (auto A = eval(Op.Val))
+        Known[Op.Dst] = *A;
+      else
+        Known.erase(Op.Dst);
+      break;
+    case SimOp::Kind::Load:
+      if (!Op.Dst.empty())
+        Known.erase(Op.Dst);
+      if (!Op.Dst2.empty())
+        Known.erase(Op.Dst2);
+      break;
+    case SimOp::Kind::Rmw:
+    case SimOp::Kind::Store:
+      if (!Op.Dst.empty())
+        Known.erase(Op.Dst);
+      break;
+    case SimOp::Kind::Fence:
+    case SimOp::Kind::Constraint:
+      break;
+    }
+    return Name;
+  }
+
+private:
+  using Address = std::pair<std::string, int64_t>;
+
+  std::optional<Address> eval(const Expr &E) const {
+    if (E.K == Expr::Kind::Reg) {
+      auto It = Known.find(E.RegName);
+      if (It != Known.end())
+        return It->second;
+      return std::nullopt;
+    }
+    if (E.K == Expr::Kind::Add) {
+      const Expr &L = E.Ops[0], &R = E.Ops[1];
+      if (L.K == Expr::Kind::Reg && R.K == Expr::Kind::Imm) {
+        auto It = Known.find(L.RegName);
+        if (It != Known.end())
+          return Address(It->second.first,
+                         It->second.second + int64_t(R.Imm.Lo));
+      }
+    }
+    return std::nullopt;
+  }
+
+  std::map<std::string, Address> Known;
+};
+
+} // namespace
+
 uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
   std::vector<size_t> PathChoice(Prog.Threads.size(), 0);
   for (size_t T = 0; T != PathChoice.size(); ++T) {
@@ -116,27 +244,26 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
     EvInfo Init;
     Init.Kind = EventKind::Write;
     Init.IsInit = true;
-    Init.InitLoc = L.Name;
+    Init.Loc = Locs.intern(L.Name);
     Events.push_back(Init);
   }
-  ResolvedStorage.clear();
-  ResolvedStorage.reserve(Prog.Threads.size());
   for (unsigned T = 0; T != Prog.Threads.size(); ++T) {
-    ResolvedStorage.push_back(
-        resolveStaticAddresses(Prog.Threads[T].Paths[PathChoice[T]]));
-  }
-  for (unsigned T = 0; T != Prog.Threads.size(); ++T) {
-    const SimPath &Path = ResolvedStorage[T];
+    const SimPath &Path = Prog.Threads[T].Paths[PathChoice[T]];
     Paths.push_back(&Path);
     std::vector<std::pair<unsigned, unsigned>> PathEvents;
+    StaticAddresses Known;
     for (unsigned I = 0; I != Path.Ops.size(); ++I) {
       const SimOp &Op = Path.Ops[I];
+      LocId Loc = kNoLoc;
+      if (std::optional<std::string> Name = Known.step(Op))
+        Loc = Locs.intern(*Name);
       auto AddEvent = [&](EventKind K) {
         EvInfo E;
         E.Thread = T;
         E.OpIndex = I;
         E.Kind = K;
         E.Op = &Op;
+        E.Loc = Loc;
         Events.push_back(E);
         return unsigned(Events.size() - 1);
       };
@@ -177,7 +304,7 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
       Writes.push_back(I);
     }
     if (!Events[I].IsInit && Events[I].Kind != EventKind::Fence &&
-        !Events[I].Op->Addr.isStatic())
+        Events[I].Loc == kNoLoc)
       AllStaticCombo = false;
   }
 
@@ -188,25 +315,15 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
   // story: optimised tests are all-static.
   RfCand.assign(Reads.size(), {});
   for (unsigned RI = 0; RI != Reads.size(); ++RI) {
-    const EvInfo &R = Events[Reads[RI]];
-    const SimAddr &RA = R.Op->Addr;
-    std::string RLoc =
-        RA.isStatic() ? SimAddr::locName(RA.Sym, RA.Off) : "";
+    LocId RLoc = Events[Reads[RI]].Loc;
     for (unsigned W : Writes) {
-      const EvInfo &WE = Events[W];
-      if (WE.IsInit) {
-        if (RLoc.empty() || RLoc == WE.InitLoc)
-          RfCand[RI].push_back(W);
-        continue;
-      }
-      const SimAddr &WA = WE.Op->Addr;
-      if (!RLoc.empty() && WA.isStatic() &&
-          RLoc != SimAddr::locName(WA.Sym, WA.Off))
-        continue;
-      RfCand[RI].push_back(W);
+      LocId WLoc = Events[W].Loc;
+      if (RLoc == kNoLoc || WLoc == kNoLoc || RLoc == WLoc)
+        RfCand[RI].push_back(W);
     }
   }
 
+  compilePaths();
   ComboRfSourcesPruned = 0;
   if (Opts.RfValuePruning) {
     computeAbstract();
@@ -314,88 +431,160 @@ void ComboWorker::runAssignment() {
   }
 }
 
-/// Abstract address resolution: registers holding *statically known*
-/// address constants (AddrOf, copies, constant offsets) turn their
-/// accesses into static ones, which the rf-candidate filter can then
-/// restrict by location. Addresses that flow through memory (GOT /
-/// literal-pool loads in unoptimised compiled tests) stay dynamic --
-/// the paper's §IV-E state explosion. This mirrors herd: symbolic
-/// init-state addresses are constants, loaded values are not.
-SimPath ComboWorker::resolveStaticAddresses(const SimPath &In) const {
-  SimPath Out = In;
-  std::map<std::string, std::pair<std::string, int64_t>> Known;
-  auto EvalAddr =
-      [&](const Expr &E) -> std::optional<std::pair<std::string, int64_t>> {
-    if (E.K == Expr::Kind::Reg) {
-      auto It = Known.find(E.RegName);
-      if (It != Known.end())
-        return It->second;
-      return std::nullopt;
-    }
-    if (E.K == Expr::Kind::Add) {
-      const Expr &L = E.Ops[0], &R = E.Ops[1];
-      if (L.K == Expr::Kind::Reg && R.K == Expr::Kind::Imm) {
-        auto It = Known.find(L.RegName);
-        if (It != Known.end())
-          return std::make_pair(It->second.first,
-                                It->second.second +
-                                    int64_t(R.Imm.Lo));
-      }
-    }
-    return std::nullopt;
+/// Compiles the chosen paths into the sweep's form (SweepOp): each
+/// thread's registers become slots of one flat register file, each
+/// expression a SlotExpr tree, each static access its location id and
+/// declaration, and AddrOf values and exclusive-store statuses
+/// constants. Everything here depends only on the path combo, so the
+/// per-candidate sweep builds no string and looks up no name.
+void ComboWorker::compilePaths() {
+  Code.clear();
+  ThreadEnd.clear();
+  Exprs.clear();
+  Uses.clear();
+  ObservedSlot.clear();
+  NumSlots = 0;
+  std::map<std::string, unsigned> Slots;
+  auto SlotOf = [&](const std::string &Reg) {
+    auto [It, New] = Slots.try_emplace(Reg, NumSlots);
+    if (New)
+      ++NumSlots;
+    return It->second;
   };
-  for (SimOp &Op : Out.Ops) {
-    auto TryStatic = [&]() {
-      if (Op.Addr.isStatic())
-        return;
-      auto It = Known.find(Op.Addr.Reg);
-      if (It == Known.end())
-        return;
-      int64_t Off = Op.Addr.Off + It->second.second;
-      Op.Addr = SimAddr::staticSym(It->second.first);
-      Op.Addr.Off = Off;
-    };
-    switch (Op.K) {
-    case SimOp::Kind::AddrOf:
-      Known[Op.Dst] = {Op.Sym, 0};
-      break;
-    case SimOp::Kind::Assign:
-      if (auto A = EvalAddr(Op.Val))
-        Known[Op.Dst] = *A;
-      else
-        Known.erase(Op.Dst);
-      break;
-    case SimOp::Kind::Load:
-      TryStatic();
-      if (!Op.Dst.empty())
-        Known.erase(Op.Dst);
-      if (!Op.Dst2.empty())
-        Known.erase(Op.Dst2);
-      break;
-    case SimOp::Kind::Rmw:
-      TryStatic();
-      if (!Op.Dst.empty())
-        Known.erase(Op.Dst);
-      break;
-    case SimOp::Kind::Store:
-      TryStatic();
-      if (!Op.Dst.empty())
-        Known.erase(Op.Dst);
-      break;
-    case SimOp::Kind::Fence:
-    case SimOp::Kind::Constraint:
-      break;
+  auto AddUses = [&](const Expr &E) {
+    std::vector<std::string> Regs;
+    E.collectRegs(Regs);
+    for (const std::string &R : Regs)
+      Uses.push_back(SlotOf(R));
+  };
+  for (unsigned T = 0; T != Paths.size(); ++T) {
+    Slots.clear();
+    auto EvIt = OpEvents[T].begin();
+    const auto EvEnd = OpEvents[T].end();
+    for (unsigned I = 0; I != Paths[T]->Ops.size(); ++I) {
+      const SimOp &Op = Paths[T]->Ops[I];
+      SweepOp C;
+      C.Op = &Op;
+      while (EvIt != EvEnd && EvIt->first == I) {
+        (C.Ev0 == ~0u ? C.Ev0 : C.Ev1) = EvIt->second;
+        ++EvIt;
+      }
+      C.UsesBegin = unsigned(Uses.size());
+      if (Op.K == SimOp::Kind::Load || Op.K == SimOp::Kind::Store ||
+          Op.K == SimOp::Kind::Rmw) {
+        C.Loc = Events[C.Ev0].Loc;
+        if (C.Loc != kNoLoc) {
+          C.Decl = Locs.decl(C.Loc);
+        } else {
+          C.Base = SlotOf(Op.Addr.Reg);
+          C.Off = Op.Addr.Off;
+        }
+      }
+      switch (Op.K) {
+      case SimOp::Kind::Assign:
+        C.Val = compileExpr(Op.Val, Slots);
+        AddUses(Op.Val);
+        C.Dst = SlotOf(Op.Dst);
+        break;
+      case SimOp::Kind::AddrOf:
+        C.Const = Locs.addressOf(Op.Sym);
+        C.Dst = SlotOf(Op.Dst);
+        break;
+      case SimOp::Kind::Constraint:
+        C.Val = compileExpr(Op.Val, Slots);
+        AddUses(Op.Val);
+        break;
+      case SimOp::Kind::Fence:
+        break;
+      case SimOp::Kind::Load:
+        if (!Op.Dst.empty()) {
+          C.Dst = SlotOf(Op.Dst);
+          if (Op.Is128)
+            C.Dst2 = SlotOf(Op.Dst2);
+        }
+        break;
+      case SimOp::Kind::Store:
+        C.Val = compileExpr(Op.Val, Slots);
+        if (Op.Is128)
+          C.ValHi = compileExpr(Op.ValHi, Slots);
+        AddUses(Op.Val);
+        AddUses(Op.ValHi);
+        if (!Op.Dst.empty()) {
+          C.Dst = SlotOf(Op.Dst);
+          C.Const =
+              SimVal{SimVal::Kind::Int, Value(Op.StatusSuccess), Symbol()};
+        }
+        break;
+      case SimOp::Kind::Rmw:
+        C.Val = compileExpr(Op.Val, Slots);
+        AddUses(Op.Val);
+        if (!Op.Dst.empty() && !Op.NoRet)
+          C.Dst = SlotOf(Op.Dst);
+        break;
+      }
+      C.UsesEnd = unsigned(Uses.size());
+      Code.push_back(C);
+    }
+    ThreadEnd.push_back(unsigned(Code.size()));
+    for (const auto &[Reg, Key] : Prog.Threads[T].Observed) {
+      auto It = Slots.find(Reg);
+      ObservedSlot.push_back(It == Slots.end() ? kNoSlot : It->second);
     }
   }
-  return Out;
+  unsigned N = Events.size();
+  RowWords = (N + 63) / 64;
+  RegFile.assign(NumSlots, SimVal());
+  Taint.assign(size_t(NumSlots) * RowWords, 0);
+  AddrDeps.assign(size_t(N) * RowWords, 0);
+  DataDeps.assign(size_t(N) * RowWords, 0);
+  CtrlDeps.assign(size_t(N) * RowWords, 0);
+  CtrlTaint.assign(RowWords, 0);
+  TaintTmp.assign(RowWords, 0);
 }
 
-/// The value-resolution width rule: values stored to / loaded from a
-/// location truncate to its declared type. Shared verbatim (via
-/// truncAtLoc) by the fixpoint sweep and the abstract machinery so
-/// both see identical values.
-SimVal ComboWorker::truncAt(const std::string &Loc, SimVal V) const {
-  return truncAtLoc(Prog, Loc, std::move(V));
+unsigned ComboWorker::compileExpr(const Expr &E,
+                                  std::map<std::string, unsigned> &Slots) {
+  SlotExpr X;
+  X.K = E.K;
+  switch (E.K) {
+  case Expr::Kind::Imm:
+    X.Imm = SimVal{SimVal::Kind::Int, E.Imm, Symbol()};
+    break;
+  case Expr::Kind::Reg: {
+    auto [It, New] = Slots.try_emplace(E.RegName, NumSlots);
+    if (New)
+      ++NumSlots;
+    X.Slot = It->second;
+    break;
+  }
+  case Expr::Kind::Add:
+  case Expr::Kind::Sub:
+  case Expr::Kind::Xor:
+  case Expr::Kind::And:
+    X.L = compileExpr(E.Ops[0], Slots);
+    X.R = compileExpr(E.Ops[1], Slots);
+    break;
+  }
+  Exprs.push_back(X);
+  return unsigned(Exprs.size() - 1);
+}
+
+/// evalSimExpr over the register file: the same combine rule and the
+/// same zero default (a slot nothing assigned holds SimVal{}).
+SimVal ComboWorker::evalSlots(unsigned Node) const {
+  const SlotExpr &E = Exprs[Node];
+  switch (E.K) {
+  case Expr::Kind::Imm:
+    return E.Imm;
+  case Expr::Kind::Reg:
+    return RegFile[E.Slot];
+  case Expr::Kind::Add:
+  case Expr::Kind::Sub:
+  case Expr::Kind::Xor:
+  case Expr::Kind::And:
+    break;
+  }
+  return combineSimVals(E.K, evalSlots(E.L), evalSlots(E.R));
 }
 
 /// Runs the abstract value pass (sim/AbsDomain.h) over the prepared
@@ -409,24 +598,17 @@ void ComboWorker::computeAbstract() {
   InitWrites.clear();
   for (unsigned I = 0; I != Events.size(); ++I)
     if (Events[I].IsInit)
-      InitWrites.emplace_back(I, Events[I].InitLoc);
+      InitWrites.emplace_back(I, Locs.initValue(Events[I].Loc));
   ThreadOps.resize(Paths.size());
-  for (unsigned T = 0; T != Paths.size(); ++T) {
-    auto EvIt = OpEvents[T].begin();
-    const auto EvEnd = OpEvents[T].end();
+  for (unsigned T = 0, Begin = 0; T != Paths.size(); Begin = ThreadEnd[T++]) {
     ThreadOps[T].clear();
-    ThreadOps[T].reserve(Paths[T]->Ops.size());
-    for (unsigned I = 0; I != Paths[T]->Ops.size(); ++I) {
-      AbsThreadOp TO;
-      TO.Op = &Paths[T]->Ops[I];
-      while (EvIt != EvEnd && EvIt->first == I) {
-        (TO.Ev0 == ~0u ? TO.Ev0 : TO.Ev1) = EvIt->second;
-        ++EvIt;
-      }
-      ThreadOps[T].push_back(TO);
+    for (unsigned I = Begin; I != ThreadEnd[T]; ++I) {
+      const SweepOp &C = Code[I];
+      ThreadOps[T].push_back(
+          {C.Op, C.Ev0, C.Ev1, C.Loc != kNoLoc, C.Decl, C.Const});
     }
   }
-  AbsInterpreter Interp(Prog, LocAddr);
+  AbsInterpreter Interp;
   Interp.run(unsigned(Events.size()), InitWrites, ThreadOps);
   EvAbs = Interp.takeEvAbs();
   PruneChecks = Interp.takeChecks();
@@ -441,9 +623,8 @@ void ComboWorker::filterRfCandidates() {
   for (unsigned RI = 0; RI != Reads.size(); ++RI) {
     unsigned ReadEv = Reads[RI];
     const EvInfo &R = Events[ReadEv];
-    if (!R.Op->Addr.isStatic())
+    if (R.Loc == kNoLoc)
       continue; // Unknown width: values are not comparable yet.
-    std::string RLoc = staticLocOf(*R.Op);
     std::vector<const PruneCheck *> Relevant;
     for (const PruneCheck &PC : PruneChecks) {
       bool Mine = false, OthersKnown = true;
@@ -466,7 +647,7 @@ void ComboWorker::filterRfCandidates() {
         Kept.push_back(W);
         continue;
       }
-      SimVal RV = truncAt(RLoc, EvAbs[W].V);
+      SimVal RV = truncAt(R.Loc, EvAbs[W].V);
       auto Violates = [&](const PruneCheck *PC) {
         std::map<std::string, SimVal> Regs;
         for (const auto &[Reg, A] : PC->Regs)
@@ -490,7 +671,7 @@ ComboWorker::resolveReadAbs(unsigned ReadEv, unsigned Depth,
   if (Depth > Reads.size())
     return std::nullopt; // rf copy cycle: the fixpoint must decide.
   const EvInfo &R = Events[ReadEv];
-  if (!R.Op->Addr.isStatic())
+  if (R.Loc == kNoLoc)
     return std::nullopt;
   unsigned RI = ReadIndexOf[ReadEv];
   size_t Choice = RfChoice[RI];
@@ -502,7 +683,7 @@ ComboWorker::resolveReadAbs(unsigned ReadEv, unsigned Depth,
     return std::nullopt;
   if (Support)
     Support->emplace_back(RI, unsigned(Choice));
-  return truncAt(staticLocOf(*R.Op), std::move(*V));
+  return truncAt(R.Loc, *V);
 }
 
 std::optional<SimVal>
@@ -565,172 +746,156 @@ bool ComboWorker::violatedCheck(SupportVec *Support) const {
   return false;
 }
 
+namespace {
+
+void orRow(uint64_t *Dst, const uint64_t *Src, unsigned Words) {
+  for (unsigned W = 0; W != Words; ++W)
+    Dst[W] |= Src[W];
+}
+
+void setOnly(uint64_t *Row, unsigned Ev, unsigned Words) {
+  std::fill(Row, Row + Words, 0);
+  Row[Ev / 64] |= uint64_t(1) << (Ev % 64);
+}
+
+} // namespace
+
 /// One evaluation sweep over all threads. Returns true if any event
 /// state changed. When \p Verify is non-null, also checks constraints /
 /// address resolution / rf location agreement, computes dependency
 /// taints and records observed registers.
 bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
   bool Changed = false;
+  const unsigned W = RowWords;
+  std::fill(RegFile.begin(), RegFile.end(), SimVal());
   if (Verify) {
-    AddrDeps.assign(Events.size(), {});
-    DataDeps.assign(Events.size(), {});
-    CtrlDeps.assign(Events.size(), {});
+    std::fill(Taint.begin(), Taint.end(), 0);
+    std::fill(AddrDeps.begin(), AddrDeps.end(), 0);
+    std::fill(DataDeps.begin(), DataDeps.end(), 0);
+    std::fill(CtrlDeps.begin(), CtrlDeps.end(), 0);
     ObservedRegs.clear();
   }
-  for (unsigned T = 0; T != Paths.size(); ++T) {
-    std::map<std::string, SimVal> Regs;
-    std::map<std::string, std::set<unsigned>> Taint;
-    std::set<unsigned> CtrlTaint;
-    auto EvIt = OpEvents[T].begin();
-    const auto EvEnd = OpEvents[T].end();
-    for (unsigned I = 0; I != Paths[T]->Ops.size(); ++I) {
-      const SimOp &Op = Paths[T]->Ops[I];
-      // Events created for this op, in creation order.
-      unsigned Ev0 = ~0u, Ev1 = ~0u;
-      while (EvIt != EvEnd && EvIt->first == I) {
-        (Ev0 == ~0u ? Ev0 : Ev1) = EvIt->second;
-        ++EvIt;
-      }
-      auto ResolveAddr = [&](unsigned Ev) -> std::string {
-        if (Op.Addr.isStatic())
-          return SimAddr::locName(Op.Addr.Sym, Op.Addr.Off);
-        auto It = Regs.find(Op.Addr.Reg);
-        if (It != Regs.end() && It->second.K == SimVal::Kind::Addr) {
-          if (Verify) {
-            auto TIt = Taint.find(Op.Addr.Reg);
-            if (TIt != Taint.end())
-              for (unsigned Src : TIt->second)
-                AddrDeps[Ev].insert(Src);
-          }
-          return SimAddr::locName(It->second.Sym, Op.Addr.Off);
+  auto Update = [&](unsigned Ev, const EvState &NewState) {
+    if (!(State[Ev] == NewState)) {
+      State[Ev] = NewState;
+      Changed = true;
+    }
+  };
+  unsigned Obs = 0;
+  for (unsigned T = 0, Begin = 0; T != ThreadEnd.size();
+       Begin = ThreadEnd[T++]) {
+    if (Verify)
+      std::fill(CtrlTaint.begin(), CtrlTaint.end(), 0);
+    for (unsigned I = Begin; I != ThreadEnd[T]; ++I) {
+      const SweepOp &C = Code[I];
+      const SimOp &Op = *C.Op;
+      auto ResolveAddr = [&](unsigned Ev) -> LocId {
+        if (C.Base == kNoSlot)
+          return C.Loc;
+        const SimVal &Base = RegFile[C.Base];
+        if (Base.K == SimVal::Kind::Addr) {
+          if (Verify)
+            orRow(row(AddrDeps, Ev), row(Taint, C.Base), W);
+          return Locs.resolve(Base.Sym, C.Off);
         }
         if (Verify)
           *Verify = false; // unresolvable dynamic address
-        return "";
+        return kNoLoc;
       };
-      auto Update = [&](unsigned Ev, const EvState &NewState) {
-        if (!(State[Ev] == NewState)) {
-          State[Ev] = NewState;
-          Changed = true;
-        }
-      };
-      auto ReadWidthTruncate = [&](const std::string &Loc, SimVal V) {
-        return truncAt(Loc, std::move(V));
+      auto TaintOfUses = [&](uint64_t *Dst) {
+        for (unsigned U = C.UsesBegin; U != C.UsesEnd; ++U)
+          orRow(Dst, row(Taint, Uses[U]), W);
       };
       switch (Op.K) {
       case SimOp::Kind::Assign: {
         if (Verify) {
-          std::vector<std::string> Used;
-          Op.Val.collectRegs(Used);
-          std::set<unsigned> T2;
-          for (const std::string &U : Used)
-            for (unsigned Src : Taint[U])
-              T2.insert(Src);
-          Taint[Op.Dst] = std::move(T2);
+          std::fill(TaintTmp.begin(), TaintTmp.end(), 0);
+          TaintOfUses(TaintTmp.data());
+          std::copy(TaintTmp.begin(), TaintTmp.end(), row(Taint, C.Dst));
         }
-        Regs[Op.Dst] = evalSimExpr(Op.Val, Regs);
+        RegFile[C.Dst] = evalSlots(C.Val);
         break;
       }
       case SimOp::Kind::AddrOf: {
-        Regs[Op.Dst] =
-            SimVal{SimVal::Kind::Addr, LocAddr.at(Op.Sym), Op.Sym};
+        RegFile[C.Dst] = C.Const;
         if (Verify)
-          Taint[Op.Dst].clear();
+          std::fill_n(row(Taint, C.Dst), W, 0);
         break;
       }
       case SimOp::Kind::Constraint: {
         if (Verify) {
-          SimVal C = evalSimExpr(Op.Val, Regs);
-          bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
+          SimVal V = evalSlots(C.Val);
+          bool NonZero = !V.V.isZero() || V.K == SimVal::Kind::Addr;
           if (NonZero != Op.ConstraintNonZero)
             *Verify = false;
-          std::vector<std::string> Used;
-          Op.Val.collectRegs(Used);
-          for (const std::string &U : Used)
-            for (unsigned Src : Taint[U])
-              CtrlTaint.insert(Src);
+          TaintOfUses(CtrlTaint.data());
         }
         break;
       }
       case SimOp::Kind::Fence: {
         if (Verify)
-          for (unsigned Src : CtrlTaint)
-            CtrlDeps[Ev0].insert(Src);
+          orRow(row(CtrlDeps, C.Ev0), CtrlTaint.data(), W);
         break;
       }
       case SimOp::Kind::Load: {
-        unsigned ReadEv = Ev0;
-        std::string Loc = ResolveAddr(ReadEv);
+        unsigned ReadEv = C.Ev0;
+        LocId Loc = ResolveAddr(ReadEv);
         unsigned RfW = rfSource(RfChoice, ReadEv);
-        SimVal V = State[RfW].Val;
-        if (!Loc.empty())
-          V = ReadWidthTruncate(Loc, V);
+        SimVal V = truncAt(Loc, State[RfW].Val);
         Update(ReadEv, EvState{V, Loc});
-        if (!Op.Dst.empty()) {
+        if (C.Dst != kNoSlot) {
           if (Op.Is128) {
-            Regs[Op.Dst] = SimVal{SimVal::Kind::Int, Value(V.V.Lo), ""};
-            Regs[Op.Dst2] = SimVal{SimVal::Kind::Int, Value(V.V.Hi), ""};
+            RegFile[C.Dst] = SimVal{SimVal::Kind::Int, Value(V.V.Lo), Symbol()};
+            RegFile[C.Dst2] =
+                SimVal{SimVal::Kind::Int, Value(V.V.Hi), Symbol()};
             if (Verify) {
-              Taint[Op.Dst] = {ReadEv};
-              Taint[Op.Dst2] = {ReadEv};
+              setOnly(row(Taint, C.Dst), ReadEv, W);
+              setOnly(row(Taint, C.Dst2), ReadEv, W);
             }
           } else {
-            Regs[Op.Dst] = V;
+            RegFile[C.Dst] = V;
             if (Verify)
-              Taint[Op.Dst] = {ReadEv};
+              setOnly(row(Taint, C.Dst), ReadEv, W);
           }
         }
         if (Verify) {
-          for (unsigned Src : CtrlTaint)
-            CtrlDeps[ReadEv].insert(Src);
+          orRow(row(CtrlDeps, ReadEv), CtrlTaint.data(), W);
           // rf source must be a write to the same resolved location.
-          const std::string &WLoc = State[RfW].Loc;
-          if (Loc.empty() || WLoc != Loc)
+          if (Loc == kNoLoc || State[RfW].Loc != Loc)
             *Verify = false;
         }
         break;
       }
       case SimOp::Kind::Store: {
-        unsigned WriteEv = Ev0;
-        std::string Loc = ResolveAddr(WriteEv);
-        SimVal V = evalSimExpr(Op.Val, Regs);
+        unsigned WriteEv = C.Ev0;
+        LocId Loc = ResolveAddr(WriteEv);
+        SimVal V = evalSlots(C.Val);
         if (Op.Is128) {
-          SimVal Hi = evalSimExpr(Op.ValHi, Regs);
-          V = SimVal{SimVal::Kind::Int, Value(V.V.Lo, Hi.V.Lo), ""};
+          SimVal Hi = evalSlots(C.ValHi);
+          V = SimVal{SimVal::Kind::Int, Value(V.V.Lo, Hi.V.Lo), Symbol()};
         }
-        if (!Loc.empty())
-          V = ReadWidthTruncate(Loc, V);
-        Update(WriteEv, EvState{V, Loc});
-        if (!Op.Dst.empty()) {
+        Update(WriteEv, EvState{truncAt(Loc, V), Loc});
+        if (C.Dst != kNoSlot) {
           // Exclusive-store status register: success (herd assumes
           // exclusive pairs succeed; failing paths are infeasible).
-          Regs[Op.Dst] =
-              SimVal{SimVal::Kind::Int, Value(Op.StatusSuccess), ""};
+          RegFile[C.Dst] = C.Const;
           if (Verify)
-            Taint[Op.Dst].clear();
+            std::fill_n(row(Taint, C.Dst), W, 0);
         }
         if (Verify) {
-          std::vector<std::string> Used;
-          Op.Val.collectRegs(Used);
-          Op.ValHi.collectRegs(Used);
-          for (const std::string &U : Used)
-            for (unsigned Src : Taint[U])
-              DataDeps[WriteEv].insert(Src);
-          for (unsigned Src : CtrlTaint)
-            CtrlDeps[WriteEv].insert(Src);
-          if (Loc.empty())
+          TaintOfUses(row(DataDeps, WriteEv));
+          orRow(row(CtrlDeps, WriteEv), CtrlTaint.data(), W);
+          if (Loc == kNoLoc)
             *Verify = false;
         }
         break;
       }
       case SimOp::Kind::Rmw: {
-        unsigned ReadEv = Ev0, WriteEv = Ev1;
-        std::string Loc = ResolveAddr(ReadEv);
+        unsigned ReadEv = C.Ev0, WriteEv = C.Ev1;
+        LocId Loc = ResolveAddr(ReadEv);
         unsigned RfW = rfSource(RfChoice, ReadEv);
-        SimVal Old = State[RfW].Val;
-        if (!Loc.empty())
-          Old = ReadWidthTruncate(Loc, Old);
-        SimVal Operand = evalSimExpr(Op.Val, Regs);
+        SimVal Old = truncAt(Loc, State[RfW].Val);
+        SimVal Operand = evalSlots(C.Val);
         SimVal New;
         New.K = SimVal::Kind::Int;
         switch (Op.RmwOp) {
@@ -744,27 +909,18 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
           New.V = Old.V.sub(Operand.V);
           break;
         }
-        if (!Loc.empty())
-          New = ReadWidthTruncate(Loc, New);
         Update(ReadEv, EvState{Old, Loc});
-        Update(WriteEv, EvState{New, Loc});
-        if (!Op.Dst.empty() && !Op.NoRet) {
-          Regs[Op.Dst] = Old;
+        Update(WriteEv, EvState{truncAt(Loc, New), Loc});
+        if (C.Dst != kNoSlot) {
+          RegFile[C.Dst] = Old;
           if (Verify)
-            Taint[Op.Dst] = {ReadEv};
+            setOnly(row(Taint, C.Dst), ReadEv, W);
         }
         if (Verify) {
-          std::vector<std::string> Used;
-          Op.Val.collectRegs(Used);
-          for (const std::string &U : Used)
-            for (unsigned Src : Taint[U])
-              DataDeps[WriteEv].insert(Src);
-          for (unsigned Src : CtrlTaint) {
-            CtrlDeps[ReadEv].insert(Src);
-            CtrlDeps[WriteEv].insert(Src);
-          }
-          const std::string &WLoc = State[RfW].Loc;
-          if (Loc.empty() || WLoc != Loc)
+          TaintOfUses(row(DataDeps, WriteEv));
+          orRow(row(CtrlDeps, ReadEv), CtrlTaint.data(), W);
+          orRow(row(CtrlDeps, WriteEv), CtrlTaint.data(), W);
+          if (Loc == kNoLoc || State[RfW].Loc != Loc)
             *Verify = false;
         }
         break;
@@ -772,13 +928,11 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
       }
     }
     if (Verify)
-      for (const auto &[Reg, Key] : Prog.Threads[T].Observed) {
-        (void)Key; // Interned once in the constructor; threads append
-                   // in order, so the flat index is the current size.
-        auto It = Regs.find(Reg);
-        ObservedRegs.emplace_back(ObservedRegSym[ObservedRegs.size()],
-                                  It == Regs.end() ? Value() : It->second.V);
-      }
+      for (size_t K = Prog.Threads[T].Observed.size(); K != 0; --K, ++Obs)
+        ObservedRegs.emplace_back(ObservedRegSym[Obs],
+                                  ObservedSlot[Obs] == kNoSlot
+                                      ? Value()
+                                      : RegFile[ObservedSlot[Obs]].V);
   }
   return Changed;
 }
@@ -788,17 +942,8 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
 bool ComboWorker::resolveValues(const std::vector<size_t> &RfChoice) {
   unsigned N = Events.size();
   State.assign(N, EvState());
-  for (unsigned I = 0; I != N; ++I)
-    if (Events[I].IsInit) {
-      const SimLoc *L = Prog.findLocation(Events[I].InitLoc);
-      SimVal V;
-      if (!L->InitAddrOf.empty())
-        V = SimVal{SimVal::Kind::Addr, LocAddr.at(L->InitAddrOf),
-                   L->InitAddrOf};
-      else
-        V = SimVal{SimVal::Kind::Int, L->Init, ""};
-      State[I] = EvState{V, Events[I].InitLoc};
-    }
+  for (unsigned I = 0; I != N && Events[I].IsInit; ++I)
+    State[I] = EvState{Locs.initValue(Events[I].Loc), Events[I].Loc};
   unsigned MaxRounds = N + 2;
   bool Stable = false;
   for (unsigned Round = 0; Round != MaxRounds; ++Round) {
@@ -814,24 +959,25 @@ bool ComboWorker::resolveValues(const std::vector<size_t> &RfChoice) {
   return Consistent;
 }
 
-/// Builds the per-combo execution skeleton: events with kinds, threads
-/// and tags (including ConstWrite for statically-located writes), po,
-/// and rmw edges. Copied per candidate; only Loc/Val/rf/co/deps (and
+/// Builds the per-combo execution skeleton: events with kinds, threads,
+/// static locations and tags (including ConstWrite for statically-
+/// located writes), po, and rmw edges. CandEx starts each combo as a
+/// copy and is patched per candidate: only Loc/Val/rf/co/deps (and
 /// ConstWrite on dynamically-located writes) vary within a combo.
 void ComboWorker::buildSkeletonExecution() {
   unsigned N = Events.size();
   SkelEx = Execution();
   SkelEx.Events.resize(N);
-  InitEvByLoc.clear();
   for (unsigned I = 0; I != N; ++I) {
     Event &E = SkelEx.Events[I];
     E.Id = I;
     E.Kind = Events[I].Kind;
+    if (Events[I].Loc != kNoLoc)
+      E.Loc = Locs.name(Events[I].Loc);
     if (Events[I].IsInit) {
       E.Thread = Event::InitThread;
       E.PoIndex = 0;
       E.Tags = {"IW"};
-      InitEvByLoc[Events[I].InitLoc] = I;
       continue;
     }
     E.Thread = Events[I].Thread;
@@ -846,9 +992,8 @@ void ComboWorker::buildSkeletonExecution() {
     } else {
       E.Tags = Op->Tags;
     }
-    if (Events[I].Kind == EventKind::Write && Op->Addr.isStatic())
-      if (const SimLoc *L = Prog.findLocation(staticLocOf(*Op));
-          L && L->Const)
+    if (Events[I].Kind == EventKind::Write && Events[I].Loc != kNoLoc)
+      if (const SimLoc *L = Locs.decl(Events[I].Loc); L && L->Const)
         E.Tags.insert("ConstWrite");
   }
   SkelEx.resizeRelations();
@@ -887,6 +1032,10 @@ void ComboWorker::buildSkeletonExecution() {
         SkelEx.Rmw.set(LastExclusiveRead, Ev);
     }
   }
+  CandEx = SkelEx;
+  CandLoc.resize(N);
+  for (unsigned I = 0; I != N; ++I)
+    CandLoc[I] = Events[I].Loc;
 }
 
 /// Instantiates the skeleton for the current rf assignment: resolved
@@ -894,62 +1043,86 @@ void ComboWorker::buildSkeletonExecution() {
 /// filled in per permutation by checkCandidate.
 void ComboWorker::buildCandidateExecution() {
   unsigned N = Events.size();
-  CandEx = SkelEx;
   for (unsigned I = 0; I != N; ++I) {
     Event &E = CandEx.Events[I];
-    E.Loc = State[I].Loc;
     E.Val = State[I].Val.V;
-    // Writes whose location only resolved now may hit a const
+    LocId L = State[I].Loc;
+    if (L == CandLoc[I])
+      continue;
+    // Only dynamically located accesses move between candidates.
+    CandLoc[I] = L;
+    E.Loc = L == kNoLoc ? std::string() : Locs.name(L);
+    // A write whose location only resolved now may hit a const
     // location (static ones were tagged in the skeleton).
-    if (!Events[I].IsInit && Events[I].Kind == EventKind::Write &&
-        !Events[I].Op->Addr.isStatic())
-      if (const SimLoc *L = Prog.findLocation(E.Loc); L && L->Const)
+    if (Events[I].Kind == EventKind::Write) {
+      E.Tags = SkelEx.Events[I].Tags;
+      if (const SimLoc *D = L == kNoLoc ? nullptr : Locs.decl(L);
+          D && D->Const)
         E.Tags.insert("ConstWrite");
+    }
   }
+  CandEx.Rf = SkelEx.Rf;
+  CandEx.Addr = SkelEx.Addr;
+  CandEx.Data = SkelEx.Data;
+  CandEx.Ctrl = SkelEx.Ctrl;
   for (unsigned RI = 0; RI != Reads.size(); ++RI)
     CandEx.Rf.set(RfCand[RI][RfChoice[RI]], Reads[RI]);
-  for (unsigned Ev = 0; Ev != N; ++Ev) {
-    for (unsigned Src : AddrDeps[Ev])
-      CandEx.Addr.set(Src, Ev);
-    for (unsigned Src : DataDeps[Ev])
-      CandEx.Data.set(Src, Ev);
-    for (unsigned Src : CtrlDeps[Ev])
-      CandEx.Ctrl.set(Src, Ev);
-  }
+  auto AddDeps = [&](Relation &Rel, std::vector<uint64_t> &Rows) {
+    for (unsigned Ev = 0; Ev != N; ++Ev) {
+      const uint64_t *Row = row(Rows, Ev);
+      for (unsigned WI = 0; WI != RowWords; ++WI)
+        for (uint64_t Bits = Row[WI]; Bits; Bits &= Bits - 1)
+          Rel.set(WI * 64 + unsigned(__builtin_ctzll(Bits)), Ev);
+    }
+  };
+  AddDeps(CandEx.Addr, AddrDeps);
+  AddDeps(CandEx.Data, DataDeps);
+  AddDeps(CandEx.Ctrl, CtrlDeps);
 }
 
 /// Enumerates per-location coherence orders and model-checks each
 /// complete candidate.
 void ComboWorker::enumerateCo() {
-  // Group non-init writes by resolved location, in po order.
-  std::map<std::string, std::vector<unsigned>> ByLoc;
+  // Group non-init writes by resolved location, in po order; groups go
+  // in location-name order, which fixes the enumeration order of the
+  // coherence candidates (and so collected executions and budget cuts).
+  GroupOf.assign(Locs.size(), ~0u);
+  CoGroupLoc.clear();
+  for (unsigned W : Writes)
+    if (!Events[W].IsInit && GroupOf[State[W].Loc] == ~0u) {
+      GroupOf[State[W].Loc] = 0;
+      CoGroupLoc.push_back(State[W].Loc);
+    }
+  std::sort(CoGroupLoc.begin(), CoGroupLoc.end(), [&](LocId A, LocId B) {
+    return Locs.name(A) < Locs.name(B);
+  });
+  if (CoGroups.size() < CoGroupLoc.size())
+    CoGroups.resize(CoGroupLoc.size());
+  for (unsigned G = 0; G != CoGroupLoc.size(); ++G) {
+    GroupOf[CoGroupLoc[G]] = G;
+    CoGroups[G].clear();
+  }
   for (unsigned W : Writes)
     if (!Events[W].IsInit)
-      ByLoc[State[W].Loc].push_back(W);
-  std::vector<std::vector<unsigned>> Groups;
-  for (auto &[Loc, Ws] : ByLoc) {
-    std::sort(Ws.begin(), Ws.end());
-    Groups.push_back(Ws);
-  }
+      CoGroups[GroupOf[State[W].Loc]].push_back(W);
   // Recursively permute each group.
-  permuteGroups(Groups, 0);
+  permuteGroups(0);
 }
 
-void ComboWorker::permuteGroups(std::vector<std::vector<unsigned>> &Groups,
-                                size_t GI) {
+void ComboWorker::permuteGroups(size_t GI) {
   if (shouldStop())
     return;
-  if (GI == Groups.size()) {
+  if (GI == CoGroupLoc.size()) {
     if (!budget())
       return;
     ++WR.Stats.CoCandidates;
-    checkCandidate(Groups);
+    checkCandidate();
     return;
   }
-  std::vector<unsigned> &G = Groups[GI];
+  std::vector<unsigned> &G = CoGroups[GI];
   std::sort(G.begin(), G.end());
   do {
-    permuteGroups(Groups, GI + 1);
+    permuteGroups(GI + 1);
     if (shouldStop())
       return;
   } while (std::next_permutation(G.begin(), G.end()));
@@ -957,25 +1130,21 @@ void ComboWorker::permuteGroups(std::vector<std::vector<unsigned>> &Groups,
 
 /// Completes the candidate execution with the current coherence
 /// permutation and runs the model.
-void ComboWorker::checkCandidate(
-    const std::vector<std::vector<unsigned>> &Groups) {
-  unsigned N = Events.size();
+void ComboWorker::checkCandidate() {
   // co: init write of each location first, then the group permutation.
-  CandEx.Co = Relation(N);
-  for (const auto &G : Groups) {
-    if (G.empty())
-      continue;
-    auto InitIt = InitEvByLoc.find(State[G.front()].Loc);
-    std::vector<unsigned> Chain;
-    if (InitIt != InitEvByLoc.end())
-      Chain.push_back(InitIt->second);
-    Chain.insert(Chain.end(), G.begin(), G.end());
-    for (size_t A = 0; A != Chain.size(); ++A)
-      for (size_t B = A + 1; B != Chain.size(); ++B)
-        CandEx.Co.set(Chain[A], Chain[B]);
-  }
-  // Locations written by nobody still have their init write in co
+  // Locations written by nobody keep their init write alone in co
   // (singleton chains need no edges).
+  CandEx.Co = SkelEx.Co;
+  for (unsigned GI = 0; GI != CoGroupLoc.size(); ++GI) {
+    const std::vector<unsigned> &G = CoGroups[GI];
+    unsigned Init = Locs.initEvent(CoGroupLoc[GI]);
+    for (size_t A = 0; A != G.size(); ++A) {
+      if (Init != ~0u)
+        CandEx.Co.set(Init, G[A]);
+      for (size_t B = A + 1; B != G.size(); ++B)
+        CandEx.Co.set(G[A], G[B]);
+    }
+  }
 
   // With IncrementalCatEval off, Eval runs in no-cache mode: full
   // re-evaluation per candidate, identical verdicts.
@@ -992,14 +1161,17 @@ void ComboWorker::checkCandidate(
   if (!Verdict.Allowed)
     return;
   ++WR.Stats.AllowedExecutions;
-  // Outcome: observed registers + observed locations' final values.
+  // Outcome: observed registers + observed locations' final values,
+  // each written by the co-maximal write: the last of its group, else
+  // the init write; a location nobody writes has none.
   Outcome O;
   for (const auto &[Key, V] : ObservedRegs)
     O.set(Key, V);
-  std::map<std::string, Value> FinalMem = CandEx.finalMemory();
-  for (size_t L = 0; L != Prog.ObservedLocs.size(); ++L) {
-    auto It = FinalMem.find(Prog.ObservedLocs[L]);
-    O.set(ObservedLocSym[L], It == FinalMem.end() ? Value() : It->second);
+  for (size_t L = 0; L != ObservedLocId.size(); ++L) {
+    LocId Id = ObservedLocId[L];
+    unsigned Last = GroupOf[Id] != ~0u ? CoGroups[GroupOf[Id]].back()
+                                       : Locs.initEvent(Id);
+    O.set(ObservedLocSym[L], Last == ~0u ? Value() : State[Last].Val.V);
   }
   WR.Allowed.insert(O);
   for (const std::string &F : Verdict.Flags)

@@ -121,16 +121,14 @@ private:
       }
       if (MoreRoots || R2 == ~0u)
         continue; // Single-root checks were already rf-list-filtered.
-      const EvInfo &E1 = Events[R1], &E2 = Events[R2];
-      if (!E1.Op->Addr.isStatic() || !E2.Op->Addr.isStatic())
+      const LocId L1 = Events[R1].Loc, L2 = Events[R2].Loc;
+      if (L1 == kNoLoc || L2 == kNoLoc)
         continue;
       unsigned RI1 = ReadIndexOf[R1], RI2 = ReadIndexOf[R2];
       const std::vector<unsigned> &Cand1 = RfCand[RI1];
       const std::vector<unsigned> &Cand2 = RfCand[RI2];
       if (Cand1.size() * Cand2.size() > kMaxPairProduct)
         continue;
-      std::string L1 = staticLocOf(*E1.Op);
-      std::string L2 = staticLocOf(*E2.Op);
       std::vector<std::pair<unsigned, unsigned>> Violated;
       for (unsigned C1 = 0; C1 != Cand1.size(); ++C1) {
         const AbsVal &A1 = EvAbs[Cand1[C1]];

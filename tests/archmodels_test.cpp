@@ -220,6 +220,66 @@ P1 {
 exists (P0:X3=0 /\ P1:X3=0)
 )",
      true},
+    // Value resolution through branches and pointers: each case pins
+    // one edge or location the sweep derives per rf assignment.
+    // ctrl reaches the ISB: ctrl; [ISB]; po; [R] orders the two loads.
+    {"a64_mp_dmb_ctrlisb_forbidden", R"(AArch64 mpdmbctrlisb
+{ x = 0; y = 0; P0:x0 = &x; P0:x1 = &y; P1:x0 = &x; P1:x1 = &y; }
+P0 {
+  mov w2, #1
+  str w2, [x0]
+  dmb ish
+  str w2, [x1]
+  ret
+}
+P1 {
+  ldr w2, [x1]
+  cbnz w2, .L0
+.L0:
+  isb
+  ldr w3, [x0]
+  ret
+}
+exists (P1:X2=1 /\ P1:X3=0)
+)",
+     false},
+    // The second load's base is loaded from memory (a dynamic address)
+    // and carries an addr dependency on the first load through eor.
+    {"a64_mp_dmb_addr_dynamic_base_forbidden", R"(AArch64 mpdmbaddrdyn
+{ x = 0; y = 0; px = &x; P0:x0 = &x; P0:x1 = &y; P1:x1 = &y; P1:x6 = &px; }
+P0 {
+  mov w2, #1
+  str w2, [x0]
+  dmb ish
+  str w2, [x1]
+  ret
+}
+P1 {
+  ldr w2, [x1]
+  ldr x5, [x6]
+  eor w4, w2, w2
+  add x5, x5, x4
+  ldr w3, [x5]
+  ret
+}
+exists (P1:X2=1 /\ P1:X3=0)
+)",
+     false},
+    // Two stores through one loaded pointer: the offset makes the second
+    // a distinct location, so a keeps the first store's value.
+    {"a64_dynamic_offset_is_another_location", R"(AArch64 dynoff
+{ a = 0; pa = &a; P0:x6 = &pa; }
+P0 {
+  ldr x5, [x6]
+  mov w2, #1
+  str w2, [x5]
+  mov w3, #2
+  str w3, [x5, #4]
+  ret
+}
+exists (a=2)
+)",
+     false},
     // --- Armv7 ---
     {"v7_mp_dmb_forbidden", R"(ARMv7 v7mp
 { x = 0; y = 0; P0:r0 = &x; P0:r1 = &y; P1:r0 = &x; P1:r1 = &y; }

@@ -103,6 +103,28 @@ TEST(AsmParserTest, RejectsGarbage) {
               std::string::npos)
         << T.error();
   }
+  // Taking the address of an undeclared location is a lowering error
+  // naming the symbol, whether the address sits in the initial state,
+  // a register initialiser or an instruction, on any ISA.
+  for (const char *Src :
+       {"AArch64 t\n{ x = 0; p = &nosuch; P0:x0 = &p; }\n"
+        "P0 {\n  ldr x1, [x0]\n  ret\n}\nexists (x=0)\n",
+        "AArch64 t\n{ x = 0; P0:x0 = &nosuch; }\n"
+        "P0 {\n  ldr w1, [x0]\n  ret\n}\nexists (x=0)\n",
+        "AArch64 t\n{ x = 0; }\n"
+        "P0 {\n  adrp x0, nosuch\n  ldr w1, [x0]\n  ret\n}\n"
+        "exists (x=0)\n",
+        "RISCV t\n{ x = 0; }\n"
+        "P0 {\n  la a0, nosuch\n  lw a1, 0(a0)\n  ret\n}\n"
+        "exists (x=0)\n"}) {
+    auto T = parseAsmLitmus(Src);
+    ASSERT_TRUE(T.hasValue()) << Src << T.error();
+    ErrorOr<SimProgram> P = lowerAsmTest(*T);
+    ASSERT_FALSE(P.hasValue()) << Src;
+    EXPECT_NE(P.error().find("undeclared location 'nosuch'"),
+              std::string::npos)
+        << P.error();
+  }
 }
 
 TEST(AsmSemanticsTest, CanonicalRegisters) {

@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "asmcore/AsmParser.h"
+#include "asmcore/Semantics.h"
 #include "diy/Classics.h"
 #include "litmus/Parser.h"
 #include "models/Registry.h"
@@ -14,6 +16,21 @@
 #include <gtest/gtest.h>
 
 using namespace telechat;
+
+namespace {
+
+/// The engine and option variants a known answer must hold under: the
+/// three engines, sharded enumeration and no rf pruning.
+std::vector<SimOptions> knownAnswerVariants() {
+  std::vector<SimOptions> V(5);
+  V[1].Backend = SimBackendKind::Solve;
+  V[2].Backend = SimBackendKind::Explore;
+  V[3].Jobs = 4;
+  V[4].RfValuePruning = false;
+  return V;
+}
+
+} // namespace
 
 TEST(CFrontendTest, PathsExpandBranches) {
   auto T = parseLitmusC(R"(C b
@@ -97,6 +114,48 @@ TEST(SimulatorTest, CollectExecutionsForFig2) {
   for (const Execution &Ex : R.Executions) {
     EXPECT_GT(Ex.size(), 0u);
     EXPECT_FALSE(Ex.Rf.empty());
+  }
+}
+
+TEST(SimulatorTest, CoherenceGroupsPermuteInLocationNameOrder) {
+  // Both threads write y, then x, and y is declared first. Coherence
+  // candidates permute the per-location write groups with the group of
+  // the last location *name* (y) innermost, so the first candidate
+  // after the identity orders y's writes the other way round. The
+  // model forbids exactly the identity and the double swap, which makes
+  // that candidate the first collected execution.
+  auto T = parseLitmusC(R"(C yx
+{ *y = 0; *x = 0; }
+void P0(atomic_int* x, atomic_int* y) {
+  atomic_store_explicit(y, 1, memory_order_relaxed);
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+}
+void P1(atomic_int* x, atomic_int* y) {
+  atomic_store_explicit(y, 2, memory_order_relaxed);
+  atomic_store_explicit(x, 2, memory_order_relaxed);
+}
+exists (x=1 /\ y=1)
+)");
+  ASSERT_TRUE(T.hasValue()) << T.error();
+  SimProgram P = lowerLitmusC(*T);
+  ErrorOr<CatModel> M = parseModelText("let cw = [W \\ IW]; co; [W \\ IW]\n"
+                                       "empty (cw; po) & (po; cw) as twice\n");
+  ASSERT_TRUE(M.hasValue()) << M.error();
+  for (SimOptions Opts : knownAnswerVariants()) {
+    Opts.CollectExecutions = true;
+    SimResult R = simulate(P, *M, Opts);
+    ASSERT_TRUE(R.ok()) << R.Error;
+    ASSERT_FALSE(R.Executions.empty());
+    const Execution &Ex = R.Executions.front();
+    auto WriteOf = [&](unsigned Thread, const std::string &Loc) {
+      for (const Event &E : Ex.Events)
+        if (E.isWrite() && E.Thread == Thread && E.Loc == Loc)
+          return E.Id;
+      ADD_FAILURE() << "no write of " << Loc << " in P" << Thread;
+      return 0u;
+    };
+    EXPECT_TRUE(Ex.Co.test(WriteOf(0, "x"), WriteOf(1, "x")));
+    EXPECT_TRUE(Ex.Co.test(WriteOf(1, "y"), WriteOf(0, "y")));
   }
 }
 
@@ -221,6 +280,22 @@ exists (x=44)
   SimResult R = simulateProgram(P, "rc11");
   ASSERT_TRUE(R.ok()) << R.Error;
   EXPECT_TRUE(finalConditionHolds(P, R)) << "300 mod 256 = 44";
+
+  // An RMW's written value truncates too: 255 + 1 wraps to 0.
+  auto Rmw = parseLitmusC(R"(C narrowrmw
+{ uint8_t *x = 255; }
+void P0(atomic_int* x) {
+  int r0 = atomic_fetch_add_explicit(x, 1, memory_order_relaxed);
+}
+forall (x=0)
+)");
+  ASSERT_TRUE(Rmw.hasValue()) << Rmw.error();
+  SimProgram RP = lowerLitmusC(*Rmw);
+  for (const SimOptions &Opts : knownAnswerVariants()) {
+    SimResult RR = simulateProgram(RP, "rc11", Opts);
+    ASSERT_TRUE(RR.ok()) << RR.Error;
+    EXPECT_TRUE(finalConditionHolds(RP, RR)) << "255 + 1 mod 256 = 0";
+  }
 }
 
 TEST(SimulatorTest, ConstWriteGetsTagged) {
@@ -238,6 +313,27 @@ exists (c=6)
   SimResult R = simulate(P, *M);
   ASSERT_TRUE(R.ok()) << R.Error;
   EXPECT_TRUE(R.Flags.count("const-violation"));
+
+  // A store through a pointer loaded from memory finds its location
+  // only during value resolution; the tag must follow it there.
+  auto A = parseAsmLitmus(R"(AArch64 cwdyn
+{ const c = 5; pc = &c; P0:x0 = &pc; }
+P0 {
+  ldr x1, [x0]
+  mov w2, #6
+  str w2, [x1]
+  ret
+}
+exists (c=6)
+)");
+  ASSERT_TRUE(A.hasValue()) << A.error();
+  ErrorOr<SimProgram> AP = lowerAsmTest(*A);
+  ASSERT_TRUE(AP.hasValue()) << AP.error();
+  for (const SimOptions &Opts : knownAnswerVariants()) {
+    SimResult AR = simulateProgram(*AP, "aarch64+const", Opts);
+    ASSERT_TRUE(AR.ok()) << AR.Error;
+    EXPECT_TRUE(AR.Flags.count("const-violation"));
+  }
 }
 
 TEST(SimulatorTest, FinalConditionQuantifiers) {

@@ -184,6 +184,8 @@ int main(int argc, char **argv) {
   printf("%s", outcomeSetToString(R.Allowed).c_str());
   bool Witness = finalConditionHolds(Program, R);
   printf("%s\n", Witness ? "Ok" : "No");
+  for (const std::string &F : R.Flags)
+    printf("Flag %s\n", F.c_str());
   printf("Condition %s\n", Program.Final.toString().c_str());
   if (R.TimedOut)
     printf("TIMEOUT (budget exhausted)\n");
