@@ -16,10 +16,14 @@
 #ifndef TELECHAT_CAT_AST_H
 #define TELECHAT_CAT_AST_H
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace telechat {
+
+struct CatProgram; // cat/Eval.cpp: a model compiled for CatEvaluator.
 
 /// An expression over relations and event sets.
 struct CatExpr {
@@ -70,10 +74,28 @@ struct CatStmt {
   CatCheck Check;                   ///< Check.
 };
 
+/// Holds a model's compiled program. The first CatEvaluator built on the
+/// model compiles it under the lock; every later one shares it. A copy of
+/// a model starts without a program, so a copy may be edited before it
+/// is first evaluated. A model must not be edited after that.
+struct CatProgramSlot {
+  CatProgramSlot() = default;
+  CatProgramSlot(const CatProgramSlot &) {}
+  CatProgramSlot &operator=(const CatProgramSlot &) {
+    std::lock_guard<std::mutex> Lock(M);
+    Program.reset();
+    return *this;
+  }
+
+  std::mutex M;
+  std::shared_ptr<const CatProgram> Program;
+};
+
 /// A parsed model.
 struct CatModel {
   std::string Name;
   std::vector<CatStmt> Stmts;
+  mutable CatProgramSlot Compiled; ///< See CatProgramSlot.
 };
 
 } // namespace telechat

@@ -11,20 +11,22 @@
 ///
 /// Two entry points exist:
 ///
-///  - evaluateCat(): one-shot evaluation of a single execution. Builds the
-///    full base environment and evaluates every statement.
+///  - evaluateCat(): the reference. A plain walk of the AST over one
+///    execution with the definitional kernels; nothing in the simulator
+///    calls it, the tests hold the engine below to it.
 ///
-///  - CatEvaluator: the incremental engine behind the enumerator's hot
-///    loop. The enumerator visits millions of candidate executions that
-///    differ only in rf/co/dependency edges while sharing one *skeleton*
-///    (events, program order, thread structure) per control-flow path
-///    combo. CatEvaluator splits the model into a *stable layer* (bindings
-///    and checks derivable from the skeleton alone) evaluated once per
-///    combo, and a *dynamic layer* (anything reachable from rf, co, fr,
-///    addr, data, ctrl, ...) re-evaluated per candidate. Verdicts are
-///    bit-identical to evaluateCat() by construction -- stability is a
-///    conservative static classification of the model, never a guess
-///    about the execution.
+///  - CatEvaluator: the engine behind the enumerator's hot loop. Each
+///    model is compiled once into a register program (shared by every
+///    evaluator of that model). The enumerator visits millions of
+///    candidate executions that differ only in rf/co/dependency edges
+///    while sharing one *skeleton* (events, program order, thread
+///    structure) per control-flow path combo, so the program's *stable*
+///    registers and checks (derivable from the skeleton alone) are
+///    computed once per combo into a layer, and only the *dynamic* ones
+///    (anything reachable from rf, co, fr, addr, data, ctrl, ...) run per
+///    candidate. Verdicts are identical to evaluateCat() by construction
+///    -- stability is a conservative static classification of the model,
+///    never a guess about the execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +38,6 @@
 #include "support/Relation.h"
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,21 +55,11 @@ struct ModelVerdict {
   bool hasFlag(const std::string &Name) const;
 };
 
-/// A value in the Cat language: a relation or an event set. Kind::Zero is
-/// the polymorphic empty value ("0") that adapts to its context.
-struct CatValue {
-  enum class Kind { Rel, Set, Zero } K = Kind::Zero;
-  Relation R;
-  Bitset S;
-
-  static CatValue rel(Relation R);
-  static CatValue set(Bitset S);
-};
-
-/// The per-combo cache: every stable binding, base relation, tag set and
-/// check verdict of one path combo, materialised once and then shared by
-/// all candidate evaluations of that combo. Immutable after construction,
-/// so a shared_ptr<const CatStableLayer> may be handed to any number of
+/// The per-combo cache: every stable register (bindings, their subterms,
+/// base relations, tag sets) and check verdict of one path combo,
+/// materialised once and then shared by all candidate evaluations of
+/// that combo. Immutable after construction, so a
+/// shared_ptr<const CatStableLayer> may be handed to any number of
 /// concurrently evaluating workers (the enumerator's shard workers do
 /// exactly that when several of them split one combo's rf space).
 struct CatStableLayer;
@@ -78,7 +69,7 @@ struct CatStableLayer;
 /// Usage (one instance per enumeration worker; NOT thread-safe itself --
 /// only the CatStableLayer it produces may be shared):
 ///
-///   CatEvaluator Eval(Model);                 // classifies the model once
+///   CatEvaluator Eval(Model);                 // compiles the model once
 ///   for each path combo:
 ///     Eval.enterCombo(AllStatic, CachedLayerOrNull);
 ///     for each candidate execution Ex:
@@ -91,8 +82,8 @@ struct CatStableLayer;
 /// would, for every candidate, at a fraction of the work.
 class CatEvaluator {
 public:
-  /// Classifies \p Model's bindings and checks into stable vs dynamic.
-  /// Keeps a private copy of the model; \p Model need not outlive this.
+  /// Shares \p Model's compiled program, compiling it if this is the
+  /// model's first evaluator. \p Model need not outlive this.
   explicit CatEvaluator(const CatModel &Model);
   ~CatEvaluator();
 
@@ -116,8 +107,8 @@ public:
   ModelVerdict evaluate(const Execution &Ex);
 
   /// Disables (or re-enables) the per-combo layer: with caching off,
-  /// every binding and check re-evaluates per candidate -- the
-  /// pre-incremental cost profile, minus the one-off classification.
+  /// every instruction and check runs per candidate -- the
+  /// pre-incremental cost profile, minus the one-off compile.
   /// Verdicts are identical either way; the enumerator uses this for
   /// SimOptions::IncrementalCatEval = false so the measured baseline is
   /// honest.
@@ -136,8 +127,7 @@ public:
   };
   const CacheStats &stats() const { return Stats; }
 
-  /// Implementation detail (classified model); public only so the
-  /// translation-unit-local evaluation contexts can name it.
+  /// Implementation detail (the program and this evaluator's registers).
   struct Impl;
 
 private:
@@ -148,9 +138,10 @@ private:
   CacheStats Stats;
 };
 
-/// Evaluates \p Model against \p Ex. Base environment: po, rf, co, fr,
-/// rmw, addr, data, ctrl, po-loc, loc, ext, int, id, rfe/rfi, coe/coi,
-/// fre/fri; sets _, emptyset, R, W, M, F, IW, and every event tag.
+/// Evaluates \p Model against \p Ex, the reference semantics. Base
+/// environment: po, rf, co, fr, rmw, addr, data, ctrl, po-loc, loc, ext,
+/// int, id, rfe/rfi, coe/coi, fre/fri; sets _, emptyset, R, W, M, F, IW,
+/// and every event tag.
 /// Unresolved identifiers evaluate to the (possibly empty) tag set with
 /// that name, so ISA-specific sets need no declarations.
 ModelVerdict evaluateCat(const CatModel &Model, const Execution &Ex);

@@ -7,7 +7,10 @@
 #include "cat/Parser.h"
 
 #include "cat/Lexer.h"
+#include "support/Limits.h"
 #include "support/StringUtils.h"
+
+#include <algorithm>
 
 using namespace telechat;
 
@@ -51,6 +54,10 @@ private:
     return strFormat("cat:%u: %s (at '%s')", T.Line, Msg.c_str(),
                      T.Text.c_str());
   }
+  std::string tooDeep(const CatToken &T) {
+    return errAt(T, strFormat("expression nests deeper than %u levels",
+                              MaxTreeDepth));
+  }
 
   std::string parseStmt(CatModel &Model) {
     CatToken T = next();
@@ -70,7 +77,7 @@ private:
         CatToken Eq = next();
         if (!isPunct(Eq, '='))
           return errAt(Eq, "expected '=' in let binding");
-        if (std::string E = parseExpr(B.Body, 0); !E.empty())
+        if (std::string E = parseTop(B.Body); !E.empty())
           return E;
         S.Bindings.push_back(std::move(B));
         if (isKw(peek(), "and")) {
@@ -85,7 +92,7 @@ private:
     if (isKw(T, "show")) {
       // Parse and discard.
       CatExpr E;
-      if (std::string Err = parseExpr(E, 0); !Err.empty())
+      if (std::string Err = parseTop(E); !Err.empty())
         return Err;
       if (isKw(peek(), "as")) {
         next();
@@ -119,7 +126,7 @@ private:
     S.Check.T = Test;
     S.Check.Negated = Negated;
     S.Check.IsFlag = IsFlag;
-    if (std::string E = parseExpr(S.Check.E, 0); !E.empty())
+    if (std::string E = parseTop(S.Check.E); !E.empty())
       return E;
     if (isKw(peek(), "as")) {
       next();
@@ -170,8 +177,17 @@ private:
     return CatExpr::Kind::Union;
   }
 
-  std::string parseExpr(CatExpr &Out, int MinPrec) {
-    if (std::string E = parsePostfix(Out); !E.empty())
+  /// Parses a whole expression. Every parse function reports the height
+  /// of the tree it built (a leaf is 1) and refuses one taller than
+  /// MaxTreeDepth; bracketing constructs also count their nesting, since
+  /// parentheses add recursion but no node.
+  std::string parseTop(CatExpr &Out) {
+    unsigned Height = 0;
+    return parseExpr(Out, 0, Height);
+  }
+
+  std::string parseExpr(CatExpr &Out, int MinPrec, unsigned &Height) {
+    if (std::string E = parsePostfix(Out, Height); !E.empty())
       return E;
     while (true) {
       int Prec = precedenceOf(peek());
@@ -179,8 +195,12 @@ private:
         return "";
       CatToken Op = next();
       CatExpr Rhs;
-      if (std::string E = parseExpr(Rhs, Prec + 1); !E.empty())
+      unsigned RhsHeight = 0;
+      if (std::string E = parseExpr(Rhs, Prec + 1, RhsHeight); !E.empty())
         return E;
+      Height = std::max(Height, RhsHeight) + 1;
+      if (Height > MaxTreeDepth)
+        return tooDeep(Op);
       CatExpr Combined;
       Combined.K = binKind(Op.Text[0]);
       Combined.Line = Op.Line;
@@ -190,8 +210,8 @@ private:
     }
   }
 
-  std::string parsePostfix(CatExpr &Out) {
-    if (std::string E = parsePrimary(Out); !E.empty())
+  std::string parsePostfix(CatExpr &Out, unsigned &Height) {
+    if (std::string E = parsePrimary(Out, Height); !E.empty())
       return E;
     while (true) {
       const CatToken &T = peek();
@@ -207,6 +227,8 @@ private:
       else
         return "";
       CatToken Op = next();
+      if (++Height > MaxTreeDepth)
+        return tooDeep(Op);
       CatExpr Wrapped;
       Wrapped.K = K;
       Wrapped.Line = Op.Line;
@@ -215,9 +237,22 @@ private:
     }
   }
 
-  std::string parsePrimary(CatExpr &Out) {
+  /// Parses a sub-expression inside a bracketing construct, one nesting
+  /// level below \p Open.
+  std::string parseNested(const CatToken &Open, CatExpr &Out,
+                          unsigned &Height) {
+    if (Nesting == MaxTreeDepth)
+      return tooDeep(Open);
+    ++Nesting;
+    std::string E = parseExpr(Out, 0, Height);
+    --Nesting;
+    return E;
+  }
+
+  std::string parsePrimary(CatExpr &Out, unsigned &Height) {
     CatToken T = next();
     Out.Line = T.Line;
+    Height = 1;
     if (T.K == CatToken::Kind::Zero) {
       Out.K = CatExpr::Kind::Zero;
       return "";
@@ -229,8 +264,10 @@ private:
           isPunct(peek(), '(')) {
         next();
         CatExpr Arg;
-        if (std::string E = parseExpr(Arg, 0); !E.empty())
+        if (std::string E = parseNested(T, Arg, Height); !E.empty())
           return E;
+        if (++Height > MaxTreeDepth)
+          return tooDeep(T);
         CatToken Close = next();
         if (!isPunct(Close, ')'))
           return errAt(Close, "expected ')'");
@@ -245,7 +282,7 @@ private:
       return "";
     }
     if (isPunct(T, '(')) {
-      if (std::string E = parseExpr(Out, 0); !E.empty())
+      if (std::string E = parseNested(T, Out, Height); !E.empty())
         return E;
       CatToken Close = next();
       if (!isPunct(Close, ')'))
@@ -254,8 +291,10 @@ private:
     }
     if (isPunct(T, '[')) {
       CatExpr Arg;
-      if (std::string E = parseExpr(Arg, 0); !E.empty())
+      if (std::string E = parseNested(T, Arg, Height); !E.empty())
         return E;
+      if (++Height > MaxTreeDepth)
+        return tooDeep(T);
       CatToken Close = next();
       if (!isPunct(Close, ']'))
         return errAt(Close, "expected ']'");
@@ -268,6 +307,7 @@ private:
 
   std::vector<CatToken> Tokens;
   size_t Pos = 0;
+  unsigned Nesting = 0; ///< Open bracketing constructs around the cursor.
 };
 
 } // namespace

@@ -6,14 +6,11 @@
 
 #include "dist/Serialize.h"
 
+#include "support/Limits.h"
+
 using namespace telechat;
 
 namespace {
-
-/// Litmus ASTs are shallow (branches nest a handful of levels), so any
-/// deeper input is hostile or corrupt; the bound keeps recursive decode
-/// off the untrusted-stack-depth path.
-constexpr unsigned MaxDepth = 64;
 
 /// Reads an enum stored as u8, failing the cursor on out-of-range input.
 template <typename E> bool readEnum(WireCursor &C, E &Out, uint8_t Max) {
@@ -45,7 +42,7 @@ void encodeExpr(WireBuffer &B, const Expr &E) {
 }
 
 bool decodeExpr(WireCursor &C, Expr &E, unsigned Depth) {
-  if (Depth > MaxDepth)
+  if (Depth > MaxTreeDepth)
     return false;
   if (!readEnum(C, E.K, uint8_t(Expr::Kind::And)))
     return false;
@@ -78,7 +75,7 @@ void encodeStmt(WireBuffer &B, const Stmt &S) {
 }
 
 bool decodeStmt(WireCursor &C, Stmt &S, unsigned Depth) {
-  if (Depth > MaxDepth)
+  if (Depth > MaxTreeDepth)
     return false;
   if (!readEnum(C, S.K, uint8_t(Stmt::Kind::LocalAssign)))
     return false;
@@ -118,7 +115,7 @@ void encodePredicate(WireBuffer &B, const Predicate &P) {
 }
 
 bool decodePredicate(WireCursor &C, Predicate &P, unsigned Depth) {
-  if (Depth > MaxDepth)
+  if (Depth > MaxTreeDepth)
     return false;
   if (!readEnum(C, P.K, uint8_t(Predicate::Kind::True)))
     return false;

@@ -10,9 +10,9 @@
 
 using namespace telechat;
 
-Relation Execution::loc() const {
+void Execution::locInto(Relation &Out) const {
   unsigned N = size();
-  Relation Out(N);
+  Out.assignEmpty(N);
   for (unsigned A = 0; A != N; ++A) {
     if (Events[A].isFence())
       continue;
@@ -23,52 +23,46 @@ Relation Execution::loc() const {
         Out.set(A, B);
     }
   }
-  return Out;
 }
 
-Relation Execution::ext() const {
+void Execution::extInto(Relation &Out) const {
   unsigned N = size();
-  Relation Out(N);
+  Out.assignEmpty(N);
   for (unsigned A = 0; A != N; ++A)
     for (unsigned B = 0; B != N; ++B)
       if (A != B && Events[A].Thread != Events[B].Thread)
         Out.set(A, B);
-  return Out;
 }
 
-Relation Execution::internal() const {
+void Execution::internalInto(Relation &Out) const {
   unsigned N = size();
-  Relation Out(N);
+  Out.assignEmpty(N);
   for (unsigned A = 0; A != N; ++A)
     for (unsigned B = 0; B != N; ++B)
       if (A != B && Events[A].Thread == Events[B].Thread &&
           !Events[A].isInit())
         Out.set(A, B);
-  return Out;
 }
 
-Bitset Execution::kindSet(EventKind K) const {
-  Bitset Out(size());
+void Execution::kindSetInto(EventKind K, Bitset &Out) const {
+  Out.assignEmpty(size());
   for (const Event &E : Events)
     if (E.Kind == K)
       Out.set(E.Id);
-  return Out;
 }
 
-Bitset Execution::tagSet(const std::string &Tag) const {
-  Bitset Out(size());
+void Execution::tagSetInto(const std::string &Tag, Bitset &Out) const {
+  Out.assignEmpty(size());
   for (const Event &E : Events)
     if (E.hasTag(Tag))
       Out.set(E.Id);
-  return Out;
 }
 
-Bitset Execution::initWrites() const {
-  Bitset Out(size());
+void Execution::initWritesInto(Bitset &Out) const {
+  Out.assignEmpty(size());
   for (const Event &E : Events)
     if (E.isInit())
       Out.set(E.Id);
-  return Out;
 }
 
 std::map<std::string, Value> Execution::finalMemory() const {

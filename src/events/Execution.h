@@ -56,26 +56,59 @@ public:
   Relation fr() const { return Rf.inverse().seq(Co); }
 
   /// Same-location pairs of memory accesses (irreflexive).
-  Relation loc() const;
+  Relation loc() const {
+    Relation Out;
+    locInto(Out);
+    return Out;
+  }
 
   /// po restricted to same-location pairs.
   Relation poLoc() const { return Po & loc(); }
 
   /// Pairs of events from different threads (init writes are external to
   /// every thread).
-  Relation ext() const;
+  Relation ext() const {
+    Relation Out;
+    extInto(Out);
+    return Out;
+  }
 
   /// Pairs of distinct events from the same thread.
-  Relation internal() const;
+  Relation internal() const {
+    Relation Out;
+    internalInto(Out);
+    return Out;
+  }
 
   /// Events of the given kind.
-  Bitset kindSet(EventKind K) const;
+  Bitset kindSet(EventKind K) const {
+    Bitset Out;
+    kindSetInto(K, Out);
+    return Out;
+  }
 
   /// Events carrying the given tag.
-  Bitset tagSet(const std::string &Tag) const;
+  Bitset tagSet(const std::string &Tag) const {
+    Bitset Out;
+    tagSetInto(Tag, Out);
+    return Out;
+  }
 
   /// Initial-state writes.
-  Bitset initWrites() const;
+  Bitset initWrites() const {
+    Bitset Out;
+    initWritesInto(Out);
+    return Out;
+  }
+
+  /// In-place forms of the derived relations and sets above: each
+  /// overwrites \p Out, reusing the storage it already has.
+  void locInto(Relation &Out) const;
+  void extInto(Relation &Out) const;
+  void internalInto(Relation &Out) const;
+  void kindSetInto(EventKind K, Bitset &Out) const;
+  void tagSetInto(const std::string &Tag, Bitset &Out) const;
+  void initWritesInto(Bitset &Out) const;
 
   /// All events.
   Bitset universe() const { return Bitset::all(size()); }

@@ -31,10 +31,24 @@ public:
 
   /// Returns the set {0, ..., UniverseSize-1}.
   static Bitset all(unsigned UniverseSize) {
-    Bitset S(UniverseSize);
-    for (unsigned I = 0; I != UniverseSize; ++I)
-      S.set(I);
+    Bitset S;
+    S.assignAll(UniverseSize);
     return S;
+  }
+
+  /// Makes this the empty set over \p UniverseSize ids, reusing the
+  /// storage it already has.
+  void assignEmpty(unsigned UniverseSize) {
+    Size = UniverseSize;
+    Words.assign((UniverseSize + 63) / 64, 0);
+  }
+
+  /// Makes this the set {0, ..., UniverseSize-1}, reusing storage.
+  void assignAll(unsigned UniverseSize) {
+    Size = UniverseSize;
+    Words.assign((UniverseSize + 63) / 64, ~uint64_t(0));
+    if (UniverseSize % 64 != 0)
+      Words.back() &= (uint64_t(1) << (UniverseSize % 64)) - 1;
   }
 
   unsigned universeSize() const { return Size; }
@@ -128,6 +142,8 @@ public:
   }
 
 private:
+  friend class Relation; // row/column filters read the words directly
+
   unsigned Size = 0;
   std::vector<uint64_t> Words;
 };

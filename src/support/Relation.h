@@ -29,6 +29,12 @@
 namespace telechat {
 
 /// A binary relation over {0..N-1}, stored as a row-major bit matrix.
+///
+/// Every derived relation has two forms: a value-returning one, and an
+/// in-place one that writes into an existing relation and reuses its
+/// storage, so a caller that keeps its relations alive across calls (the
+/// Cat evaluator's registers) allocates nothing once they have grown to
+/// size. The value-returning forms are defined through the in-place ones.
 class Relation {
 public:
   Relation() = default;
@@ -44,6 +50,14 @@ public:
   static Relation cross(const Bitset &A, const Bitset &B);
   /// The identity restricted to a set: [S] = {(i,i) | i in S}.
   static Relation identityOn(const Bitset &S);
+
+  /// In-place twins of cross() and identityOn().
+  static void crossInto(const Bitset &A, const Bitset &B, Relation &Out);
+  static void identityOnInto(const Bitset &S, Relation &Out);
+
+  /// Makes this the empty relation over \p UniverseSize events, reusing
+  /// the storage it already has.
+  void assignEmpty(unsigned UniverseSize);
 
   unsigned universeSize() const { return N; }
 
@@ -82,20 +96,35 @@ public:
 
   /// Sequential composition: (a,c) iff exists b with (a,b) and (b,c).
   Relation seq(const Relation &RHS) const;
+  /// seq() into \p Out, which must be neither operand.
+  void seqInto(const Relation &RHS, Relation &Out) const;
+
+  /// Row filter: keeps the pairs (a,b) with a in \p S. Equals
+  /// identityOn(S).seq(*this), the Cat term "[S]; r".
+  void keepRows(const Bitset &S);
+  /// Column filter: keeps the pairs (a,b) with b in \p S. Equals
+  /// seq(identityOn(S)), the Cat term "r; [S]".
+  void keepColumns(const Bitset &S);
 
   /// The inverse relation r^-1.
   Relation inverse() const;
+  /// inverse() into \p Out, which must not be this relation.
+  void inverseInto(Relation &Out) const;
 
   /// Transitive closure r^+ (warshall over bit rows, O(N^2 * N/64)).
   Relation transitiveClosure() const;
+  void closeTransitively();
 
   /// Reflexive-transitive closure r^*.
   Relation reflexiveTransitiveClosure() const;
+  void closeReflexiveTransitively();
 
   /// r? = r union identity.
   Relation optional() const;
+  void addIdentity();
 
-  /// True iff r^+ has an empty diagonal.
+  /// True iff r^+ has an empty diagonal. A depth-first search over bit
+  /// rows: no closure is built.
   bool isAcyclic() const;
 
   /// True iff no (i,i) pair is present (does not close transitively).
@@ -106,8 +135,10 @@ public:
 
   /// The set {a | exists b. (a,b)}.
   Bitset domain() const;
+  void domainInto(Bitset &Out) const;
   /// The set {b | exists a. (a,b)}.
   Bitset range() const;
+  void rangeInto(Bitset &Out) const;
 
   /// All pairs as (from,to), in row-major order.
   std::vector<std::pair<unsigned, unsigned>> pairs() const;

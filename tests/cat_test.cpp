@@ -7,11 +7,37 @@
 #include "cat/Eval.h"
 #include "cat/Lexer.h"
 #include "cat/Parser.h"
+#include "models/Models.h"
 #include "models/Registry.h"
+#include "support/Limits.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <new>
+#include <random>
+#include <set>
+
 using namespace telechat;
+
+// Counts heap allocations, so the tests can check that a candidate
+// evaluation allocates nothing once the evaluator's registers are sized.
+namespace {
+std::atomic<uint64_t> Allocations{0};
+} // namespace
+
+void *operator new(std::size_t Size) {
+  Allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 
 namespace {
 
@@ -134,6 +160,78 @@ TEST(CatParserTest, ShowIsDiscarded) {
   ErrorOr<CatModel> M = parseCat("show po as myrel\nacyclic po\n");
   ASSERT_TRUE(M.hasValue()) << M.error();
   EXPECT_EQ(M->Stmts.size(), 1u);
+}
+
+namespace {
+
+std::string chain(unsigned Terms) {
+  std::string Text = "let x = po";
+  for (unsigned I = 1; I != Terms; ++I)
+    Text += " | po";
+  return Text + "\nacyclic x\n";
+}
+
+std::string parens(unsigned Depth) {
+  return "acyclic " + std::string(Depth, '(') + "po" +
+         std::string(Depth, ')') + "\n";
+}
+
+unsigned height(const CatExpr &E) {
+  unsigned H = 0;
+  for (const CatExpr &Op : E.Ops)
+    H = std::max(H, height(Op));
+  return H + 1;
+}
+
+} // namespace
+
+TEST(CatParserTest, DeepExpressionsAreRefusedNotACrash) {
+  // Both used to overflow the stack (in the parser and the evaluator).
+  for (const std::string &Text : {parens(20000), chain(20000)}) {
+    ErrorOr<CatModel> M = parseCat(Text);
+    ASSERT_FALSE(M.hasValue());
+    EXPECT_NE(M.error().find("cat:1: expression nests deeper than 64"),
+              std::string::npos)
+        << M.error();
+  }
+}
+
+TEST(CatParserTest, NestingLimitIsExact) {
+  ErrorOr<CatModel> AtLimit = parseCat(chain(MaxTreeDepth));
+  ASSERT_TRUE(AtLimit.hasValue()) << AtLimit.error();
+  EXPECT_EQ(height(AtLimit->Stmts[0].Bindings[0].Body), MaxTreeDepth);
+  EXPECT_TRUE(evaluateCat(*AtLimit, Execution()).ok());
+  EXPECT_FALSE(parseCat(chain(MaxTreeDepth + 1)).hasValue());
+
+  EXPECT_TRUE(parseCat(parens(MaxTreeDepth)).hasValue());
+  EXPECT_FALSE(parseCat(parens(MaxTreeDepth + 1)).hasValue());
+
+  auto Postfix = [](unsigned Ops) {
+    std::string Text = "acyclic po";
+    for (unsigned I = 0; I != Ops; ++I)
+      Text += "^+";
+    return Text;
+  };
+  EXPECT_TRUE(parseCat(Postfix(MaxTreeDepth - 1)).hasValue());
+  EXPECT_FALSE(parseCat(Postfix(MaxTreeDepth)).hasValue());
+
+  auto Brackets = [](unsigned Depth) {
+    return "empty " + std::string(Depth, '[') + "W" + std::string(Depth, ']');
+  };
+  EXPECT_TRUE(parseCat(Brackets(MaxTreeDepth - 1)).hasValue());
+  EXPECT_FALSE(parseCat(Brackets(MaxTreeDepth)).hasValue());
+}
+
+TEST(CatParserTest, EmbeddedModelsFitTheNestingLimit) {
+  unsigned Deepest = 0;
+  for (const std::string &Name : modelNames())
+    for (const CatStmt &S : getModel(Name).Stmts) {
+      for (const CatBinding &B : S.Bindings)
+        Deepest = std::max(Deepest, height(B.Body));
+      if (S.K == CatStmt::Kind::Check)
+        Deepest = std::max(Deepest, height(S.Check.E));
+    }
+  EXPECT_LE(Deepest, MaxTreeDepth);
 }
 
 TEST(CatParserTest, ErrorOnGarbage) {
@@ -365,7 +463,7 @@ TEST(CatEvaluatorTest, IncrementalMatchesOneShot) {
 
 TEST(CatEvaluatorTest, RegistryModelsMatchOneShot) {
   // The embedded production models, same skeleton-sharing stream.
-  for (const char *Name : {"rc11", "sc", "aarch64"}) {
+  for (const std::string &Name : modelNames()) {
     const CatModel &M = getModel(Name);
     CatEvaluator Eval(M);
     Eval.enterCombo(/*AllStatic=*/true);
@@ -446,4 +544,347 @@ TEST(CatEvaluatorTest, StableErrorsMatchOneShotOrder) {
       EXPECT_EQ(Ref.Error, Inc.Error);
     }
   }
+}
+
+TEST(CatEvaluatorTest, CandidateEvaluationAllocatesNothing) {
+  // Once the registers have grown to size, an allowed candidate (whose
+  // verdict carries no names) costs no heap allocation, with or without
+  // the layer. mpCandidates()[2] reads both initial values: allowed by
+  // every model here.
+  std::vector<Execution> Cands = mpCandidates();
+  for (const char *Name : {"rc11", "aarch64", "ppc", "x86tso"})
+    for (bool Caching : {true, false}) {
+      const CatModel &M = getModel(Name);
+      CatEvaluator Eval(M);
+      Eval.setCaching(Caching);
+      Eval.enterCombo(true);
+      for (const Execution &Ex : Cands)
+        (void)Eval.evaluate(Ex);
+      uint64_t Before = Allocations.load();
+      ModelVerdict V = Eval.evaluate(Cands[2]);
+      EXPECT_EQ(Allocations.load() - Before, 0u)
+          << Name << (Caching ? "" : " no-cache");
+      EXPECT_TRUE(V.ok() && V.Allowed && V.Flags.empty()) << Name;
+    }
+  // A second evaluator shares the compiled program: building one copies
+  // no AST and builds no map, whatever the model's size.
+  const CatModel &M = getModel("ppc");
+  CatEvaluator First(M);
+  uint64_t Before = Allocations.load();
+  CatEvaluator Second(M);
+  EXPECT_LE(Allocations.load() - Before, 5u);
+}
+
+//===----------------------------------------------------------------------===//
+// Differential battery: the compiled engine against the reference on
+// random candidate streams, for every embedded model and for models that
+// reach the corners (zero, shadowing, filters, let rec, type errors,
+// divergence).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Identifiers no embedded model binds and the base environment does not
+/// name: the tag vocabulary of all embedded models.
+std::vector<std::string> modelTags() {
+  static const std::set<std::string> Bases = {
+      "po",  "rf",  "co",  "fr",  "rmw", "addr", "data",     "ctrl", "loc",
+      "po-loc", "ext", "int", "id", "rfe", "rfi", "coe", "coi", "fre",
+      "fri", "_",   "emptyset", "R", "W", "M", "F", "IW"};
+  std::set<std::string> Tags;
+  for (const std::string &Name : modelNames()) {
+    const CatModel &M = getModel(Name);
+    std::set<std::string> Bound;
+    for (const CatStmt &S : M.Stmts)
+      for (const CatBinding &B : S.Bindings)
+        Bound.insert(B.Name);
+    std::function<void(const CatExpr &)> Walk = [&](const CatExpr &E) {
+      if (E.K == CatExpr::Kind::Id && !Bound.count(E.Name) &&
+          !Bases.count(E.Name))
+        Tags.insert(E.Name);
+      for (const CatExpr &Op : E.Ops)
+        Walk(Op);
+    };
+    for (const CatStmt &S : M.Stmts) {
+      for (const CatBinding &B : S.Bindings)
+        Walk(B.Body);
+      Walk(S.Check.E);
+    }
+  }
+  return {Tags.begin(), Tags.end()};
+}
+
+std::string locName(unsigned L) { return std::string(1, char('x' + L)); }
+
+/// A random skeleton of \p N events: init writes for the first locations,
+/// then events on random threads with random kinds, locations and tags;
+/// po is per-thread id order (init writes first); rmw pairs some reads
+/// with a po-later write.
+Execution randomSkeleton(std::mt19937_64 &Rng, unsigned N,
+                         const std::vector<std::string> &Tags) {
+  Execution Ex;
+  unsigned NumLocs = 1 + Rng() % 3, NumThreads = 1 + Rng() % 4;
+  for (unsigned I = 0; I != N; ++I) {
+    Event E;
+    E.Id = I;
+    if (I < NumLocs) {
+      E.Kind = EventKind::Write;
+      E.Loc = locName(I);
+    } else {
+      E.Thread = Rng() % NumThreads;
+      unsigned K = Rng() % 8;
+      E.Kind = K < 3 ? EventKind::Read
+               : K < 7 ? EventKind::Write
+                       : EventKind::Fence;
+      if (!E.isFence())
+        E.Loc = locName(Rng() % NumLocs);
+    }
+    for (const std::string &T : Tags)
+      if (Rng() % Tags.size() < 3)
+        E.Tags.insert(T);
+    E.PoIndex = I;
+    Ex.Events.push_back(E);
+  }
+  Ex.resizeRelations();
+  for (unsigned A = 0; A != N; ++A)
+    for (unsigned B = A + 1; B != N; ++B) {
+      const Event &EA = Ex.Events[A], &EB = Ex.Events[B];
+      if (EB.isInit())
+        continue;
+      if (EA.isInit() || EA.Thread == EB.Thread)
+        Ex.Po.set(A, B);
+    }
+  for (unsigned A = 0; A != N; ++A) {
+    if (!Ex.Events[A].isRead() || Ex.Events[A].isInit() || Rng() % 4)
+      continue;
+    for (unsigned B = A + 1; B != N; ++B)
+      if (Ex.Po.test(A, B) && Ex.Events[B].isWrite()) {
+        Ex.Rmw.set(A, B);
+        break;
+      }
+  }
+  return Ex;
+}
+
+/// Fresh rf, co, addr, data and ctrl for a skeleton: each read reads a
+/// random same-location write (or nothing), co totally orders each
+/// location's writes (init write first), and dependencies leave reads
+/// for random po-later events.
+void randomizeCandidate(std::mt19937_64 &Rng, Execution &Ex) {
+  unsigned N = Ex.size();
+  Ex.Rf = Relation(N);
+  Ex.Co = Relation(N);
+  Ex.Addr = Relation(N);
+  Ex.Data = Relation(N);
+  Ex.Ctrl = Relation(N);
+  std::map<std::string, std::vector<unsigned>> Writes;
+  for (const Event &E : Ex.Events)
+    if (E.isWrite())
+      Writes[E.Loc].push_back(E.Id);
+  for (auto &[Loc, Ws] : Writes) {
+    // Keep an init write (the lowest id) first.
+    if (Ex.Events[Ws[0]].isInit())
+      std::shuffle(Ws.begin() + 1, Ws.end(), Rng);
+    else
+      std::shuffle(Ws.begin(), Ws.end(), Rng);
+    for (size_t I = 0; I != Ws.size(); ++I)
+      for (size_t J = I + 1; J != Ws.size(); ++J)
+        Ex.Co.set(Ws[I], Ws[J]);
+  }
+  for (const Event &E : Ex.Events) {
+    if (!E.isRead())
+      continue;
+    auto It = Writes.find(E.Loc);
+    if (It != Writes.end() && Rng() % 8)
+      Ex.Rf.set(It->second[Rng() % It->second.size()], E.Id);
+    for (unsigned B = 0; B != N; ++B) {
+      if (!Ex.Po.test(E.Id, B))
+        continue;
+      unsigned Roll = Rng() % 16;
+      if (Roll == 0)
+        Ex.Addr.set(E.Id, B);
+      else if (Roll == 1 && Ex.Events[B].isWrite())
+        Ex.Data.set(E.Id, B);
+      else if (Roll < 4)
+        Ex.Ctrl.set(E.Id, B);
+    }
+  }
+}
+
+/// Moves one access to another location and flips one tag: what a
+/// conservative (not all-static) combo may see between candidates.
+void perturbLocsAndTags(std::mt19937_64 &Rng, Execution &Ex,
+                        const std::vector<std::string> &Tags) {
+  unsigned N = Ex.size();
+  Event &E = Ex.Events[Rng() % N];
+  if (!E.isInit() && !E.isFence())
+    E.Loc = locName(Rng() % 3);
+  Event &T = Ex.Events[Rng() % N];
+  const std::string &Tag = Tags[Rng() % Tags.size()];
+  if (!T.Tags.erase(Tag))
+    T.Tags.insert(Tag);
+}
+
+/// Models for the corners the embedded ones do not reach.
+const char *CornerModels[] = {
+    // Zero in every position, shadowing, filters, let rec shapes.
+    R"CAT(CORNERS
+let z = 0
+let a = z | po
+let s = W & z
+let e = 0 & 0
+let b = [W]; po; [R]
+let c = W; po; R
+let d = [R]; [W]
+let f = (R * W) \ (0 * W)
+let g = domain(rf) | range(co) | domain(0) | range(z)
+let h = 0^* | 0? | 0^+ | 0^-1
+let x = rf and y = x | co
+let po = po | rf
+let i = fencerel(F) | fencerel(0) | fencerel(DMB.ISH)
+let j = [0] ; po ; [z]
+let rec k = z | (k ; po) | rfe
+let rec m = 0 and n = m | ext
+let rec p = q and q = p | po-loc | ([A]; int)
+acyclic z as za
+irreflexive h as hi
+empty s as se
+empty e as ee
+acyclic po | co as shadowed
+flag ~empty i as fi
+flag ~empty (j | f) as fj
+empty (b & c) \ d as bcd
+acyclic k as kk
+irreflexive n as nn
+acyclic p | y as pq
+empty g \ M as gm
+~empty id & loc as idloc
+)CAT",
+    // A stable group next to a dynamic one reading it.
+    R"CAT(GROUPS
+let pol = po & loc
+let rec ppo = pol | (ppo; ppo) | ([L]; po; [A])
+let rec chb = rf | co | fr | (chb; ppo) | (ppo; chb)
+acyclic ppo as stable-acyclic
+irreflexive chb as dyn-irr
+flag ~empty (chb & (W * R) & ConstWrite * _) as dyn-flag
+empty rmw & (fre; coe) as atomic
+)CAT",
+    // Static type errors at several statement and binding positions, and
+    // divergence, stable and dynamic.
+    "acyclic W as bad\n",
+    "acyclic po as ok\nflag ~empty rf as f\nlet a = po\n"
+    "let b = rf | W\nacyclic b\n",
+    "let a = po and b = rf and c = [po]\nacyclic a\n",
+    "acyclic po as ok\nlet rec x = x | po and y = W\nacyclic x\n",
+    "let rec x = (x ; W) | domain(W)\n",
+    "flag ~empty rf as f\nirreflexive R & W as bad\n",
+    "acyclic co as c\nempty fencerel(po) as bad\n",
+    "let a = po\nlet b = po * rf\n",
+    "let a = W^+\n",
+};
+
+/// Models whose let rec does not converge: N^2 rounds per evaluation.
+const char *DivergentModels[] = {
+    "acyclic po as ok\nlet rec x = po \\ x\nacyclic x as never\n",
+    "flag ~empty rf as f\nlet rec y = rf \\ y\nacyclic y as never\n",
+    "let rec y = rf \\ y\nacyclic W as bad\n",
+};
+
+struct Battery {
+  struct Entry {
+    std::string Name;
+    const CatModel *M;
+    bool Divergent;
+  };
+  std::vector<Entry> Models;
+  std::vector<CatModel> Owned;
+  std::vector<std::string> Tags = modelTags();
+
+  Battery() {
+    for (const std::string &Name : modelNames())
+      Models.push_back({Name, &getModel(Name), false});
+    std::vector<std::pair<const char *, bool>> Texts;
+    for (const char *Text : CornerModels)
+      Texts.emplace_back(Text, false);
+    for (const char *Text : DivergentModels)
+      Texts.emplace_back(Text, true);
+    Owned.reserve(Texts.size());
+    for (const auto &[Text, Divergent] : Texts) {
+      ErrorOr<CatModel> M = parseCat(Text);
+      EXPECT_TRUE(M.hasValue()) << Text;
+      Owned.push_back(std::move(*M));
+      Models.push_back({"corner #" + std::to_string(Owned.size() - 1),
+                        &Owned.back(), Divergent});
+    }
+  }
+};
+
+} // namespace
+
+TEST(CatEvaluatorTest, RandomCandidateBattery) {
+  Battery B;
+  ASSERT_GE(B.Tags.size(), 20u);
+  uint64_t Errors = 0, Forbidden = 0, Allowed = 0, Flagged = 0;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    std::mt19937_64 Rng(Seed);
+    unsigned N = 1 + Rng() % 70;
+    Execution Skel = randomSkeleton(Rng, N, B.Tags);
+    // One stream per combo kind: all-static candidates share locations
+    // and tags, conservative ones need not.
+    std::vector<Execution> Static, Conservative;
+    for (unsigned C = 0; C != 3; ++C) {
+      Execution Ex = Skel;
+      randomizeCandidate(Rng, Ex);
+      Static.push_back(Ex);
+      perturbLocsAndTags(Rng, Ex, B.Tags);
+      Conservative.push_back(std::move(Ex));
+    }
+    for (const auto &[Name, M, Divergent] : B.Models) {
+      std::string At = Name + " seed " + std::to_string(Seed) + " N=" +
+                       std::to_string(N);
+      // Divergence runs N^2 rounds per evaluation; keep those small.
+      size_t Cands = Divergent && N > 24 ? 0 : Static.size();
+      for (bool AllStatic : {true, false}) {
+        const std::vector<Execution> &Stream =
+            AllStatic ? Static : Conservative;
+        CatEvaluator Cached(*M), Uncached(*M), Adopter(*M);
+        Cached.enterCombo(AllStatic);
+        Uncached.setCaching(false);
+        Uncached.enterCombo(AllStatic);
+        for (size_t C = 0; C != Cands; ++C) {
+          ModelVerdict Ref = evaluateCat(*M, Stream[C]);
+          std::string What = At + (AllStatic ? " static" : " conservative") +
+                             " candidate " + std::to_string(C);
+          expectSameVerdict(Ref, Cached.evaluate(Stream[C]), What);
+          expectSameVerdict(Ref, Uncached.evaluate(Stream[C]),
+                            What + " no-cache");
+          if (C == 0)
+            Adopter.enterCombo(AllStatic, Cached.stableLayer());
+          expectSameVerdict(Ref, Adopter.evaluate(Stream[C]),
+                            What + " adopted");
+          if (AllStatic) {
+            Errors += !Ref.ok();
+            Forbidden += Ref.ok() && !Ref.Allowed;
+            Allowed += Ref.ok() && Ref.Allowed;
+            Flagged += !Ref.Flags.empty();
+          }
+        }
+        EXPECT_EQ(Adopter.stableLayer(), Cached.stableLayer()) << At;
+        EXPECT_EQ(Adopter.stats().BindingEvalsAvoided,
+                  Cached.stats().BindingEvalsAvoided)
+            << At;
+        EXPECT_EQ(Adopter.stats().CheckEvalsAvoided,
+                  Cached.stats().CheckEvalsAvoided)
+            << At;
+      }
+      if (::testing::Test::HasFailure())
+        return; // one seed's worth of diagnostics is enough
+    }
+  }
+  // The stream must reach every kind of verdict.
+  EXPECT_GT(Errors, 100u);
+  EXPECT_GT(Forbidden, 100u);
+  EXPECT_GT(Allowed, 100u);
+  EXPECT_GT(Flagged, 100u);
 }

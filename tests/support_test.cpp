@@ -11,11 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-#include <thread>
-
+#include <algorithm>
 #include <atomic>
 #include <random>
+#include <set>
+#include <string>
+#include <thread>
 
 using namespace telechat;
 
@@ -257,6 +258,174 @@ TEST_P(RelationPropertyTest, StarEqualsPlusUnionId) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RelationPropertyTest,
                          testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+//===----------------------------------------------------------------------===//
+// Kernels: each in-place kernel against its definitional form.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Universe sizes around the one-word row boundary, and the empty one.
+const unsigned KernelSizes[] = {0, 1, 63, 64, 65, 130};
+
+Bitset randomSet(std::mt19937_64 &Rng, unsigned N, double Density) {
+  Bitset S(N);
+  std::uniform_real_distribution<double> Dist(0.0, 1.0);
+  for (unsigned I = 0; I != N; ++I)
+    if (Dist(Rng) < Density)
+      S.set(I);
+  return S;
+}
+
+/// A relation with few pairs per row, like the relations Cat builds.
+Relation sparseRelation(std::mt19937_64 &Rng, unsigned N) {
+  return randomRelation(Rng, N, N ? 2.0 / N : 0.0);
+}
+
+/// What an in-place kernel must overwrite: another universe, full.
+Relation dirtyRelation() { return Relation::full(9); }
+Bitset dirtySet() { return Bitset::all(77); }
+
+Relation naiveSeq(const Relation &L, const Relation &R) {
+  unsigned N = L.universeSize();
+  Relation Out(N);
+  for (unsigned A = 0; A != N; ++A)
+    for (unsigned B = 0; B != N; ++B)
+      for (unsigned C = 0; C != N; ++C)
+        if (L.test(A, B) && R.test(B, C))
+          Out.set(A, C);
+  return Out;
+}
+
+} // namespace
+
+TEST(RelationKernelTest, FiltersEqualTheirIdentitySequences) {
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed)
+    for (unsigned N : KernelSizes) {
+      std::mt19937_64 Rng(Seed * 1000 + N);
+      Relation R = randomRelation(Rng, N, 0.3);
+      Bitset S = randomSet(Rng, N, 0.5);
+      Relation Rows = R;
+      Rows.keepRows(S); // [S]; r
+      EXPECT_EQ(Rows, Relation::identityOn(S).seq(R)) << "N=" << N;
+      Relation Cols = R;
+      Cols.keepColumns(S); // r; [S]
+      EXPECT_EQ(Cols, R.seq(Relation::identityOn(S))) << "N=" << N;
+    }
+}
+
+TEST(RelationKernelTest, DfsAcyclicityEqualsClosureDiagonal) {
+  // 300 is past the universes whose DFS state fits on the stack.
+  const unsigned Sizes[] = {0, 1, 63, 64, 65, 130, 300};
+  unsigned Cyclic = 0, Acyclic = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed)
+    for (unsigned N : Sizes) {
+      std::mt19937_64 Rng(Seed * 1000 + N);
+      // A random DAG (edges go up in a random order of the nodes) plus,
+      // half the time, a few random edges that may close a cycle.
+      std::vector<unsigned> Order(N);
+      for (unsigned I = 0; I != N; ++I)
+        Order[I] = I;
+      std::shuffle(Order.begin(), Order.end(), Rng);
+      Relation R(N);
+      std::uniform_int_distribution<unsigned> Node(0, N ? N - 1 : 0);
+      for (unsigned I = 0; N && I != 3 * N; ++I) {
+        unsigned A = Node(Rng), B = Node(Rng);
+        if (A < B)
+          R.set(Order[A], Order[B]);
+      }
+      if (N && Seed % 2)
+        for (unsigned I = 0; I != 1 + Seed % 3; ++I)
+          R.set(Node(Rng), Node(Rng));
+      bool Expected = R.transitiveClosure().isIrreflexive();
+      EXPECT_EQ(R.isAcyclic(), Expected) << "seed " << Seed << " N=" << N;
+      (Expected ? Acyclic : Cyclic) += 1;
+    }
+  EXPECT_GT(Cyclic, 20u);
+  EXPECT_GT(Acyclic, 20u);
+}
+
+TEST(RelationKernelTest, InPlaceOpsEqualTheirValueTwins) {
+  for (uint64_t Seed = 1; Seed <= 10; ++Seed)
+    for (unsigned N : KernelSizes) {
+      std::mt19937_64 Rng(Seed * 1000 + N);
+      Relation A = sparseRelation(Rng, N), B = sparseRelation(Rng, N);
+      Bitset S = randomSet(Rng, N, 0.5), T = randomSet(Rng, N, 0.5);
+      std::string At = "seed " + std::to_string(Seed) + " N=" +
+                       std::to_string(N);
+
+      Relation Out = dirtyRelation();
+      A.seqInto(B, Out);
+      EXPECT_EQ(Out, A.seq(B)) << At;
+      if (N <= 65) {
+        EXPECT_EQ(Out, naiveSeq(A, B)) << At;
+      }
+
+      Out = dirtyRelation();
+      A.inverseInto(Out);
+      EXPECT_EQ(Out, A.inverse()) << At;
+      Relation Naive(N);
+      A.forEach([&](unsigned X, unsigned Y) { Naive.set(Y, X); });
+      EXPECT_EQ(Out, Naive) << At;
+
+      Out = A;
+      Out.closeTransitively();
+      EXPECT_EQ(Out, A.transitiveClosure()) << At;
+      // The closure is the least transitive superset: r | r;r+ == r+.
+      EXPECT_EQ(A | A.seq(Out), Out) << At;
+
+      Out = A;
+      Out.closeReflexiveTransitively();
+      EXPECT_EQ(Out, A.reflexiveTransitiveClosure()) << At;
+      EXPECT_EQ(Out, A.transitiveClosure() | Relation::identity(N)) << At;
+
+      Out = A;
+      Out.addIdentity();
+      EXPECT_EQ(Out, A.optional()) << At;
+      EXPECT_EQ(Out, A | Relation::identity(N)) << At;
+
+      Out = dirtyRelation();
+      Relation::crossInto(S, T, Out);
+      EXPECT_EQ(Out, Relation::cross(S, T)) << At;
+      EXPECT_EQ(Out.count(), S.count() * T.count()) << At;
+      Out.forEach([&](unsigned X, unsigned Y) {
+        EXPECT_TRUE(S.test(X) && T.test(Y)) << At;
+      });
+
+      Out = dirtyRelation();
+      Relation::identityOnInto(S, Out);
+      EXPECT_EQ(Out, Relation::identityOn(S)) << At;
+      EXPECT_EQ(Out, Relation::identity(N) & Relation::cross(S, S)) << At;
+
+      Out = dirtyRelation();
+      Out.assignEmpty(N);
+      EXPECT_EQ(Out, Relation(N)) << At;
+
+      Bitset Dom = dirtySet(), Ran = dirtySet();
+      A.domainInto(Dom);
+      A.rangeInto(Ran);
+      EXPECT_EQ(Dom, A.domain()) << At;
+      EXPECT_EQ(Ran, A.range()) << At;
+      Bitset NaiveDom(N), NaiveRan(N);
+      A.forEach([&](unsigned X, unsigned Y) {
+        NaiveDom.set(X);
+        NaiveRan.set(Y);
+      });
+      EXPECT_EQ(Dom, NaiveDom) << At;
+      EXPECT_EQ(Ran, NaiveRan) << At;
+
+      Bitset Set = dirtySet();
+      Set.assignEmpty(N);
+      EXPECT_EQ(Set, Bitset(N)) << At;
+      Set = dirtySet();
+      Set.assignAll(N);
+      Bitset All(N);
+      for (unsigned I = 0; I != N; ++I)
+        All.set(I);
+      EXPECT_EQ(Set, All) << At;
+      EXPECT_EQ(Bitset::all(N), All) << At;
+    }
+}
 
 TEST(StringUtilsTest, Split) {
   EXPECT_EQ(splitString("a,b,,c", ','),
