@@ -33,7 +33,9 @@
 //     evaluator's own registers, reading the Execution's po, rf, co, rmw,
 //     addr, data and ctrl and the layer's registers by reference. Owned
 //     registers keep their storage from candidate to candidate, so a
-//     candidate allocates nothing once they have grown to size.
+//     candidate allocates nothing once they have grown to size. The walk
+//     ends at the first failed check when the program allows it (see
+//     the verdict contract in Eval.h).
 //
 // Stability: an expression is stable iff everything it references is.
 // Two markings are kept -- one assuming only the skeleton invariants (po,
@@ -164,14 +166,14 @@ public:
         break;
       case CatStmt::Kind::Check: {
         bool Holds = false;
-        if (E = evalCheck(S.Check, Holds); !E.empty())
-          break;
+        if (E = evalCheck(S.Check, Holds); !E.empty() || !V.Allowed)
+          break; // after the first failure, only an error is recorded
         if (S.Check.IsFlag) {
           if (Holds)
             V.Flags.push_back(S.Check.Name);
         } else if (!Holds) {
           V.Allowed = false;
-          V.FailedChecks.push_back(S.Check.Name);
+          V.FailedCheck = S.Check.Name;
         }
         break;
       }
@@ -253,8 +255,8 @@ private:
   }
 
   /// Kleene fixpoint for let rec groups: start from empty relations,
-  /// re-evaluate bodies until stable. All Cat recursions are monotone
-  /// (union/seq/inter of monotone operands), so this terminates.
+  /// re-evaluate bodies until stable. A monotone group (no slot under the
+  /// right operand of '\') converges within the bound; another may not.
   std::string evalRec(const CatStmt &S) {
     for (const CatBinding &B : S.Bindings)
       Env[B.Name] = CatValue::rel(Relation(N));
@@ -595,6 +597,9 @@ struct telechat::CatProgram {
   std::vector<std::vector<unsigned>> Groups; ///< Slots of each let rec.
   std::vector<std::string> Errors;
   Schedule Modes[M_COUNT];
+  /// No static error and every let rec group monotone: no step after a
+  /// failed check can stop the walk, so the walk may end there.
+  bool EarlyExit = false;
 };
 
 /// See Eval.h. Built once per path combo, then only read.
@@ -642,6 +647,7 @@ public:
         break;
       }
     }
+    P.EarlyExit = P.Errors.empty() && Monotone;
     for (unsigned M = 0; M != M_COUNT; ++M)
       schedule(M);
   }
@@ -685,11 +691,15 @@ private:
   /// (either may be null) and \p Imm, emitting the instruction unless an
   /// identical one exists. Loads pass the stability of what they read as
   /// \p Own. An instruction that reads a slot of the let rec group being
-  /// compiled goes to the loop body, any other one before it.
+  /// compiled goes to the loop body, any other one before it; a '\' whose
+  /// right operand reads one makes the group non-monotone.
   unsigned emit(Op Code, VK K, const Val *L, const Val *R, unsigned Imm = 0,
                 Stab Own = {}) {
-    bool Variant = CurGroup != ~0u && ((L && regGroup(*L) == CurGroup) ||
-                                       (R && regGroup(*R) == CurGroup));
+    bool RVariant = CurGroup != ~0u && R && regGroup(*R) == CurGroup;
+    bool Variant =
+        RVariant || (CurGroup != ~0u && L && regGroup(*L) == CurGroup);
+    if (RVariant && (Code == Op::RDiff || Code == Op::SDiff))
+      Monotone = false;
     auto Key = std::make_tuple(Code, L ? L->Reg : Imm, R ? R->Reg : 0u);
     if (!Variant)
       if (auto It = Cse.find(Key); It != Cse.end())
@@ -1107,6 +1117,8 @@ private:
   /// The let rec group whose slots each register reads, or ~0u.
   std::vector<unsigned> RelGroup, SetGroup;
   unsigned CurGroup = ~0u;
+  /// No '\' so far reads a slot of its let rec group on its right.
+  bool Monotone = true;
   std::string Err;
 };
 
@@ -1229,17 +1241,28 @@ struct CatEvaluator::Impl {
     return H != C.Negated;
   }
 
-  static void apply(const CheckInfo &C, bool Holds, ModelVerdict &V) {
+  /// Records check \p C's verdict on the candidate; false when it settles
+  /// a candidate whose walk may end there (counted as a completed walk).
+  bool apply(const CheckInfo &C, bool Holds, Walk &W) const {
+    ModelVerdict &V = *W.V;
+    if (!V.Allowed)
+      return true; // settled: only an error is still recorded
     if (C.IsFlag) {
       if (Holds)
         V.Flags.push_back(C.Name);
-    } else if (!Holds) {
-      V.Allowed = false;
-      V.FailedChecks.push_back(C.Name);
+      return true;
     }
+    if (Holds)
+      return true;
+    V.Allowed = false;
+    V.FailedCheck = C.Name;
+    if (!Prog->EarlyExit)
+      return true;
+    count(*W.Stats, W.S.Total);
+    return false;
   }
 
-  /// Runs [I, E); false when a step stopped the walk.
+  /// Runs [I, E); false when a step ended the walk (and counted it).
   bool exec(const Instr *I, const Instr *E, Walk &W) {
     for (; I != E; ++I) {
       switch (I->Code) {
@@ -1272,12 +1295,13 @@ struct CatEvaluator::Impl {
         bool H = holds(C, I->A);
         if (W.Building)
           W.Building->CheckHolds[I->B] = H;
-        else
-          apply(C, H, *W.V);
+        else if (!apply(C, H, W))
+          return false;
         break;
       }
       case Op::CachedCheck:
-        apply(Prog->Checks[I->B], W.Layer->CheckHolds[I->B] != 0, *W.V);
+        if (!apply(Prog->Checks[I->B], W.Layer->CheckHolds[I->B] != 0, W))
+          return false;
         break;
       case Op::StableGroup:
         if (W.Layer->DivergedGroup == I->A)

@@ -28,6 +28,22 @@
 ///    -- stability is a conservative static classification of the model,
 ///    never a guess about the execution.
 ///
+/// The verdict contract. A candidate's verdict is settled by the first
+/// non-flag check it violates, in model order: the verdict is forbidden,
+/// FailedCheck names that check, and Flags holds only the flags raised
+/// before it. Nothing after the first failure is recorded, but an error
+/// after it still wins (Error is set). An allowed verdict carries every
+/// flag the model raises. Both entry points keep this contract.
+///
+/// The engine ends a candidate walk at the first failed check when no
+/// later step could stop it with an error. The compiled program decides
+/// that once: it may end early iff it has no static error and every let
+/// rec group is monotone (no slot of the group is read under the right
+/// operand of '\'). A monotone Kleene iteration from empty grows on every
+/// round that does not converge, so it converges within the round bound
+/// and never reports divergence. Any other program walks on after the
+/// first failure, as evaluateCat() does, to find a later error.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TELECHAT_CAT_EVAL_H
@@ -44,12 +60,13 @@
 
 namespace telechat {
 
-/// Result of evaluating a model on one candidate execution.
+/// Result of evaluating a model on one candidate execution. See the file
+/// comment for what a forbidden verdict records.
 struct ModelVerdict {
-  bool Allowed = true;                   ///< All non-flag checks hold.
-  std::vector<std::string> FailedChecks; ///< Names of violated checks.
-  std::vector<std::string> Flags;        ///< Fired flags (e.g. "race").
-  std::string Error;                     ///< Type/eval error; empty if ok.
+  bool Allowed = true;             ///< All non-flag checks hold.
+  std::string FailedCheck;         ///< First violated check; empty if allowed.
+  std::vector<std::string> Flags;  ///< Fired flags (e.g. "race").
+  std::string Error;               ///< Type/eval error; empty if ok.
 
   bool ok() const { return Error.empty(); }
   bool hasFlag(const std::string &Name) const;
@@ -117,9 +134,13 @@ public:
   /// Work accounting, accumulated across evaluate() calls. "Avoided"
   /// counts binding and check evaluations served from the stable layer
   /// instead of being recomputed -- the quantity a non-incremental
-  /// evaluator would have performed. Deterministic for a fixed candidate
-  /// stream (it does not depend on how often the layer itself was
-  /// (re)built, which varies with work stealing).
+  /// evaluator would have performed. A walk counts the stable bindings
+  /// and checks before the step that stops it with an error, and every
+  /// stable binding and check of the model otherwise: a walk that ends
+  /// early at a failed check counts what a completed walk counts.
+  /// Deterministic for a fixed candidate stream (it does not depend on
+  /// how often the layer itself was (re)built, which varies with work
+  /// stealing).
   struct CacheStats {
     uint64_t Evaluations = 0;       ///< evaluate() calls.
     uint64_t BindingEvalsAvoided = 0; ///< let/let-rec bindings served cached.
@@ -138,10 +159,12 @@ private:
   CacheStats Stats;
 };
 
-/// Evaluates \p Model against \p Ex, the reference semantics. Base
-/// environment: po, rf, co, fr, rmw, addr, data, ctrl, po-loc, loc, ext,
-/// int, id, rfe/rfi, coe/coi, fre/fri; sets _, emptyset, R, W, M, F, IW,
-/// and every event tag.
+/// Evaluates \p Model against \p Ex, the reference semantics. It always
+/// walks the whole model, so a later error still wins, and records the
+/// verdict as the contract in the file comment says. Base environment:
+/// po, rf, co, fr, rmw, addr, data, ctrl, po-loc, loc, ext, int, id,
+/// rfe/rfi, coe/coi, fre/fri; sets _, emptyset, R, W, M, F, IW, and every
+/// event tag.
 /// Unresolved identifiers evaluate to the (possibly empty) tag set with
 /// that name, so ISA-specific sets need no declarations.
 ModelVerdict evaluateCat(const CatModel &Model, const Execution &Ex);

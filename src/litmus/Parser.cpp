@@ -6,8 +6,10 @@
 
 #include "litmus/Parser.h"
 
+#include "support/Limits.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 
@@ -375,15 +377,16 @@ private:
     T = Lex.next();
     if (!isPunct(T, '{'))
       return errStr(T, "expected '{' opening thread body");
-    std::string E = parseBody(Th.Body);
+    std::string E = parseBody(Th.Body, 0);
     if (!E.empty())
       return E;
     Test.Threads.push_back(std::move(Th));
     return "";
   }
 
-  /// Statements until the closing '}' (consumed).
-  std::string parseBody(std::vector<Stmt> &Body) {
+  /// Statements until the closing '}' (consumed), at \p Depth: 0 for a
+  /// thread body, one more per enclosing if.
+  std::string parseBody(std::vector<Stmt> &Body, unsigned Depth) {
     while (true) {
       Token T = Lex.next();
       if (isPunct(T, '}'))
@@ -392,21 +395,28 @@ private:
         return errStr(T, "unterminated thread body");
       Lex.putBack(T);
       Stmt S;
-      if (std::string E = parseStmt(S); !E.empty())
+      if (std::string E = parseStmt(S, Depth); !E.empty())
         return E;
       Body.push_back(std::move(S));
     }
   }
 
-  std::string parseStmt(Stmt &Out) {
+  /// One statement at \p Depth. Depths count as the wire decoder counts
+  /// them: a statement's expressions sit one level below it, a nested
+  /// statement too, and no node may sit deeper than MaxTreeDepth. So a
+  /// statement's expressions have MaxTreeDepth - Depth levels of room.
+  std::string parseStmt(Stmt &Out, unsigned Depth) {
     Token T = Lex.next();
+    if (Depth >= MaxTreeDepth)
+      return tooDeep(T);
+    unsigned Room = MaxTreeDepth - Depth;
     // if (cond) { ... } [else { ... }]
     if (T.K == Token::Kind::Ident && T.Text == "if") {
       Out.K = Stmt::Kind::If;
       Token P = Lex.next();
       if (!isPunct(P, '('))
         return errStr(P, "expected '(' after if");
-      if (std::string E = parseExpr(Out.Cond); !E.empty())
+      if (std::string E = parseExpr(Out.Cond, Room); !E.empty())
         return E;
       P = Lex.next();
       if (!isPunct(P, ')'))
@@ -414,14 +424,14 @@ private:
       P = Lex.next();
       if (!isPunct(P, '{'))
         return errStr(P, "expected '{' after if");
-      if (std::string E = parseBody(Out.Then); !E.empty())
+      if (std::string E = parseBody(Out.Then, Depth + 1); !E.empty())
         return E;
       P = Lex.next();
       if (P.K == Token::Kind::Ident && P.Text == "else") {
         P = Lex.next();
         if (!isPunct(P, '{'))
           return errStr(P, "expected '{' after else");
-        return parseBody(Out.Else);
+        return parseBody(Out.Else, Depth + 1);
       }
       Lex.putBack(P);
       return "";
@@ -429,7 +439,7 @@ private:
     // atomic_store_explicit(loc, expr, order);
     if (T.K == Token::Kind::Ident && T.Text == "atomic_store_explicit") {
       Out.K = Stmt::Kind::Store;
-      return parseCallStoreLike(Out);
+      return parseCallStoreLike(Out, Room);
     }
     // Result-discarding RMW statement (paper Fig. 1):
     // atomic_exchange_explicit(y, 2, release);
@@ -443,7 +453,7 @@ private:
                     ? RmwKind::FetchAdd
                     : RmwKind::FetchSub;
       Out.DstUsedNowhere = true;
-      return parseCallStoreLike(Out);
+      return parseCallStoreLike(Out, Room);
     }
     // atomic_thread_fence(order);
     if (T.K == Token::Kind::Ident && T.Text == "atomic_thread_fence") {
@@ -471,7 +481,7 @@ private:
       Out.K = Stmt::Kind::Store;
       Out.Loc = LocTok.Text;
       Out.Order = MemOrder::NA;
-      if (std::string E = parseExpr(Out.Val); !E.empty())
+      if (std::string E = parseExpr(Out.Val, Room); !E.empty())
         return E;
       return expectSemi();
     }
@@ -526,7 +536,7 @@ private:
                 : Rhs.Text == "atomic_fetch_add_explicit"
                     ? RmwKind::FetchAdd
                     : RmwKind::FetchSub;
-      return parseCallStoreLike(Out);
+      return parseCallStoreLike(Out, Room);
     }
     if (isPunct(Rhs, '*')) {
       // Non-atomic load: r = *loc;
@@ -543,13 +553,13 @@ private:
     Lex.putBack(Rhs);
     Out.K = Stmt::Kind::LocalAssign;
     Out.Dst = DstTok.Text;
-    if (std::string E = parseExpr(Out.Val); !E.empty())
+    if (std::string E = parseExpr(Out.Val, Room); !E.empty())
       return E;
     return expectSemi();
   }
 
   /// Shared tail of store/rmw calls: "(loc, expr, order);".
-  std::string parseCallStoreLike(Stmt &Out) {
+  std::string parseCallStoreLike(Stmt &Out, unsigned Room) {
     Token P = Lex.next();
     if (!isPunct(P, '('))
       return errStr(P, "expected '('");
@@ -562,7 +572,7 @@ private:
     P = Lex.next();
     if (!isPunct(P, ','))
       return errStr(P, "expected ','");
-    if (std::string E = parseExpr(Out.Val); !E.empty())
+    if (std::string E = parseExpr(Out.Val, Room); !E.empty())
       return E;
     P = Lex.next();
     if (!isPunct(P, ','))
@@ -584,9 +594,20 @@ private:
     return "";
   }
 
-  /// expr := primary (('+'|'-'|'^'|'&') primary)*
-  std::string parseExpr(Expr &Out) {
-    if (std::string E = parsePrimary(Out); !E.empty())
+  std::string tooDeep(const Token &T) {
+    return errStr(T, strFormat("nesting deeper than %u levels", MaxTreeDepth));
+  }
+
+  std::string parseExpr(Expr &Out, unsigned Room) {
+    unsigned Height = 0;
+    return parseExpr(Out, Room, Height);
+  }
+
+  /// expr := primary (('+'|'-'|'^'|'&') primary)*. The tree may take
+  /// \p Room levels (a leaf takes one); \p Height returns what it took.
+  /// The chain is left-associative, so each operator adds a level.
+  std::string parseExpr(Expr &Out, unsigned Room, unsigned &Height) {
+    if (std::string E = parsePrimary(Out, Room, Height); !E.empty())
       return E;
     while (true) {
       Token T = Lex.next();
@@ -603,15 +624,22 @@ private:
         Lex.putBack(T);
         return "";
       }
+      if (Height == Room)
+        return tooDeep(T);
       Expr Rhs;
-      if (std::string E = parsePrimary(Rhs); !E.empty())
+      unsigned RhsHeight = 0;
+      if (std::string E = parsePrimary(Rhs, Room - 1, RhsHeight); !E.empty())
         return E;
+      Height = std::max(Height, RhsHeight) + 1;
       Out = Expr::binary(K, std::move(Out), std::move(Rhs));
     }
   }
 
-  std::string parsePrimary(Expr &Out) {
+  /// A leaf, or a parenthesised expression. Parentheses add recursion
+  /// but no node, so their nesting is bounded on its own.
+  std::string parsePrimary(Expr &Out, unsigned Room, unsigned &Height) {
     Token T = Lex.next();
+    Height = 1;
     if (T.K == Token::Kind::Number) {
       Lex.putBack(T);
       Value V;
@@ -625,7 +653,12 @@ private:
       return "";
     }
     if (isPunct(T, '(')) {
-      if (std::string E = parseExpr(Out); !E.empty())
+      if (Nesting == MaxTreeDepth)
+        return tooDeep(T);
+      ++Nesting;
+      std::string E = parseExpr(Out, Room, Height);
+      --Nesting;
+      if (!E.empty())
         return E;
       Token C = Lex.next();
       if (!isPunct(C, ')'))
@@ -650,13 +683,18 @@ private:
     } else {
       return errStr(T, "expected final condition quantifier");
     }
-    return parsePred(Test.Final.P, /*MinPrec=*/0);
+    // The root sits at depth 0, so the tree has one level more room
+    // than a statement's expressions.
+    unsigned Height = 0;
+    return parsePred(Test.Final.P, /*MinPrec=*/0, MaxTreeDepth + 1, Height);
   }
 
   /// Predicate grammar: atom | '(' p ')' | 'not' p | p '/\' p | p '\/' p.
-  /// '/\' binds tighter than '\/'.
-  std::string parsePred(Predicate &Out, int MinPrec) {
-    if (std::string E = parsePredPrimary(Out); !E.empty())
+  /// '/\' binds tighter than '\/'. \p Room and \p Height as for
+  /// parseExpr.
+  std::string parsePred(Predicate &Out, int MinPrec, unsigned Room,
+                        unsigned &Height) {
+    if (std::string E = parsePredPrimary(Out, Room, Height); !E.empty())
       return E;
     while (true) {
       Token T = Lex.next();
@@ -676,14 +714,21 @@ private:
         Lex.putBack(T);
         return "";
       }
-      Predicate Rhs;
-      if (std::string E = parsePred(Rhs, Prec + 1); !E.empty())
-        return E;
       // Flatten chains of the same connective so that printing is
       // round-trip stable: a /\ b /\ c is one 3-ary conjunction.
       Predicate::Kind Want =
           IsAnd ? Predicate::Kind::And : Predicate::Kind::Or;
-      if (Out.K == Want) {
+      bool Flat = Out.K == Want;
+      if (!Flat && Height == Room)
+        return tooDeep(T);
+      Predicate Rhs;
+      unsigned RhsHeight = 0;
+      if (std::string E = parsePred(Rhs, Prec + 1, Room - 1, RhsHeight);
+          !E.empty())
+        return E;
+      Height = Flat ? std::max(Height, RhsHeight + 1)
+                    : std::max(Height, RhsHeight) + 1;
+      if (Flat) {
         Out.Ops.push_back(std::move(Rhs));
       } else {
         std::vector<Predicate> Ops;
@@ -695,27 +740,31 @@ private:
     }
   }
 
-  std::string parsePredPrimary(Predicate &Out) {
+  std::string parsePredPrimary(Predicate &Out, unsigned Room,
+                               unsigned &Height) {
     Token T = Lex.next();
+    Height = 1;
     if (isPunct(T, '(')) {
-      if (std::string E = parsePred(Out, 0); !E.empty())
+      if (Nesting == MaxTreeDepth)
+        return tooDeep(T);
+      ++Nesting;
+      std::string E = parsePred(Out, 0, Room, Height);
+      --Nesting;
+      if (!E.empty())
         return E;
       Token C = Lex.next();
       if (!isPunct(C, ')'))
         return errStr(C, "expected ')' in final condition");
       return "";
     }
-    if (T.K == Token::Kind::Ident && T.Text == "not") {
+    if ((T.K == Token::Kind::Ident && T.Text == "not") || isPunct(T, '~')) {
+      if (Room == 1)
+        return tooDeep(T);
       Predicate Inner;
-      if (std::string E = parsePredPrimary(Inner); !E.empty())
+      if (std::string E = parsePredPrimary(Inner, Room - 1, Height);
+          !E.empty())
         return E;
-      Out = Predicate::negate(std::move(Inner));
-      return "";
-    }
-    if (isPunct(T, '~')) {
-      Predicate Inner;
-      if (std::string E = parsePredPrimary(Inner); !E.empty())
-        return E;
+      ++Height;
       Out = Predicate::negate(std::move(Inner));
       return "";
     }
@@ -783,6 +832,7 @@ private:
   }
 
   Lexer Lex;
+  unsigned Nesting = 0; ///< Open parentheses around the cursor.
 };
 
 } // namespace

@@ -163,6 +163,32 @@ SimVal AbsXform::apply(const SimVal &Arg) const {
   return SimVal{};
 }
 
+bool AbsXform::hasNoFixedPoint(const IntType *ReadTy) const {
+  const AbsXform *X = this;
+  while (X->K == Kind::Trunc)
+    X = &X->Ops[0];
+  bool Adds = X->K == Kind::Add || X->K == Kind::RmwAdd;
+  if (!Adds && X->K != Kind::Sub && X->K != Kind::RmwSub)
+    return false;
+  const AbsXform &L = X->Ops[0], &R = X->Ops[1];
+  const AbsXform *C = L.K == Kind::Arg             ? &R
+                      : Adds && R.K == Kind::Arg ? &L
+                                                 : nullptr;
+  if (!C || C->K != Kind::Const || C->C.K != SimVal::Kind::Int)
+    return false;
+  // The result is an integer, so a fixed point needs v == trunc(v + c)
+  // (or v - c) as numbers. Each truncation keeps the value modulo a power
+  // of two, and so does the 128-bit wrap, so a solution needs c to vanish
+  // modulo the smallest of them: truncated there, c is 0.
+  auto Vanishes = [&](IntType Ty) { return C->C.V.truncated(Ty).isZero(); };
+  if (C->C.V.isZero() || (ReadTy && Vanishes(*ReadTy)))
+    return false;
+  for (X = this; X->K == Kind::Trunc; X = &X->Ops[0])
+    if (Vanishes(X->Ty))
+      return false;
+  return true;
+}
+
 AbsVal AbsInterpreter::combine(Expr::Kind K, AbsVal L, AbsVal R) const {
   if (L.K == AbsVal::Kind::Top || R.K == AbsVal::Kind::Top)
     return AbsVal();

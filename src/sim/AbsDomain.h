@@ -137,6 +137,15 @@ struct AbsXform {
 
   /// Evaluates the tree with the read value bound to \p Arg.
   SimVal apply(const SimVal &Arg) const;
+
+  /// True when the tree is v + c, c + v or v - c of the read value v
+  /// (Add, Sub, RmwAdd or RmwSub of Arg and one integer constant c)
+  /// under width truncations, and c stays nonzero when truncated by
+  /// every Trunc on the way and by \p ReadTy, the read's own width (null
+  /// when the read does not truncate). Then no v that the read observes
+  /// satisfies v == trunc(apply(v)), so a read that takes its value from
+  /// a write storing this transform of it has no stable value.
+  bool hasNoFixedPoint(const IntType *ReadTy) const;
 };
 
 /// What the abstract pass knows about a value without fixing rf. See

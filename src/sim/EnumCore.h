@@ -369,6 +369,11 @@ public:
   std::vector<PruneCheck> PruneChecks;
   bool ComboInfeasible = false;
   uint64_t ComboRfSourcesPruned = 0;
+  /// (read index, candidate index) pairs whose write stores the read's
+  /// own value plus a nonzero constant (AbsXform::hasNoFixedPoint): an
+  /// assignment choosing one has no stable values, so resolveValues
+  /// rejects it without sweeping. Empty unless RfValuePruning.
+  std::vector<std::pair<unsigned, unsigned>> SelfIncrements;
 
   // Per rf-candidate state. Taints and dependencies are bit rows over
   // event ids, RowWords words each: one row per register slot (Taint),
@@ -422,6 +427,7 @@ public:
   }
   void computeAbstract();
   void filterRfCandidates();
+  void findSelfIncrements();
   bool sweep(const std::vector<size_t> &RfChoice, bool *Verify);
   unsigned rfSource(const std::vector<size_t> &RfChoice,
                     unsigned ReadEv) const {

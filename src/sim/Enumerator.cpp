@@ -40,7 +40,9 @@
 ///    writes with known values violating them are dropped from the rf
 ///    lists up front, and remaining assignments are checked in
 ///    O(events) (following rf chains through copy and transform writes)
-///    before the expensive resolution fixpoint runs.
+///    before the expensive resolution fixpoint runs. The pass also lists
+///    the rf pairs in which a read would take its own increment; the
+///    fixpoint rejects an assignment picking one without sweeping.
 ///
 ///  - The *skeleton execution* (events, po, rmw, tags) is built once
 ///    per combo and patched per candidate, and the Cat model's stable
@@ -325,10 +327,13 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
 
   compilePaths();
   ComboRfSourcesPruned = 0;
+  SelfIncrements.clear();
   if (Opts.RfValuePruning) {
     computeAbstract();
-    if (!ComboInfeasible)
+    if (!ComboInfeasible) {
       filterRfCandidates();
+      findSelfIncrements();
+    }
   } else {
     PruneChecks.clear();
     ComboInfeasible = false;
@@ -665,6 +670,26 @@ void ComboWorker::filterRfCandidates() {
   }
 }
 
+/// Lists the rf candidates a read can never take a stable value from:
+/// writes that store the read's own value plus a nonzero constant, as a
+/// fetch_add or an LL/SC increment does (AbsXform::hasNoFixedPoint).
+/// Static reads only, so the read's width is known.
+void ComboWorker::findSelfIncrements() {
+  for (unsigned RI = 0; RI != Reads.size(); ++RI) {
+    unsigned ReadEv = Reads[RI];
+    LocId L = Events[ReadEv].Loc;
+    if (L == kNoLoc)
+      continue;
+    const SimLoc *Decl = Locs.decl(L);
+    for (unsigned CI = 0; CI != RfCand[RI].size(); ++CI) {
+      const AbsVal &A = EvAbs[RfCand[RI][CI]];
+      if (A.K == AbsVal::Kind::Xform && A.ReadEv == ReadEv &&
+          A.F.hasNoFixedPoint(Decl ? &Decl->Type : nullptr))
+        SelfIncrements.emplace_back(RI, CI);
+    }
+  }
+}
+
 std::optional<SimVal>
 ComboWorker::resolveReadAbs(unsigned ReadEv, unsigned Depth,
                             SupportVec *Support) const {
@@ -940,6 +965,11 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
 /// Fixpoint value resolution; true when this rf assignment is
 /// consistent (stable values, feasible branches, matching addresses).
 bool ComboWorker::resolveValues(const std::vector<size_t> &RfChoice) {
+  // The sweeps could only stabilise on v == trunc(v + c), which has no
+  // solution: they would run all MaxRounds and reject.
+  for (const auto &[RI, CI] : SelfIncrements)
+    if (RfChoice[RI] == CI)
+      return false;
   unsigned N = Events.size();
   State.assign(N, EvState());
   for (unsigned I = 0; I != N && Events[I].IsInit; ++I)

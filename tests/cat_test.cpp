@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <new>
 #include <random>
@@ -248,7 +249,7 @@ TEST(CatEvalTest, BaseRelations) {
                    : true); // fr acyclic here
   ModelVerdict V = evalOn("empty fr as nofr\n", Ex);
   EXPECT_FALSE(V.Allowed); // fr is nonempty
-  EXPECT_EQ(V.FailedChecks, std::vector<std::string>{"nofr"});
+  EXPECT_EQ(V.FailedCheck, "nofr");
 }
 
 TEST(CatEvalTest, ScForbidsMpStaleRead) {
@@ -430,34 +431,148 @@ flag ~empty ((W * R) & loc & ext) as stable-flag
 flag ~empty rfe as dyn-flag
 )CAT";
 
+/// The verdict contract's corners: what a walk may skip once the first
+/// non-flag check fails, and what it must still report.
+///
+/// (a) A failed check, then flags that fire: a forbidden verdict carries
+/// only the flags raised before the failure. The second model's let rec
+/// converges but is not monotone, so its walk goes on past the failure
+/// and must still record nothing.
+const char *const FlagsAfterFailure = R"CAT(FLAGS-AFTER
+flag ~empty po as before
+empty rf as no-rf
+flag ~empty rf as rf-after
+flag ~empty po as po-after
+)CAT";
+const char *const FlagsAfterFailureWalkOn = R"CAT(FLAGS-AFTER-WALK-ON
+let rec x = po \ (x \ x)
+flag ~empty po as before
+empty rf as no-rf
+flag ~empty rf as rf-after
+flag ~empty x as x-after
+)CAT";
+/// (b) A failed check, then a let rec that diverges (when po, resp. rf,
+/// is not empty): the divergence error still wins, stable or dynamic.
+const char *const DivergesAfterFailure[] = {
+    "empty rf as no-rf\nlet rec x = po \\ x\n",
+    "empty po as no-po\nlet rec x = rf \\ x\n",
+};
+/// (c) A failed check, then a static type error: the error still wins.
+const char *const TypeErrorAfterFailure =
+    "empty rf as no-rf\nflag ~empty po as f\nacyclic W as bad\n";
+/// (d) A failed stable check (served from the layer): the walk ends
+/// there but counts every stable binding and check, as a full walk does.
+/// All-static: pol and ppo, then no-po, ppo-irr and has-ppo; conservative
+/// combos lose pol (it reads loc).
+const char *const StableFailure = R"CAT(STABLE-FAILURE
+let pol = po & loc
+empty po as no-po
+let com = rf | co | fr
+let ppo = po & (W * W)
+acyclic pol | com as coherence
+irreflexive ppo as ppo-irr
+flag ~empty ppo as has-ppo
+)CAT";
+
 void expectSameVerdict(const ModelVerdict &A, const ModelVerdict &B,
                        const std::string &What) {
   EXPECT_EQ(A.Error, B.Error) << What;
   EXPECT_EQ(A.Allowed, B.Allowed) << What;
-  EXPECT_EQ(A.FailedChecks, B.FailedChecks) << What;
+  EXPECT_EQ(A.FailedCheck, B.FailedCheck) << What;
   EXPECT_EQ(A.Flags, B.Flags) << What;
 }
 
 } // namespace
 
 TEST(CatEvaluatorTest, IncrementalMatchesOneShot) {
-  ErrorOr<CatModel> M = parseCat(MixedModel);
+  // The mixed model, then the verdict contract's corners: the engine,
+  // cached, uncached and adopting a layer, agrees with the reference
+  // field by field.
+  std::vector<const char *> Texts = {MixedModel, FlagsAfterFailure,
+                                     FlagsAfterFailureWalkOn,
+                                     TypeErrorAfterFailure, StableFailure};
+  Texts.insert(Texts.end(), std::begin(DivergesAfterFailure),
+               std::end(DivergesAfterFailure));
+  for (const char *Text : Texts) {
+    ErrorOr<CatModel> M = parseCat(Text);
+    ASSERT_TRUE(M.hasValue()) << M.error();
+    for (bool AllStatic : {true, false}) {
+      CatEvaluator Eval(*M), Uncached(*M), Adopter(*M);
+      Eval.enterCombo(AllStatic);
+      Uncached.setCaching(false);
+      Uncached.enterCombo(AllStatic);
+      std::string What = std::string(Text) +
+                         (AllStatic ? " all-static" : " conservative");
+      for (const Execution &Ex : mpCandidates()) {
+        ModelVerdict Ref = evaluateCat(*M, Ex);
+        expectSameVerdict(Ref, Eval.evaluate(Ex), What);
+        expectSameVerdict(Ref, Uncached.evaluate(Ex), What + " no-cache");
+        if (!Adopter.stableLayer())
+          Adopter.enterCombo(AllStatic, Eval.stableLayer());
+        expectSameVerdict(Ref, Adopter.evaluate(Ex), What + " adopted");
+      }
+      if (Text != MixedModel)
+        continue;
+      // The stable layer must have served real work: with all-static
+      // combos, loc/tag-derived bindings join the layer; conservatively,
+      // only po-derived work (here: the "acyclic po" check) does.
+      if (AllStatic)
+        EXPECT_GT(Eval.stats().BindingEvalsAvoided, 0u);
+      EXPECT_GT(Eval.stats().CheckEvalsAvoided, 0u);
+    }
+  }
+}
+
+TEST(CatEvaluatorTest, VerdictSettlesAtTheFirstFailure) {
+  // Every mpCandidates() execution has po and rf edges, so each corner
+  // model forbids each of them at its first check that can fail.
+  // IncrementalMatchesOneShot holds the engine to these verdicts.
+  auto Each = [](const char *Text, auto Expect) {
+    ErrorOr<CatModel> M = parseCat(Text);
+    ASSERT_TRUE(M.hasValue()) << M.error();
+    for (const Execution &Ex : mpCandidates())
+      Expect(evaluateCat(*M, Ex), Text);
+  };
+  // (a) No flag after the failure is recorded, with or without the
+  // early end of the walk.
+  for (const char *Text : {FlagsAfterFailure, FlagsAfterFailureWalkOn})
+    Each(Text, [](const ModelVerdict &V, const std::string &What) {
+      EXPECT_TRUE(V.ok()) << What << V.Error;
+      EXPECT_FALSE(V.Allowed) << What;
+      EXPECT_EQ(V.FailedCheck, "no-rf") << What;
+      EXPECT_EQ(V.Flags, std::vector<std::string>{"before"}) << What;
+    });
+  // (b) and (c): a later error wins over the failed check.
+  for (const char *Text : DivergesAfterFailure)
+    Each(Text, [](const ModelVerdict &V, const std::string &What) {
+      EXPECT_EQ(V.Error, "let rec fixpoint did not converge") << What;
+      EXPECT_FALSE(V.Allowed) << What;
+    });
+  Each(TypeErrorAfterFailure,
+       [](const ModelVerdict &V, const std::string &What) {
+         EXPECT_NE(V.Error.find("acyclic requires a relation"),
+                   std::string::npos)
+             << What << V.Error;
+         EXPECT_EQ(V.FailedCheck, "no-rf") << What;
+         EXPECT_TRUE(V.Flags.empty()) << What;
+       });
+  // (d) The walk that ends at a failed stable check counts what a full
+  // walk counts.
+  Each(StableFailure, [](const ModelVerdict &V, const std::string &What) {
+    EXPECT_EQ(V.FailedCheck, "no-po") << What;
+    EXPECT_TRUE(V.Flags.empty()) << What;
+  });
+  ErrorOr<CatModel> M = parseCat(StableFailure);
   ASSERT_TRUE(M.hasValue()) << M.error();
   for (bool AllStatic : {true, false}) {
     CatEvaluator Eval(*M);
     Eval.enterCombo(AllStatic);
-    for (const Execution &Ex : mpCandidates()) {
-      ModelVerdict Inc = Eval.evaluate(Ex);
-      ModelVerdict Ref = evaluateCat(*M, Ex);
-      expectSameVerdict(Ref, Inc,
-                        AllStatic ? "all-static" : "conservative");
-    }
-    // The stable layer must have served real work: with all-static
-    // combos, loc/tag-derived bindings join the layer; conservatively,
-    // only po-derived work (here: the "acyclic po" check) does.
-    if (AllStatic)
-      EXPECT_GT(Eval.stats().BindingEvalsAvoided, 0u);
-    EXPECT_GT(Eval.stats().CheckEvalsAvoided, 0u);
+    for (const Execution &Ex : mpCandidates())
+      (void)Eval.evaluate(Ex);
+    uint64_t Walks = mpCandidates().size();
+    EXPECT_EQ(Eval.stats().BindingEvalsAvoided, Walks * (AllStatic ? 2 : 1))
+        << AllStatic;
+    EXPECT_EQ(Eval.stats().CheckEvalsAvoided, Walks * 3) << AllStatic;
   }
 }
 
@@ -782,6 +897,11 @@ empty rmw & (fre; coe) as atomic
     "acyclic co as c\nempty fencerel(po) as bad\n",
     "let a = po\nlet b = po * rf\n",
     "let a = W^+\n",
+    // The verdict contract's corners (see VerdictSettlesAtTheFirstFailure).
+    FlagsAfterFailure,
+    FlagsAfterFailureWalkOn,
+    TypeErrorAfterFailure,
+    StableFailure,
 };
 
 /// Models whose let rec does not converge: N^2 rounds per evaluation.
@@ -789,6 +909,8 @@ const char *DivergentModels[] = {
     "acyclic po as ok\nlet rec x = po \\ x\nacyclic x as never\n",
     "flag ~empty rf as f\nlet rec y = rf \\ y\nacyclic y as never\n",
     "let rec y = rf \\ y\nacyclic W as bad\n",
+    DivergesAfterFailure[0],
+    DivergesAfterFailure[1],
 };
 
 struct Battery {

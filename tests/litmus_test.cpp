@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "diy/Classics.h"
+#include "dist/Serialize.h"
 #include "litmus/Parser.h"
 #include "litmus/Printer.h"
+#include "support/Limits.h"
 
 #include <gtest/gtest.h>
 
@@ -296,6 +298,132 @@ void P0(int* x) {
 exists (x=1)
 )");
   ASSERT_TRUE(T.hasValue()) << T.error();
+}
+
+//===----------------------------------------------------------------------===//
+// The nesting limit: the parser refuses exactly what the wire decoder
+// refuses, with a line-numbered error, and never recurses past it.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A one-thread test: P0 loads x into r0, then runs \p Body.
+std::string deepTest(const std::string &Body,
+                     const std::string &Final = "exists (P0:r0=0)") {
+  return "C deep\n{ *x = 0; }\nvoid P0(atomic_int* x) {\n"
+         "  int r0 = atomic_load_explicit(x, memory_order_relaxed);\n" +
+         Body + "}\n" + Final + "\n";
+}
+
+/// "int r1 = r0 + 1 + ... + 1;" with \p Terms terms: a left-leaning
+/// tree \p Terms levels tall.
+std::string sumOf(unsigned Terms) {
+  std::string S = "  int r1 = r0";
+  for (unsigned I = 1; I != Terms; ++I)
+    S += " + 1";
+  return S + ";\n";
+}
+
+/// \p Levels nested ifs around \p Inner, one line each.
+std::string nestedIfs(
+    unsigned Levels,
+    const std::string &Inner =
+        "atomic_store_explicit(x, 1, memory_order_relaxed);\n") {
+  std::string S;
+  for (unsigned I = 0; I != Levels; ++I)
+    S += "if (r0) {\n";
+  S += Inner;
+  for (unsigned I = 0; I != Levels; ++I)
+    S += "}\n";
+  return S;
+}
+
+/// True when \p Text parses, and the test survives the wire: it decodes,
+/// and prints and reparses to the same text.
+::testing::AssertionResult parsesAndRoundTrips(const std::string &Text) {
+  ErrorOr<LitmusTest> T = parseLitmusC(Text);
+  if (!T.hasValue())
+    return ::testing::AssertionFailure() << T.error();
+  WireBuffer B;
+  encodeLitmusTest(B, *T);
+  WireCursor C(B.data(), B.size());
+  LitmusTest Out;
+  if (!decodeLitmusTest(C, Out) || C.remaining() != 0)
+    return ::testing::AssertionFailure() << "the decoder refuses it";
+  std::string Printed = printLitmusC(*T);
+  if (printLitmusC(Out) != Printed)
+    return ::testing::AssertionFailure() << "decodes to another test";
+  ErrorOr<LitmusTest> Reparsed = parseLitmusC(Printed);
+  if (!Reparsed.hasValue() || printLitmusC(*Reparsed) != Printed)
+    return ::testing::AssertionFailure() << "printed form does not reparse";
+  return ::testing::AssertionSuccess();
+}
+
+/// True when \p Text is refused for its nesting, at line \p Line.
+::testing::AssertionResult refusedAsTooDeep(const std::string &Text,
+                                            unsigned Line) {
+  ErrorOr<LitmusTest> T = parseLitmusC(Text);
+  if (T.hasValue())
+    return ::testing::AssertionFailure() << "parsed";
+  std::string Want = "line " + std::to_string(Line) + ": nesting deeper";
+  if (T.error().find(Want) == std::string::npos)
+    return ::testing::AssertionFailure() << T.error();
+  return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(ParserTest, DeepNestingIsAnErrorNotACrash) {
+  // 20,000 parentheses overflowed the parser's stack; a 100-term sum
+  // parsed, but the wire decoder refused it, so it ran locally and
+  // failed under --serve.
+  std::string Parens(20000, '(');
+  EXPECT_TRUE(refusedAsTooDeep(
+      deepTest("  int r1 = " + Parens + "1" + std::string(20000, ')') +
+               ";\n"),
+      5));
+  EXPECT_TRUE(refusedAsTooDeep(deepTest(sumOf(100)), 5));
+  EXPECT_TRUE(refusedAsTooDeep(deepTest(nestedIfs(20000)), 5 + MaxTreeDepth));
+  EXPECT_TRUE(refusedAsTooDeep(
+      deepTest("", "exists " + Parens + "x=0" + std::string(20000, ')')),
+      6));
+  std::string Nots;
+  for (unsigned I = 0; I != 20000; ++I)
+    Nots += "~";
+  EXPECT_TRUE(refusedAsTooDeep(deepTest("", "exists (" + Nots + "x=0)"), 6));
+}
+
+TEST(ParserTest, NestingLimitMatchesTheWireDecoder) {
+  // Expression trees: a statement's expressions sit one level below it,
+  // and no node may sit deeper than MaxTreeDepth.
+  EXPECT_TRUE(parsesAndRoundTrips(deepTest(sumOf(MaxTreeDepth))));
+  EXPECT_TRUE(refusedAsTooDeep(deepTest(sumOf(MaxTreeDepth + 1)), 5));
+  // Statement nesting: the innermost store's value needs a level too.
+  EXPECT_TRUE(parsesAndRoundTrips(deepTest(nestedIfs(MaxTreeDepth - 1))));
+  EXPECT_TRUE(
+      refusedAsTooDeep(deepTest(nestedIfs(MaxTreeDepth)), 5 + MaxTreeDepth));
+  // Both together: an expression under ten ifs has ten levels less room.
+  auto Under10 = [](unsigned Terms) {
+    return deepTest(nestedIfs(10, sumOf(Terms)));
+  };
+  EXPECT_TRUE(parsesAndRoundTrips(Under10(MaxTreeDepth - 10)));
+  EXPECT_TRUE(refusedAsTooDeep(Under10(MaxTreeDepth - 9), 15));
+  // Parentheses add no node, so they only bound the recursion.
+  auto Parens = [](unsigned Depth) {
+    return deepTest("  int r1 = " + std::string(Depth, '(') + "r0" +
+                    std::string(Depth, ')') + ";\n");
+  };
+  EXPECT_TRUE(parsesAndRoundTrips(Parens(MaxTreeDepth)));
+  EXPECT_TRUE(refusedAsTooDeep(Parens(MaxTreeDepth + 1), 5));
+  // The final condition's root sits at depth 0: one level more room.
+  auto Negations = [](unsigned N) {
+    std::string Nots;
+    for (unsigned I = 0; I != N; ++I)
+      Nots += "not ";
+    return deepTest("", "exists (" + Nots + "x=0)");
+  };
+  EXPECT_TRUE(parsesAndRoundTrips(Negations(MaxTreeDepth)));
+  EXPECT_TRUE(refusedAsTooDeep(Negations(MaxTreeDepth + 1), 6));
 }
 
 namespace {

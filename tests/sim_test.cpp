@@ -6,9 +6,12 @@
 
 #include "asmcore/AsmParser.h"
 #include "asmcore/Semantics.h"
+#include "compiler/Compiler.h"
+#include "core/LitmusOpt.h"
 #include "diy/Classics.h"
 #include "litmus/Parser.h"
 #include "models/Registry.h"
+#include "sim/AbsDomain.h"
 #include "sim/Backend.h"
 #include "sim/CFrontend.h"
 #include "sim/Simulator.h"
@@ -380,6 +383,7 @@ SimResult expectPruningParity(const SimProgram &P, const std::string &Model,
   EXPECT_EQ(On.Allowed, Off.Allowed) << What << " (on vs off)";
   EXPECT_EQ(On.Flags, Off.Flags) << What;
   EXPECT_EQ(On.Stats.ValueConsistent, Off.Stats.ValueConsistent) << What;
+  EXPECT_EQ(On.Stats.CoCandidates, Off.Stats.CoCandidates) << What;
   EXPECT_EQ(On.Stats.AllowedExecutions, Off.Stats.AllowedExecutions)
       << What;
   return On;
@@ -701,4 +705,135 @@ exists (P1:r0=2)
   EXPECT_EQ(Off.Stats.RfCandidates, 18u);
   EXPECT_EQ(On.Stats.RfCandidates, 3u);
   EXPECT_EQ(On.Stats.RfSourcesPruned, 3u);
+}
+
+// A read that takes its value from a write of that value plus a nonzero
+// constant (its own fetch_add, or the store of an LL/SC increment) has no
+// stable value: resolveValues rejects the assignment without sweeping.
+// Rejected or swept to exhaustion, the assignment counts the same, so
+// each case pins the counts the sweeps gave and holds the pruning-
+// invariant rows to the run without pruning.
+
+namespace {
+
+/// P0 and P1 each run one RMW on x, declared as \p Ty, into r0.
+SimProgram rmwPair(const std::string &Ty, const std::string &Op0,
+                   const std::string &Op1) {
+  auto Thread = [&](const char *Name, const std::string &Op) {
+    return std::string("void ") + Name + "(" + Ty + "* x) {\n  int r0 = " +
+           Op + ";\n}\n";
+  };
+  auto T = parseLitmusC("C rmw-pair\n{ " + Ty + " x = 0; }\n" +
+                        Thread("P0", Op0) + Thread("P1", Op1) +
+                        "exists (P0:r0=0 /\\ P1:r0=0)\n");
+  EXPECT_TRUE(T.hasValue()) << T.error();
+  return lowerLitmusC(*T);
+}
+
+const char *const FetchAdd1 =
+    "atomic_fetch_add_explicit(x, 1, memory_order_relaxed)";
+
+void expectCounts(const SimResult &R, uint64_t Rf, uint64_t Consistent,
+                  uint64_t Co, uint64_t AllowedExecs,
+                  const std::string &What) {
+  EXPECT_EQ(R.Stats.RfCandidates, Rf) << What;
+  EXPECT_EQ(R.Stats.ValueConsistent, Consistent) << What;
+  EXPECT_EQ(R.Stats.CoCandidates, Co) << What;
+  EXPECT_EQ(R.Stats.AllowedExecutions, AllowedExecs) << What;
+  EXPECT_EQ(R.Stats.RfPruned, 0u) << What;
+}
+
+} // namespace
+
+TEST(AbsDomainRegressionTest, SelfIncrementHasNoFixedPoint) {
+  SimVal One{SimVal::Kind::Int, Value(1), Symbol()};
+  SimVal K256{SimVal::Kind::Int, Value(256), Symbol()};
+  SimVal Zero{};
+  AbsXform Arg = AbsXform::arg();
+  auto Bin = [](AbsXform::Kind K, AbsXform L, AbsXform R) {
+    return AbsXform::binary(K, std::move(L), std::move(R));
+  };
+  using K = AbsXform::Kind;
+  IntType U8{8, false}, I32{32, true}, I64{64, true}, I128{128, true};
+  // v + c, c + v and v - c, bare or under truncations.
+  EXPECT_TRUE(Bin(K::RmwAdd, Arg, AbsXform::constant(One))
+                  .hasNoFixedPoint(nullptr));
+  EXPECT_TRUE(Bin(K::Add, AbsXform::constant(One), Arg)
+                  .hasNoFixedPoint(&I32));
+  EXPECT_TRUE(AbsXform::trunc(I32, Bin(K::Sub, Arg, AbsXform::constant(One)))
+                  .hasNoFixedPoint(&I32));
+  EXPECT_TRUE(
+      AbsXform::trunc(I128, Bin(K::RmwSub, Arg, AbsXform::constant(One)))
+          .hasNoFixedPoint(&I128));
+  // A constant the widths reduce to zero is a stable increment: by the
+  // store's truncation, by the read's, or by a 64-bit one on a 128-bit
+  // constant.
+  AbsXform Add256 = Bin(K::RmwAdd, Arg, AbsXform::constant(K256));
+  EXPECT_TRUE(Add256.hasNoFixedPoint(nullptr));
+  EXPECT_FALSE(AbsXform::trunc(U8, Add256).hasNoFixedPoint(nullptr));
+  EXPECT_FALSE(Add256.hasNoFixedPoint(&U8));
+  EXPECT_TRUE(AbsXform::trunc(I32, Add256).hasNoFixedPoint(&I32));
+  SimVal Two64{SimVal::Kind::Int, Value(0, 1), Symbol()};
+  AbsXform AddTwo64 = Bin(K::Add, Arg, AbsXform::constant(Two64));
+  EXPECT_FALSE(AbsXform::trunc(I64, AddTwo64).hasNoFixedPoint(&I128));
+  EXPECT_TRUE(AbsXform::trunc(I128, AddTwo64).hasNoFixedPoint(&I128));
+  // Anything else has a fixed point, or may have one.
+  EXPECT_FALSE(Bin(K::RmwSub, Arg, AbsXform::constant(Zero))
+                   .hasNoFixedPoint(nullptr));
+  EXPECT_FALSE(Bin(K::Sub, AbsXform::constant(One), Arg)
+                   .hasNoFixedPoint(nullptr));
+  EXPECT_FALSE(Bin(K::Xor, Arg, AbsXform::constant(One))
+                   .hasNoFixedPoint(nullptr));
+  EXPECT_FALSE(Bin(K::Add, Arg, Arg).hasNoFixedPoint(nullptr));
+  EXPECT_FALSE(
+      AbsXform::unary(K::ToInt, Bin(K::Add, Arg, AbsXform::constant(One)))
+          .hasNoFixedPoint(nullptr));
+  SimVal Addr{SimVal::Kind::Addr, Value(0x1000), internSymbol("x")};
+  EXPECT_FALSE(Bin(K::Add, Arg, AbsXform::constant(Addr))
+                   .hasNoFixedPoint(nullptr));
+}
+
+TEST(AbsDomainRegressionTest, FetchAddSelfReadsAreRejected) {
+  SimProgram P = rmwPair("atomic_int", FetchAdd1, FetchAdd1);
+  SimResult On = expectPruningParity(P, "rc11", "fetch_add pair");
+  expectCounts(On, 9, 3, 6, 2, "fetch_add pair");
+}
+
+TEST(AbsDomainRegressionTest, SelfIncrementRespectsWidths) {
+  // 256 truncates to 0 in a byte: P0's read of its own write is stable.
+  // (A bare "*x = 0" would declare x 32-bit.)
+  SimProgram P = rmwPair(
+      "atomic_uchar", "atomic_fetch_add_explicit(x, 256, memory_order_relaxed)",
+      FetchAdd1);
+  SimResult On = expectPruningParity(P, "rc11", "uchar +256");
+  expectCounts(On, 9, 5, 10, 2, "uchar +256");
+  // 128-bit values wrap at 128 bits, not 64.
+  P = rmwPair("atomic_int128", FetchAdd1, FetchAdd1);
+  On = expectPruningParity(P, "rc11", "int128 fetch_add pair");
+  expectCounts(On, 9, 3, 6, 2, "int128 fetch_add pair");
+}
+
+TEST(AbsDomainRegressionTest, FetchSubZeroReadsItsOwnWrite) {
+  SimProgram P = rmwPair(
+      "atomic_int", "atomic_fetch_sub_explicit(x, 0, memory_order_relaxed)",
+      FetchAdd1);
+  SimResult On = expectPruningParity(P, "rc11", "fetch_sub 0");
+  expectCounts(On, 9, 5, 10, 2, "fetch_sub 0");
+}
+
+TEST(AbsDomainRegressionTest, LlScIncrementSelfReadsAreRejected) {
+  // The fetch_add pair compiled for AArch64 without LSE: each thread's
+  // exclusive load feeds an add and the exclusive store of its result.
+  auto T = parseLitmusC(std::string("C llsc\n{ *x = 0; }\n") +
+                        "void P0(atomic_int* x) {\n  int r0 = " + FetchAdd1 +
+                        ";\n}\nvoid P1(atomic_int* x) {\n  int r0 = " +
+                        FetchAdd1 + ";\n}\nexists (P0:r0=0 /\\ P1:r0=0)\n");
+  ASSERT_TRUE(T.hasValue()) << T.error();
+  ErrorOr<CompileOutput> Out = compileLitmus(
+      *T, Profile::current(CompilerKind::Llvm, OptLevel::O2, Arch::AArch64));
+  ASSERT_TRUE(Out.hasValue()) << Out.error();
+  ErrorOr<SimProgram> P = lowerAsmTest(optimiseAsmLitmus(Out->Asm));
+  ASSERT_TRUE(P.hasValue()) << P.error();
+  SimResult On = expectPruningParity(*P, "aarch64", "LL/SC pair");
+  expectCounts(On, 9, 3, 6, 2, "LL/SC pair");
 }
