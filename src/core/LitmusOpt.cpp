@@ -6,6 +6,9 @@
 
 #include "core/LitmusOpt.h"
 
+#include "asmcore/Semantics.h"
+
+#include <algorithm>
 #include <set>
 
 using namespace telechat;
@@ -32,27 +35,45 @@ void eraseMarked(AsmThread &T, const std::vector<bool> &Remove) {
     Idx = NewIndex[Idx];
 }
 
-/// Pass 1: GOT-load collapse (AArch64).
+/// `adrp xN, :got:x; ldr xN, [xN, :got_lo12:x]`: loads &x into xN.
+bool isGotLoad(const AsmInst &A, const AsmInst &B) {
+  return A.Mnemonic == "adrp" && A.Ops.size() == 2 &&
+         A.Ops[1].Modifier == "got" && B.Mnemonic == "ldr" &&
+         B.Ops.size() == 2 && B.Ops[1].K == AsmOperand::Kind::Mem &&
+         B.Ops[1].Modifier == "got_lo12" && A.Ops[0].Reg == B.Ops[0].Reg &&
+         B.Ops[1].Reg == A.Ops[0].Reg;
+}
+
+/// Pass 1: GOT-load collapse (AArch64). A pair becomes the initial value
+/// `Pk:xN = &x` only when no earlier instruction of the thread names xN
+/// in any width: the initial value holds from the start, so an earlier
+/// use or write of the register would see the address too early, or
+/// overwrite it before the pair's uses.
 unsigned collapseGotLoads(AsmThread &T) {
+  const InstSemantics &Sem = instSemantics(Arch::AArch64);
+  // The register spellings named so far and canonReg of each: a thread
+  // spells few registers, so each is canonicalised once.
+  std::vector<std::string> Spelled, Named;
+  auto NamedBefore = [&](const std::string &Reg) {
+    return std::find(Named.begin(), Named.end(), Sem.canonReg(Reg)) !=
+           Named.end();
+  };
   std::vector<bool> Remove(T.Code.size(), false);
   unsigned Removed = 0;
-  for (unsigned I = 0; I + 1 < T.Code.size(); ++I) {
+  for (unsigned I = 0; I != T.Code.size(); ++I) {
     const AsmInst &A = T.Code[I];
-    const AsmInst &B = T.Code[I + 1];
-    if (A.Mnemonic != "adrp" || A.Ops.size() != 2 ||
-        A.Ops[1].Modifier != "got")
-      continue;
-    if (B.Mnemonic != "ldr" || B.Ops.size() != 2 ||
-        B.Ops[1].K != AsmOperand::Kind::Mem ||
-        B.Ops[1].Modifier != "got_lo12")
-      continue;
-    if (A.Ops[0].Reg != B.Ops[0].Reg || B.Ops[1].Reg != A.Ops[0].Reg)
-      continue;
-    // adrp xN, :got:x; ldr xN, [xN, :got_lo12:x]  ~>  Pk:xN = &x.
-    T.InitRegs.emplace_back(A.Ops[0].Reg, A.Ops[1].Sym);
-    Remove[I] = Remove[I + 1] = true;
-    Removed += 2;
-    ++I;
+    if (I + 1 != T.Code.size() && isGotLoad(A, T.Code[I + 1]) &&
+        !NamedBefore(A.Ops[0].Reg)) {
+      T.InitRegs.emplace_back(A.Ops[0].Reg, A.Ops[1].Sym);
+      Remove[I] = Remove[I + 1] = true;
+      Removed += 2;
+    }
+    for (const AsmOperand &O : A.Ops)
+      if (!O.Reg.empty() &&
+          std::find(Spelled.begin(), Spelled.end(), O.Reg) == Spelled.end()) {
+        Spelled.push_back(O.Reg);
+        Named.push_back(Sem.canonReg(O.Reg));
+      }
   }
   if (Removed)
     eraseMarked(T, Remove);
@@ -98,15 +119,19 @@ AsmLitmusTest telechat::optimiseAsmLitmus(const AsmLitmusTest &In,
     RemovedInsts += removeScaffolding(T);
   }
   // Pass 3: drop synthetic locations that no instruction or register
-  // initialisation references any more.
+  // initialisation references any more. A GOT operand left in the code
+  // (a pair pass 1 kept) references the slot got.<sym>.
   std::set<std::string> Referenced;
   for (const AsmThread &T : Out.Threads) {
     for (const auto &[Reg, Sym] : T.InitRegs)
       Referenced.insert(Sym);
     for (const AsmInst &I : T.Code)
-      for (const AsmOperand &O : I.Ops)
+      for (const AsmOperand &O : I.Ops) {
+        if (O.Modifier == "got" || O.Modifier == "got_lo12")
+          Referenced.insert("got." + O.Sym);
         if (!O.Sym.empty())
           Referenced.insert(O.Sym);
+      }
   }
   unsigned RemovedLocs = 0;
   std::vector<SimLoc> Kept;

@@ -7,6 +7,7 @@
 #include "litmus/Snippet.h"
 
 #include "litmus/Parser.h"
+#include "support/Limits.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -332,13 +333,15 @@ private:
     }
     if (!isPunct(T, '{'))
       return errStr(T, "expected '{' opening thread body");
-    if (std::string E = parseBody(Th.Body); !E.empty())
+    if (std::string E = parseBody(Th.Body, 0); !E.empty())
       return E;
     Test.Threads.push_back(std::move(Th));
     return "";
   }
 
-  std::string parseBody(std::vector<Stmt> &Body) {
+  /// Statements until the closing '}' (consumed), at \p Depth: 0 for a
+  /// thread body, one more per enclosing if.
+  std::string parseBody(std::vector<Stmt> &Body, unsigned Depth) {
     while (true) {
       Token T = Lex.next();
       if (isPunct(T, '}'))
@@ -347,14 +350,22 @@ private:
         return errStr(T, "unterminated thread body");
       Lex.putBack(T);
       Stmt S;
-      if (std::string E = parseStmt(S); !E.empty())
+      if (std::string E = parseStmt(S, Depth); !E.empty())
         return E;
       Body.push_back(std::move(S));
     }
   }
 
-  std::string parseStmt(Stmt &Out) {
+  /// One statement at \p Depth, counted as parseLitmusC and the wire
+  /// decoder count it: a statement's expressions and nested statements
+  /// sit one level below it, and no node may sit deeper than
+  /// MaxTreeDepth. So its expressions have MaxTreeDepth - Depth levels of
+  /// room.
+  std::string parseStmt(Stmt &Out, unsigned Depth) {
     Token T = Lex.next();
+    if (Depth >= MaxTreeDepth)
+      return tooDeep(T);
+    unsigned Room = MaxTreeDepth - Depth;
     if (T.K != Token::Kind::Ident)
       return errStr(T, "expected statement");
     // if (e) { ... } [else { ... }]
@@ -363,7 +374,7 @@ private:
       Token P = Lex.next();
       if (!isPunct(P, '('))
         return errStr(P, "expected '(' after if");
-      if (std::string E = parseExpr(Out.Cond); !E.empty())
+      if (std::string E = parseExpr(Out.Cond, Room); !E.empty())
         return E;
       P = Lex.next();
       if (!isPunct(P, ')'))
@@ -371,14 +382,14 @@ private:
       P = Lex.next();
       if (!isPunct(P, '{'))
         return errStr(P, "expected '{' after if");
-      if (std::string E = parseBody(Out.Then); !E.empty())
+      if (std::string E = parseBody(Out.Then, Depth + 1); !E.empty())
         return E;
       P = Lex.next();
       if (P.K == Token::Kind::Ident && P.Text == "else") {
         P = Lex.next();
         if (!isPunct(P, '{'))
           return errStr(P, "expected '{' after else");
-        return parseBody(Out.Else);
+        return parseBody(Out.Else, Depth + 1);
       }
       Lex.putBack(P);
       return "";
@@ -408,7 +419,7 @@ private:
       Token Eq = Lex.next();
       if (!isPunct(Eq, '='))
         return errStr(Eq, "expected '=' after register name");
-      return parseRegisterRhs(Out, Dst.Text);
+      return parseRegisterRhs(Out, Dst.Text, Room);
     }
     // A location or register name: method call, store sugar, or
     // register reassignment.
@@ -416,7 +427,7 @@ private:
     if (isPunct(Next, '.')) {
       if (!isLoc(T.Text))
         return errStr(T, "'" + T.Text + "' is not a declared location");
-      return parseMethod(Out, T.Text, /*Dst=*/"");
+      return parseMethod(Out, T.Text, /*Dst=*/"", Room);
     }
     if (isPunct(Next, '=')) {
       if (isLoc(T.Text)) {
@@ -424,25 +435,26 @@ private:
         Out.K = Stmt::Kind::Store;
         Out.Loc = T.Text;
         Out.Order = isAtomicLoc(T.Text) ? MemOrder::SeqCst : MemOrder::NA;
-        if (std::string E = parseExpr(Out.Val); !E.empty())
+        if (std::string E = parseExpr(Out.Val, Room); !E.empty())
           return E;
         return expectSemi();
       }
-      return parseRegisterRhs(Out, T.Text);
+      return parseRegisterRhs(Out, T.Text, Room);
     }
     return errStr(Next, "expected '.' or '=' after name");
   }
 
   /// The right-hand side of "r = ...": a method call, a bare location
-  /// read, or a local expression.
-  std::string parseRegisterRhs(Stmt &Out, const std::string &Dst) {
+  /// read, or a local expression of at most \p Room levels.
+  std::string parseRegisterRhs(Stmt &Out, const std::string &Dst,
+                               unsigned Room) {
     Token T = Lex.next();
     if (T.K == Token::Kind::Ident) {
       Token Next = Lex.next();
       if (isPunct(Next, '.')) {
         if (!isLoc(T.Text))
           return errStr(T, "'" + T.Text + "' is not a declared location");
-        return parseMethod(Out, T.Text, Dst);
+        return parseMethod(Out, T.Text, Dst, Room);
       }
       if (isPunct(Next, ';') && isLoc(T.Text)) {
         // r = x; -- a seq_cst (atomic) or plain (non-atomic) load.
@@ -457,15 +469,16 @@ private:
     Lex.putBack(T);
     Out.K = Stmt::Kind::LocalAssign;
     Out.Dst = Dst;
-    if (std::string E = parseExpr(Out.Val); !E.empty())
+    if (std::string E = parseExpr(Out.Val, Room); !E.empty())
       return E;
     return expectSemi();
   }
 
   /// "loc.method(args);" with method one of store/load/exchange/
-  /// fetch_add/fetch_sub. \p Dst empty means the result is discarded.
+  /// fetch_add/fetch_sub. \p Dst empty means the result is discarded;
+  /// the value argument may take \p Room levels.
   std::string parseMethod(Stmt &Out, const std::string &Loc,
-                          const std::string &Dst) {
+                          const std::string &Dst, unsigned Room) {
     Token M = Lex.next();
     if (M.K != Token::Kind::Ident)
       return errStr(M, "expected atomic method name");
@@ -484,7 +497,7 @@ private:
       Out.K = Stmt::Kind::Store;
       if (!Dst.empty())
         return errStr(M, "store has no result");
-      if (std::string E = parseExpr(Out.Val); !E.empty())
+      if (std::string E = parseExpr(Out.Val, Room); !E.empty())
         return E;
       return parseCommaOrderAndClose(Out);
     }
@@ -497,7 +510,7 @@ private:
       Out.Dst = Dst.empty() ? "rmw_" + Loc + std::to_string(FreshRmw++)
                             : Dst;
       Out.DstUsedNowhere = Dst.empty();
-      if (std::string E = parseExpr(Out.Val); !E.empty())
+      if (std::string E = parseExpr(Out.Val, Room); !E.empty())
         return E;
       return parseCommaOrderAndClose(Out);
     }
@@ -539,9 +552,20 @@ private:
     return "";
   }
 
-  /// expr := primary (('+'|'-'|'^'|'&') primary)*
-  std::string parseExpr(Expr &Out) {
-    if (std::string E = parsePrimary(Out); !E.empty())
+  std::string tooDeep(const Token &T) {
+    return errStr(T, strFormat("nesting deeper than %u levels", MaxTreeDepth));
+  }
+
+  std::string parseExpr(Expr &Out, unsigned Room) {
+    unsigned Height = 0;
+    return parseExpr(Out, Room, Height);
+  }
+
+  /// expr := primary (('+'|'-'|'^'|'&') primary)*. The tree may take
+  /// \p Room levels (a leaf takes one); \p Height returns what it took.
+  /// The chain is left-associative, so each operator adds a level.
+  std::string parseExpr(Expr &Out, unsigned Room, unsigned &Height) {
+    if (std::string E = parsePrimary(Out, Room, Height); !E.empty())
       return E;
     while (true) {
       Token T = Lex.next();
@@ -558,15 +582,22 @@ private:
         Lex.putBack(T);
         return "";
       }
+      if (Height == Room)
+        return tooDeep(T);
       Expr Rhs;
-      if (std::string E = parsePrimary(Rhs); !E.empty())
+      unsigned RhsHeight = 0;
+      if (std::string E = parsePrimary(Rhs, Room - 1, RhsHeight); !E.empty())
         return E;
+      Height = std::max(Height, RhsHeight) + 1;
       Out = Expr::binary(K, std::move(Out), std::move(Rhs));
     }
   }
 
-  std::string parsePrimary(Expr &Out) {
+  /// A leaf, or a parenthesised expression. Parentheses add recursion
+  /// but no node, so their nesting is bounded on its own.
+  std::string parsePrimary(Expr &Out, unsigned Room, unsigned &Height) {
     Token T = Lex.next();
+    Height = 1;
     if (T.K == Token::Kind::Number) {
       uint64_t V = 0;
       if (std::string E = numberOf(T, V); !E.empty())
@@ -582,7 +613,12 @@ private:
       return "";
     }
     if (isPunct(T, '(')) {
-      if (std::string E = parseExpr(Out); !E.empty())
+      if (Nesting == MaxTreeDepth)
+        return tooDeep(T);
+      ++Nesting;
+      std::string E = parseExpr(Out, Room, Height);
+      --Nesting;
+      if (!E.empty())
         return E;
       Token C = Lex.next();
       if (!isPunct(C, ')'))
@@ -623,6 +659,7 @@ private:
   /// assignment sugar and catches undeclared-location typos early).
   std::map<std::string, bool> Locs;
   unsigned FreshRmw = 0;
+  unsigned Nesting = 0; ///< Open parentheses around the cursor.
 };
 
 } // namespace

@@ -31,11 +31,12 @@
 /// accepts, the value sweep() computes for a tracked event equals
 /// Known's constant / f(read value) exactly -- same truncation sites,
 /// same address/integer coercions, same zero-default for registers that
-/// were never assigned. The sweep runs on slot-resolved ops (registers
-/// are register-file slots, locations dense ids), but it combines
-/// values with combineSimVals and truncates with truncAtLoc, the same
-/// two helpers AbsXform::apply and this pass use, so the two cannot
-/// drift.
+/// were never assigned. The pass (ComboWorker::computeAbstract) runs on
+/// the sweep's compiled ops: the same register-file slots, each starting
+/// as Known(0) where the sweep's start as SimVal{}, so the two share one
+/// register namespace and one zero default by construction. Both combine
+/// values with combineSimVals and truncate with truncAtLoc, so they
+/// cannot drift there either.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,8 +46,6 @@
 #include "sim/Program.h"
 #include "support/Interner.h"
 
-#include <map>
-#include <string>
 #include <vector>
 
 namespace telechat {
@@ -61,16 +60,15 @@ struct SimVal {
   bool operator==(const SimVal &RHS) const {
     return K == RHS.K && V == RHS.V && Sym == RHS.Sym;
   }
+
+  /// The constraint truth rule: a nonzero integer or any address.
+  bool nonZero() const { return !V.isZero() || K == Kind::Addr; }
 };
 
 /// The concrete combine rule for one binary Expr kind, shared verbatim
-/// by the resolution sweep (via evalSimExpr) and AbsXform::apply so the
-/// abstract transforms cannot drift from the fixpoint's semantics.
+/// by the resolution sweep and AbsXform::apply so the abstract
+/// transforms cannot drift from the fixpoint's semantics.
 SimVal combineSimVals(Expr::Kind K, const SimVal &L, const SimVal &R);
-
-/// Evaluates an expression over a register file, zero-defaulting
-/// registers that were never assigned (herd's rule).
-SimVal evalSimExpr(const Expr &E, const std::map<std::string, SimVal> &Regs);
 
 /// The width rule shared by the sweep and the abstract pass: values
 /// stored to / loaded from a location truncate to its declared type \p L
@@ -171,74 +169,21 @@ struct AbsVal {
     A.F = std::move(F);
     return A;
   }
+  /// xform(Ev, F), or Top when F is past the node bound: transforms stay
+  /// cheap to copy and to apply, and Top is always sound.
+  static AbsVal bounded(unsigned Ev, AbsXform F);
 
   /// Kind::Xform only: the tracked value when the read observes
   /// \p ReadVal.
   SimVal apply(const SimVal &ReadVal) const { return F.apply(ReadVal); }
+  /// Non-Top only: the value as a transform-tree node.
+  AbsXform node() const { return K == Kind::Known ? AbsXform::constant(V) : F; }
 };
 
-/// One path constraint whose inputs the abstract pass fully tracked:
-/// every register the expression reads is either a known constant or a
-/// transform of one read event's value. Checkable per rf assignment
-/// without running the resolution fixpoint.
-struct PruneCheck {
-  const Expr *E = nullptr; ///< Points into the program's paths.
-  bool ExpectNonZero = true;
-  /// Register snapshot at the constraint site, restricted to registers
-  /// the expression uses. No entry is Top (such constraints are not
-  /// captured).
-  std::vector<std::pair<std::string, AbsVal>> Regs;
-};
-
-/// One op of one chosen path together with the events it emitted (in
-/// creation order; ~0u when the op emits fewer events) and the facts
-/// the enumerator resolved for it. The enumerator flattens its
-/// per-combo skeleton into this form so the abstract pass needs no
-/// knowledge of the event table's layout or of location names.
-struct AbsThreadOp {
-  const SimOp *Op = nullptr;
-  unsigned Ev0 = ~0u;
-  unsigned Ev1 = ~0u;
-  /// Accesses: the address is static (known before any rf choice,
-  /// possibly through registers holding address constants).
-  bool Static = false;
-  /// Static accesses: the declared location (the width rule), null
-  /// when undeclared.
-  const SimLoc *Decl = nullptr;
-  /// AddrOf: the address value the sweep assigns.
-  SimVal Addr;
-};
-
-/// The abstract value pass: runs each chosen path once over the domain,
-/// recording per write event what it stores (evAbs) and which path
-/// constraints are checkable without the fixpoint (checks /
-/// infeasible). Mirrors the concrete sweep()'s value semantics exactly;
-/// anything it cannot mirror becomes Top and is never pruned on.
-class AbsInterpreter {
-public:
-  /// Runs the pass over one path combo. \p InitWrites lists (event id,
-  /// initial value) of the init writes; \p Threads holds each chosen
-  /// path's ops with their events.
-  void run(unsigned NumEvents,
-           const std::vector<std::pair<unsigned, SimVal>> &InitWrites,
-           const std::vector<std::vector<AbsThreadOp>> &Threads);
-
-  const std::vector<AbsVal> &evAbs() const { return EvAbs; }
-  std::vector<AbsVal> takeEvAbs() { return std::move(EvAbs); }
-  std::vector<PruneCheck> takeChecks() { return std::move(Checks); }
-  bool infeasible() const { return Infeasible; }
-
-private:
-  AbsVal absEval(const Expr &E,
-                 const std::map<std::string, AbsVal> &Regs) const;
-  AbsVal combine(Expr::Kind K, AbsVal L, AbsVal R) const;
-  void captureConstraint(const SimOp &Op,
-                         const std::map<std::string, AbsVal> &Regs);
-
-  std::vector<AbsVal> EvAbs;
-  std::vector<PruneCheck> Checks;
-  bool Infeasible = false;
-};
+/// The abstract combine of one binary Expr kind: Known operands combine
+/// concretely, one read source builds a transform, two sources or Top
+/// give Top, and the t^t / t-t fold applies.
+AbsVal combineAbsVals(Expr::Kind K, const AbsVal &L, const AbsVal &R);
 
 } // namespace telechat
 

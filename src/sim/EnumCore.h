@@ -15,6 +15,10 @@
 ///    skeleton construction, rf candidate lists, the abstract value
 ///    pass and its prune checks, the value-resolution fixpoint,
 ///    coherence enumeration and Cat filtering, stats and collection.
+///    Per combo, compilePaths() is the one place that looks a register
+///    name up: it turns the chosen paths into events and SweepOps over
+///    register-file slots, and every later pass -- static addresses,
+///    the abstract pass, the prune checks, the sweep -- runs on those.
 ///    processShard() prepares a combo and hands its rf range to
 ///    searchCombo(): the sweep iterates the rf index space, the solver
 ///    drives a decision tree over the same candidate lists, the
@@ -142,14 +146,15 @@ struct EvInfo {
 /// replaced by register-file slots.
 struct SlotExpr {
   Expr::Kind K = Expr::Kind::Imm;
-  SimVal Imm;               ///< Kind::Imm, as evalSimExpr yields it.
+  SimVal Imm;               ///< Kind::Imm: the integer constant.
   unsigned Slot = kNoSlot;  ///< Kind::Reg.
   unsigned L = 0, R = 0;    ///< Binary kinds: child node indexes.
 };
 
-/// One op of a chosen path compiled for the resolution sweep: registers
-/// are slots, static locations ids, and everything that depends only on
-/// the path combo is computed once, in prepareCombo.
+/// One op of a chosen path compiled for the resolution sweep and the
+/// abstract pass: registers are slots, static locations ids, and
+/// everything that depends only on the path combo is computed once, in
+/// compilePaths.
 struct SweepOp {
   const SimOp *Op = nullptr;
   unsigned Ev0 = ~0u, Ev1 = ~0u; ///< Events in creation order.
@@ -168,6 +173,18 @@ struct SweepOp {
   int64_t Off = 0;
   /// AddrOf: the address. Exclusive stores: the status value.
   SimVal Const;
+};
+
+/// One path constraint whose inputs the abstract pass fully tracked:
+/// every slot the constraint reads holds a known constant or a transform
+/// of one read event's value, so the check decides an rf assignment
+/// without the fixpoint (ComboWorker::violates).
+struct PruneCheck {
+  unsigned Root = 0; ///< The constraint's SlotExpr root.
+  bool ExpectNonZero = true;
+  /// (slot, value) per entry of the constraint's use list, in its order.
+  /// No value is Top.
+  std::vector<std::pair<unsigned, AbsVal>> Inputs;
 };
 
 constexpr uint64_t kFullRange = ~uint64_t(0);
@@ -324,7 +341,28 @@ public:
   /// would be rejected by the resolution fixpoint. With \p Support
   /// non-null, fills it with the assignments the violated check's
   /// evaluation traversed (empty for a constant violation).
-  bool violatedCheck(SupportVec *Support) const;
+  bool violatedCheck(SupportVec *Support);
+
+  /// The one evaluation of a prune check, shared by the abstract pass,
+  /// the rf filter, violatedCheck and the solver's pair clauses: binds
+  /// each input slot of CheckRegs -- a known input to its constant, a
+  /// transform of read R to its application to \p ReadVal(R) -- and
+  /// evaluates the constraint over that register file. True when the
+  /// constraint takes the wrong truth value; false when it holds or
+  /// \p ReadVal(R) is nullopt for some input (the fixpoint decides).
+  template <class ReadValFn>
+  bool violates(const PruneCheck &PC, ReadValFn ReadVal) {
+    for (const auto &[Slot, A] : PC.Inputs) {
+      if (A.K == AbsVal::Kind::Known) {
+        CheckRegs[Slot] = A.V;
+      } else if (std::optional<SimVal> V = ReadVal(A.ReadEv)) {
+        CheckRegs[Slot] = A.apply(*V);
+      } else {
+        return false;
+      }
+    }
+    return evalSlots(PC.Root, CheckRegs).nonZero() != PC.ExpectNonZero;
+  }
 
   const SimProgram &Prog;
   const CatModel &Model;
@@ -356,17 +394,19 @@ public:
   // The chosen paths compiled for the sweep: ops in thread order
   // (thread T's are [ThreadEnd[T-1], ThreadEnd[T])), their expression
   // nodes and taint sources, and per observed register its slot.
+  // Threads own disjoint slots.
   std::vector<SweepOp> Code;
   std::vector<unsigned> ThreadEnd;
   std::vector<SlotExpr> Exprs;
   std::vector<unsigned> Uses;
   std::vector<unsigned> ObservedSlot;
   unsigned NumSlots = 0;
-  // Constraint-propagation state (see computeAbstract / AbsDomain.h).
-  std::vector<std::pair<unsigned, SimVal>> InitWrites;
-  std::vector<std::vector<AbsThreadOp>> ThreadOps;
+  // Constraint-propagation state (see computeAbstract / AbsDomain.h):
+  // per event what it writes, the checks, and the register file the
+  // checks are evaluated over.
   std::vector<AbsVal> EvAbs;
   std::vector<PruneCheck> PruneChecks;
+  std::vector<SimVal> CheckRegs;
   bool ComboInfeasible = false;
   uint64_t ComboRfSourcesPruned = 0;
   /// (read index, candidate index) pairs whose write stores the read's
@@ -412,7 +452,7 @@ public:
                                         SupportVec *Support) const;
 
   /// Sweep-path shorthand: violatedCheck without support collection.
-  bool prunedByConstraints() const { return violatedCheck(nullptr); }
+  bool prunedByConstraints() { return violatedCheck(nullptr); }
 
   /// The width rule at location \p L (kNoLoc: no-op).
   SimVal truncAt(LocId L, SimVal V) const {
@@ -421,11 +461,15 @@ public:
   void compilePaths();
   unsigned compileExpr(const Expr &E,
                        std::map<std::string, unsigned> &Slots);
-  SimVal evalSlots(unsigned Node) const;
+  /// Evaluates expression node \p Node over register file \p Regs.
+  SimVal evalSlots(unsigned Node, const std::vector<SimVal> &Regs) const;
+  /// evalSlots over the abstract domain.
+  AbsVal absEval(unsigned Node, const std::vector<AbsVal> &Regs) const;
   uint64_t *row(std::vector<uint64_t> &Bits, unsigned I) {
     return Bits.data() + size_t(I) * RowWords;
   }
   void computeAbstract();
+  void captureCheck(const SweepOp &C, const std::vector<AbsVal> &Regs);
   void filterRfCandidates();
   void findSelfIncrements();
   bool sweep(const std::vector<size_t> &RfChoice, bool *Verify);

@@ -25,13 +25,15 @@
 /// Three per-combo precomputations cut the per-candidate cost (see
 /// Enumerator.h for the user-facing contracts):
 ///
-///  - The chosen paths are *compiled* for the resolution fixpoint
-///    (SweepOp, EnumCore.h): registers become register-file slots,
-///    locations dense ids, dependencies bit rows, so the sweep that
-///    runs several times per rf assignment builds no string and looks
-///    up no name.
+///  - The chosen paths are *compiled* once per combo (compilePaths;
+///    SweepOp, EnumCore.h): events, register-file slots, location ids
+///    and the static-address facts come out of one pass per thread.
+///    It is the only place that looks a register name up: the sweep
+///    that runs several times per rf assignment, the abstract pass and
+///    the prune checks all run on its slots and ids, so they build no
+///    string and share one register namespace and zero default.
 ///
-///  - An *abstract value pass* (sim/AbsDomain.h) runs each chosen path
+///  - An *abstract value pass* (sim/AbsDomain.h) runs the compiled ops
 ///    once over the single-source symbolic-transform domain: a value is
 ///    a known constant, a bounded transform f applied to one read
 ///    event's value (covering copies, affine arithmetic, bitwise ops,
@@ -152,145 +154,16 @@ void ComboWorker::processShard(const Shard &S) {
   publishLayer();
 }
 
-namespace {
-
-/// Abstract address resolution: registers holding *statically known*
-/// address constants (AddrOf, copies, constant offsets) turn their
-/// accesses into static ones, which the rf-candidate filter can then
-/// restrict by location. Addresses that flow through memory (GOT /
-/// literal-pool loads in unoptimised compiled tests) stay dynamic --
-/// the paper's §IV-E state explosion. This mirrors herd: symbolic
-/// init-state addresses are constants, loaded values are not.
-class StaticAddresses {
-public:
-  /// Steps over one op of a path, in order: the location name of a
-  /// static (or statically resolvable) access, nullopt otherwise.
-  std::optional<std::string> step(const SimOp &Op) {
-    std::optional<std::string> Name;
-    if (Op.K == SimOp::Kind::Load || Op.K == SimOp::Kind::Store ||
-        Op.K == SimOp::Kind::Rmw) {
-      if (Op.Addr.isStatic())
-        Name = SimAddr::locName(Op.Addr.Sym, Op.Addr.Off);
-      else if (auto It = Known.find(Op.Addr.Reg); It != Known.end())
-        Name = SimAddr::locName(It->second.first,
-                                It->second.second + Op.Addr.Off);
-    }
-    switch (Op.K) {
-    case SimOp::Kind::AddrOf:
-      Known[Op.Dst] = {Op.Sym, 0};
-      break;
-    case SimOp::Kind::Assign:
-      if (auto A = eval(Op.Val))
-        Known[Op.Dst] = *A;
-      else
-        Known.erase(Op.Dst);
-      break;
-    case SimOp::Kind::Load:
-      if (!Op.Dst.empty())
-        Known.erase(Op.Dst);
-      if (!Op.Dst2.empty())
-        Known.erase(Op.Dst2);
-      break;
-    case SimOp::Kind::Rmw:
-    case SimOp::Kind::Store:
-      if (!Op.Dst.empty())
-        Known.erase(Op.Dst);
-      break;
-    case SimOp::Kind::Fence:
-    case SimOp::Kind::Constraint:
-      break;
-    }
-    return Name;
-  }
-
-private:
-  using Address = std::pair<std::string, int64_t>;
-
-  std::optional<Address> eval(const Expr &E) const {
-    if (E.K == Expr::Kind::Reg) {
-      auto It = Known.find(E.RegName);
-      if (It != Known.end())
-        return It->second;
-      return std::nullopt;
-    }
-    if (E.K == Expr::Kind::Add) {
-      const Expr &L = E.Ops[0], &R = E.Ops[1];
-      if (L.K == Expr::Kind::Reg && R.K == Expr::Kind::Imm) {
-        auto It = Known.find(L.RegName);
-        if (It != Known.end())
-          return Address(It->second.first,
-                         It->second.second + int64_t(R.Imm.Lo));
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::map<std::string, Address> Known;
-};
-
-} // namespace
-
 uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
-  std::vector<size_t> PathChoice(Prog.Threads.size(), 0);
-  for (size_t T = 0; T != PathChoice.size(); ++T) {
-    size_t N = Prog.Threads[T].Paths.size();
-    PathChoice[T] = size_t(Combo % N);
+  Paths.clear();
+  for (const SimThread &T : Prog.Threads) {
+    size_t N = T.Paths.size();
+    Paths.push_back(&T.Paths[size_t(Combo % N)]);
     Combo /= N;
   }
 
-  // --- Build the event skeleton. ---
-  Events.clear();
-  OpEvents.clear();
-  Paths.clear();
-  for (const SimLoc &L : Prog.Locations) {
-    EvInfo Init;
-    Init.Kind = EventKind::Write;
-    Init.IsInit = true;
-    Init.Loc = Locs.intern(L.Name);
-    Events.push_back(Init);
-  }
-  for (unsigned T = 0; T != Prog.Threads.size(); ++T) {
-    const SimPath &Path = Prog.Threads[T].Paths[PathChoice[T]];
-    Paths.push_back(&Path);
-    std::vector<std::pair<unsigned, unsigned>> PathEvents;
-    StaticAddresses Known;
-    for (unsigned I = 0; I != Path.Ops.size(); ++I) {
-      const SimOp &Op = Path.Ops[I];
-      LocId Loc = kNoLoc;
-      if (std::optional<std::string> Name = Known.step(Op))
-        Loc = Locs.intern(*Name);
-      auto AddEvent = [&](EventKind K) {
-        EvInfo E;
-        E.Thread = T;
-        E.OpIndex = I;
-        E.Kind = K;
-        E.Op = &Op;
-        E.Loc = Loc;
-        Events.push_back(E);
-        return unsigned(Events.size() - 1);
-      };
-      switch (Op.K) {
-      case SimOp::Kind::Load:
-        PathEvents.emplace_back(I, AddEvent(EventKind::Read));
-        break;
-      case SimOp::Kind::Store:
-        PathEvents.emplace_back(I, AddEvent(EventKind::Write));
-        break;
-      case SimOp::Kind::Rmw:
-        PathEvents.emplace_back(I, AddEvent(EventKind::Read));
-        PathEvents.emplace_back(I, AddEvent(EventKind::Write));
-        break;
-      case SimOp::Kind::Fence:
-        PathEvents.emplace_back(I, AddEvent(EventKind::Fence));
-        break;
-      case SimOp::Kind::Assign:
-      case SimOp::Kind::AddrOf:
-      case SimOp::Kind::Constraint:
-        break;
-      }
-    }
-    OpEvents.push_back(std::move(PathEvents));
-  }
+  // --- Build the event skeleton and compile the chosen paths. ---
+  compilePaths();
   unsigned N = Events.size();
 
   // Reads and writes of this skeleton.
@@ -325,7 +198,6 @@ uint64_t ComboWorker::prepareCombo(uint64_t Combo) {
     }
   }
 
-  compilePaths();
   ComboRfSourcesPruned = 0;
   SelfIncrements.clear();
   if (Opts.RfValuePruning) {
@@ -436,19 +308,38 @@ void ComboWorker::runAssignment() {
   }
 }
 
-/// Compiles the chosen paths into the sweep's form (SweepOp): each
-/// thread's registers become slots of one flat register file, each
-/// expression a SlotExpr tree, each static access its location id and
-/// declaration, and AddrOf values and exclusive-store statuses
-/// constants. Everything here depends only on the path combo, so the
-/// per-candidate sweep builds no string and looks up no name.
+/// Builds the combo's events and compiles the chosen paths into the
+/// sweep's form (SweepOp), one pass per thread: each thread's registers
+/// become slots of one flat register file, each expression a SlotExpr
+/// tree, each static access its location id and declaration, and AddrOf
+/// values and exclusive-store statuses constants. Its slot map is the
+/// one lookup by register name per combo: the abstract pass, the prune
+/// checks and the per-candidate sweep all run on slots and ids.
+///
+/// An access is static when its address is a symbol, or a slot holding
+/// an address known before any rf choice: one that an AddrOf, a copy of
+/// a known address or such a copy plus an immediate put there. The
+/// rf-candidate filter can then restrict it by location. Addresses that
+/// flow through memory (GOT / literal-pool loads in unoptimised compiled
+/// tests) stay dynamic -- the paper's §IV-E state explosion. This
+/// mirrors herd: symbolic init-state addresses are constants, loaded
+/// values are not.
 void ComboWorker::compilePaths() {
+  Events.clear();
+  OpEvents.clear();
   Code.clear();
   ThreadEnd.clear();
   Exprs.clear();
   Uses.clear();
   ObservedSlot.clear();
   NumSlots = 0;
+  for (const SimLoc &L : Prog.Locations) {
+    EvInfo Init;
+    Init.Kind = EventKind::Write;
+    Init.IsInit = true;
+    Init.Loc = Locs.intern(L.Name);
+    Events.push_back(Init);
+  }
   std::map<std::string, unsigned> Slots;
   auto SlotOf = [&](const std::string &Reg) {
     auto [It, New] = Slots.try_emplace(Reg, NumSlots);
@@ -456,39 +347,65 @@ void ComboWorker::compilePaths() {
       ++NumSlots;
     return It->second;
   };
-  auto AddUses = [&](const Expr &E) {
-    std::vector<std::string> Regs;
-    E.collectRegs(Regs);
-    for (const std::string &R : Regs)
-      Uses.push_back(SlotOf(R));
+  // Per slot: the (symbol, offset) address it statically holds.
+  using Address = std::pair<Symbol, int64_t>;
+  std::vector<std::optional<Address>> KnownAddr;
+  auto Forget = [&](const std::string &Reg) {
+    auto It = Slots.find(Reg);
+    if (!Reg.empty() && It != Slots.end())
+      KnownAddr[It->second].reset();
+  };
+  auto AddrOfExpr = [&](unsigned Node) -> std::optional<Address> {
+    const SlotExpr &E = Exprs[Node];
+    if (E.K == Expr::Kind::Reg)
+      return KnownAddr[E.Slot];
+    if (E.K != Expr::Kind::Add || Exprs[E.L].K != Expr::Kind::Reg ||
+        Exprs[E.R].K != Expr::Kind::Imm || !KnownAddr[Exprs[E.L].Slot])
+      return std::nullopt;
+    Address A = *KnownAddr[Exprs[E.L].Slot];
+    A.second += int64_t(Exprs[E.R].Imm.V.Lo);
+    return A;
   };
   for (unsigned T = 0; T != Paths.size(); ++T) {
     Slots.clear();
-    auto EvIt = OpEvents[T].begin();
-    const auto EvEnd = OpEvents[T].end();
+    std::vector<std::pair<unsigned, unsigned>> &PathEvents =
+        OpEvents.emplace_back();
     for (unsigned I = 0; I != Paths[T]->Ops.size(); ++I) {
       const SimOp &Op = Paths[T]->Ops[I];
       SweepOp C;
       C.Op = &Op;
-      while (EvIt != EvEnd && EvIt->first == I) {
-        (C.Ev0 == ~0u ? C.Ev0 : C.Ev1) = EvIt->second;
-        ++EvIt;
-      }
       C.UsesBegin = unsigned(Uses.size());
       if (Op.K == SimOp::Kind::Load || Op.K == SimOp::Kind::Store ||
           Op.K == SimOp::Kind::Rmw) {
-        C.Loc = Events[C.Ev0].Loc;
-        if (C.Loc != kNoLoc) {
-          C.Decl = Locs.decl(C.Loc);
+        // Decided before the op updates any register.
+        auto Base = Slots.find(Op.Addr.Reg);
+        if (Op.Addr.isStatic()) {
+          C.Loc = Locs.intern(SimAddr::locName(Op.Addr.Sym, Op.Addr.Off));
+        } else if (Base != Slots.end() && KnownAddr[Base->second]) {
+          const Address &A = *KnownAddr[Base->second];
+          C.Loc = Locs.resolve(A.first, A.second + Op.Addr.Off);
         } else {
           C.Base = SlotOf(Op.Addr.Reg);
           C.Off = Op.Addr.Off;
         }
+        if (C.Loc != kNoLoc)
+          C.Decl = Locs.decl(C.Loc);
       }
+      auto AddEvent = [&](EventKind K) {
+        EvInfo E;
+        E.Thread = T;
+        E.OpIndex = I;
+        E.Kind = K;
+        E.Op = &Op;
+        E.Loc = C.Loc;
+        unsigned Ev = unsigned(Events.size());
+        Events.push_back(E);
+        PathEvents.emplace_back(I, Ev);
+        (C.Ev0 == ~0u ? C.Ev0 : C.Ev1) = Ev;
+      };
       switch (Op.K) {
       case SimOp::Kind::Assign:
         C.Val = compileExpr(Op.Val, Slots);
-        AddUses(Op.Val);
         C.Dst = SlotOf(Op.Dst);
         break;
       case SimOp::Kind::AddrOf:
@@ -497,11 +414,12 @@ void ComboWorker::compilePaths() {
         break;
       case SimOp::Kind::Constraint:
         C.Val = compileExpr(Op.Val, Slots);
-        AddUses(Op.Val);
         break;
       case SimOp::Kind::Fence:
+        AddEvent(EventKind::Fence);
         break;
       case SimOp::Kind::Load:
+        AddEvent(EventKind::Read);
         if (!Op.Dst.empty()) {
           C.Dst = SlotOf(Op.Dst);
           if (Op.Is128)
@@ -509,11 +427,10 @@ void ComboWorker::compilePaths() {
         }
         break;
       case SimOp::Kind::Store:
+        AddEvent(EventKind::Write);
         C.Val = compileExpr(Op.Val, Slots);
         if (Op.Is128)
           C.ValHi = compileExpr(Op.ValHi, Slots);
-        AddUses(Op.Val);
-        AddUses(Op.ValHi);
         if (!Op.Dst.empty()) {
           C.Dst = SlotOf(Op.Dst);
           C.Const =
@@ -521,14 +438,38 @@ void ComboWorker::compilePaths() {
         }
         break;
       case SimOp::Kind::Rmw:
+        AddEvent(EventKind::Read);
+        AddEvent(EventKind::Write);
         C.Val = compileExpr(Op.Val, Slots);
-        AddUses(Op.Val);
         if (!Op.Dst.empty() && !Op.NoRet)
           C.Dst = SlotOf(Op.Dst);
         break;
       }
       C.UsesEnd = unsigned(Uses.size());
       Code.push_back(C);
+      // The static-address facts after the op. A load forgets both
+      // destinations, a store its status register, an RMW its named
+      // destination even when it does not return it.
+      KnownAddr.resize(NumSlots);
+      switch (Op.K) {
+      case SimOp::Kind::AddrOf:
+        KnownAddr[C.Dst] = Address(C.Const.Sym, 0);
+        break;
+      case SimOp::Kind::Assign:
+        KnownAddr[C.Dst] = AddrOfExpr(C.Val);
+        break;
+      case SimOp::Kind::Load:
+        Forget(Op.Dst);
+        Forget(Op.Dst2);
+        break;
+      case SimOp::Kind::Store:
+      case SimOp::Kind::Rmw:
+        Forget(Op.Dst);
+        break;
+      case SimOp::Kind::Fence:
+      case SimOp::Kind::Constraint:
+        break;
+      }
     }
     ThreadEnd.push_back(unsigned(Code.size()));
     for (const auto &[Reg, Key] : Prog.Threads[T].Observed) {
@@ -539,6 +480,7 @@ void ComboWorker::compilePaths() {
   unsigned N = Events.size();
   RowWords = (N + 63) / 64;
   RegFile.assign(NumSlots, SimVal());
+  CheckRegs.assign(NumSlots, SimVal());
   Taint.assign(size_t(NumSlots) * RowWords, 0);
   AddrDeps.assign(size_t(N) * RowWords, 0);
   DataDeps.assign(size_t(N) * RowWords, 0);
@@ -560,6 +502,7 @@ unsigned ComboWorker::compileExpr(const Expr &E,
     if (New)
       ++NumSlots;
     X.Slot = It->second;
+    Uses.push_back(X.Slot); // A taint source of the op.
     break;
   }
   case Expr::Kind::Add:
@@ -574,50 +517,190 @@ unsigned ComboWorker::compileExpr(const Expr &E,
   return unsigned(Exprs.size() - 1);
 }
 
-/// evalSimExpr over the register file: the same combine rule and the
-/// same zero default (a slot nothing assigned holds SimVal{}).
-SimVal ComboWorker::evalSlots(unsigned Node) const {
+/// The concrete value of an expression: registers read their slot of
+/// \p Regs (the sweep's file holds SimVal{}, herd's zero default, in a
+/// slot nothing assigned).
+SimVal ComboWorker::evalSlots(unsigned Node,
+                              const std::vector<SimVal> &Regs) const {
   const SlotExpr &E = Exprs[Node];
   switch (E.K) {
   case Expr::Kind::Imm:
     return E.Imm;
   case Expr::Kind::Reg:
-    return RegFile[E.Slot];
+    return Regs[E.Slot];
   case Expr::Kind::Add:
   case Expr::Kind::Sub:
   case Expr::Kind::Xor:
   case Expr::Kind::And:
     break;
   }
-  return combineSimVals(E.K, evalSlots(E.L), evalSlots(E.R));
+  return combineSimVals(E.K, evalSlots(E.L, Regs), evalSlots(E.R, Regs));
 }
 
-/// Runs the abstract value pass (sim/AbsDomain.h) over the prepared
-/// combo, recording per write event what it stores (EvAbs) and which
-/// path constraints are checkable without the fixpoint (PruneChecks /
-/// ComboInfeasible). The pass itself lives in AbsInterpreter; this
-/// wrapper flattens the per-combo skeleton into its input form.
+AbsVal ComboWorker::absEval(unsigned Node,
+                            const std::vector<AbsVal> &Regs) const {
+  const SlotExpr &E = Exprs[Node];
+  switch (E.K) {
+  case Expr::Kind::Imm:
+    return AbsVal::known(E.Imm);
+  case Expr::Kind::Reg:
+    return Regs[E.Slot];
+  case Expr::Kind::Add:
+  case Expr::Kind::Sub:
+  case Expr::Kind::Xor:
+  case Expr::Kind::And:
+    break;
+  }
+  return combineAbsVals(E.K, absEval(E.L, Regs), absEval(E.R, Regs));
+}
+
+/// The abstract value pass (sim/AbsDomain.h): runs the compiled ops once
+/// over the domain, recording per write event what it stores (EvAbs) and
+/// which path constraints are checkable without the fixpoint
+/// (PruneChecks / ComboInfeasible). Threads own disjoint slots, so one
+/// abstract register file serves the combo; every slot starts as
+/// Known(0), the sweep's zero default. Mirrors the concrete sweep()'s
+/// value semantics exactly; anything it cannot mirror becomes Top and is
+/// never pruned on.
 void ComboWorker::computeAbstract() {
-  // Flattening scratch lives on the worker: prepareCombo runs once
-  // per path combo, so reuse capacity instead of reallocating.
-  InitWrites.clear();
-  for (unsigned I = 0; I != Events.size(); ++I)
-    if (Events[I].IsInit)
-      InitWrites.emplace_back(I, Locs.initValue(Events[I].Loc));
-  ThreadOps.resize(Paths.size());
-  for (unsigned T = 0, Begin = 0; T != Paths.size(); Begin = ThreadEnd[T++]) {
-    ThreadOps[T].clear();
-    for (unsigned I = Begin; I != ThreadEnd[T]; ++I) {
-      const SweepOp &C = Code[I];
-      ThreadOps[T].push_back(
-          {C.Op, C.Ev0, C.Ev1, C.Loc != kNoLoc, C.Decl, C.Const});
+  EvAbs.assign(Events.size(), AbsVal());
+  PruneChecks.clear();
+  ComboInfeasible = false;
+  for (unsigned I = 0; I != Events.size() && Events[I].IsInit; ++I)
+    EvAbs[I] = AbsVal::known(Locs.initValue(Events[I].Loc));
+  std::vector<AbsVal> Regs(NumSlots, AbsVal::known(SimVal{}));
+  for (const SweepOp &C : Code) {
+    const SimOp &Op = *C.Op;
+    switch (Op.K) {
+    case SimOp::Kind::Assign:
+      Regs[C.Dst] = absEval(C.Val, Regs);
+      break;
+    case SimOp::Kind::AddrOf:
+      Regs[C.Dst] = AbsVal::known(C.Const);
+      break;
+    case SimOp::Kind::Constraint:
+      captureCheck(C, Regs);
+      break;
+    case SimOp::Kind::Fence:
+      break;
+    case SimOp::Kind::Load:
+      // The halves of a 128-bit read are bit-slices of it (sweep():
+      // Value(V.Lo) / Value(V.Hi)), exactly expressible as Lo64/Hi64
+      // transforms of the read. Like the sweep, assign nothing when the
+      // load has no destination (an `ldxp xzr, xN` writes neither half).
+      if (C.Dst == kNoSlot)
+        break;
+      if (Op.Is128) {
+        Regs[C.Dst] = AbsVal::xform(
+            C.Ev0, AbsXform::unary(AbsXform::Kind::Lo64, AbsXform::arg()));
+        Regs[C.Dst2] = AbsVal::xform(
+            C.Ev0, AbsXform::unary(AbsXform::Kind::Hi64, AbsXform::arg()));
+      } else {
+        Regs[C.Dst] = AbsVal::read(C.Ev0);
+      }
+      break;
+    case SimOp::Kind::Store: {
+      AbsVal V;
+      if (Op.Is128) {
+        AbsVal Lo = absEval(C.Val, Regs), Hi = absEval(C.ValHi, Regs);
+        if (Lo.K == AbsVal::Kind::Known && Hi.K == AbsVal::Kind::Known) {
+          V = AbsVal::known(SimVal{SimVal::Kind::Int,
+                                   Value(Lo.V.V.Lo, Hi.V.V.Lo), Symbol()});
+        } else if (Lo.K != AbsVal::Kind::Top && Hi.K != AbsVal::Kind::Top &&
+                   !(Lo.K == AbsVal::Kind::Xform &&
+                     Hi.K == AbsVal::Kind::Xform && Lo.ReadEv != Hi.ReadEv)) {
+          // One read feeds both halves (e.g. an LDXP/STXP round trip
+          // through the half registers): still single-source.
+          unsigned Ev = Lo.K == AbsVal::Kind::Xform ? Lo.ReadEv : Hi.ReadEv;
+          V = AbsVal::bounded(Ev, AbsXform::binary(AbsXform::Kind::Pack128,
+                                                   Lo.node(), Hi.node()));
+        }
+      } else {
+        V = absEval(C.Val, Regs);
+      }
+      // A dynamic destination hides the width rule; give up on the
+      // value. Known values pre-truncate at the store site (the sweep
+      // truncates on Update); transforms bake the store-site
+      // truncation into the tree, applied when the chain is resolved.
+      if (C.Loc == kNoLoc)
+        V = AbsVal();
+      else if (V.K == AbsVal::Kind::Known)
+        V.V = truncAtLoc(C.Decl, V.V);
+      else if (V.K == AbsVal::Kind::Xform && C.Decl)
+        V.F = AbsXform::trunc(C.Decl->Type, std::move(V.F));
+      EvAbs[C.Ev0] = std::move(V);
+      // Exclusive-store status register. Sound to model as a known
+      // constant: the concrete sweep -- the oracle pruning must
+      // mirror -- itself assigns StatusSuccess unconditionally
+      // (herd's "exclusive pairs succeed" rule), so a path whose
+      // constraints require a failed store-conditional is rejected by
+      // the fixpoint on every rf assignment, and the all-known
+      // capture condemns the combo identically.
+      if (C.Dst != kNoSlot)
+        Regs[C.Dst] = AbsVal::known(C.Const);
+      break;
+    }
+    case SimOp::Kind::Rmw: {
+      AbsVal Operand = absEval(C.Val, Regs);
+      AbsVal New; // Top unless the combine is expressible below.
+      auto StoreTrunc = [&](AbsXform F) {
+        return C.Decl ? AbsXform::trunc(C.Decl->Type, std::move(F))
+                      : std::move(F);
+      };
+      if (C.Loc != kNoLoc) {
+        switch (Op.RmwOp) {
+        case SimOp::RmwOpKind::Xchg:
+          if (Operand.K == AbsVal::Kind::Known) {
+            // The sweep coerces the stored value to Kind::Int.
+            New = AbsVal::known(truncAtLoc(
+                C.Decl, SimVal{SimVal::Kind::Int, Operand.V.V, Symbol()}));
+          } else if (Operand.K == AbsVal::Kind::Xform) {
+            New = AbsVal::bounded(Operand.ReadEv,
+                                  StoreTrunc(AbsXform::unary(
+                                      AbsXform::Kind::ToInt, Operand.F)));
+          }
+          break;
+        case SimOp::RmwOpKind::Add:
+        case SimOp::RmwOpKind::Sub:
+          // old `op` operand over this op's own read: single-source
+          // when the operand is a constant (an operand transformed
+          // from *another* read would make two sources).
+          if (Operand.K == AbsVal::Kind::Known)
+            New = AbsVal::bounded(
+                C.Ev0, StoreTrunc(AbsXform::binary(
+                           Op.RmwOp == SimOp::RmwOpKind::Add
+                               ? AbsXform::Kind::RmwAdd
+                               : AbsXform::Kind::RmwSub,
+                           AbsXform::arg(), AbsXform::constant(Operand.V))));
+          break;
+        }
+      }
+      EvAbs[C.Ev1] = std::move(New);
+      if (C.Dst != kNoSlot)
+        Regs[C.Dst] = AbsVal::read(C.Ev0);
+      break;
+    }
     }
   }
-  AbsInterpreter Interp;
-  Interp.run(unsigned(Events.size()), InitWrites, ThreadOps);
-  EvAbs = Interp.takeEvAbs();
-  PruneChecks = Interp.takeChecks();
-  ComboInfeasible = Interp.infeasible();
+}
+
+/// Makes a constraint whose inputs are all tracked a prune check, or,
+/// when they are all known, decides it for the whole combo.
+void ComboWorker::captureCheck(const SweepOp &C,
+                               const std::vector<AbsVal> &Regs) {
+  PruneCheck PC{C.Val, C.Op->ConstraintNonZero, {}};
+  bool AllKnown = true;
+  for (unsigned U = C.UsesBegin; U != C.UsesEnd; ++U) {
+    const AbsVal &A = Regs[Uses[U]];
+    if (A.K == AbsVal::Kind::Top)
+      return; // Untracked input: the fixpoint must decide.
+    AllKnown = AllKnown && A.K == AbsVal::Kind::Known;
+    PC.Inputs.emplace_back(Uses[U], A);
+  }
+  if (!AllKnown)
+    PruneChecks.push_back(std::move(PC));
+  else if (violates(PC, [](unsigned) { return std::optional<SimVal>(); }))
+    ComboInfeasible = true; // Fails for every candidate.
 }
 
 /// Drops candidate writes that can never satisfy a single-read
@@ -633,7 +716,7 @@ void ComboWorker::filterRfCandidates() {
     std::vector<const PruneCheck *> Relevant;
     for (const PruneCheck &PC : PruneChecks) {
       bool Mine = false, OthersKnown = true;
-      for (const auto &[Reg, A] : PC.Regs) {
+      for (const auto &[Slot, A] : PC.Inputs) {
         if (A.K == AbsVal::Kind::Known)
           continue;
         if (A.ReadEv == ReadEv)
@@ -654,12 +737,7 @@ void ComboWorker::filterRfCandidates() {
       }
       SimVal RV = truncAt(R.Loc, EvAbs[W].V);
       auto Violates = [&](const PruneCheck *PC) {
-        std::map<std::string, SimVal> Regs;
-        for (const auto &[Reg, A] : PC->Regs)
-          Regs[Reg] = A.K == AbsVal::Kind::Known ? A.V : A.apply(RV);
-        SimVal C = evalSimExpr(*PC->E, Regs);
-        bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
-        return NonZero != PC->ExpectNonZero;
+        return violates(*PC, [&](unsigned) { return RV; });
       };
       if (std::any_of(Relevant.begin(), Relevant.end(), Violates))
         ++ComboRfSourcesPruned;
@@ -728,45 +806,29 @@ ComboWorker::resolveWriteAbs(unsigned W, unsigned Depth,
   return A.apply(*V);
 }
 
-bool ComboWorker::violatedCheck(SupportVec *Support) const {
+bool ComboWorker::violatedCheck(SupportVec *Support) {
   if (ComboInfeasible) {
     if (Support)
       Support->clear(); // Constant violation: empty support.
     return true;
   }
   SupportVec Scratch;
+  auto ReadVal = [&](unsigned ReadEv) {
+    return resolveReadAbs(ReadEv, 0, Support ? &Scratch : nullptr);
+  };
   for (const PruneCheck &PC : PruneChecks) {
-    std::map<std::string, SimVal> Regs;
-    bool Resolvable = true;
     Scratch.clear();
-    for (const auto &[Reg, A] : PC.Regs) {
-      if (A.K == AbsVal::Kind::Known) {
-        Regs[Reg] = A.V;
-        continue;
-      }
-      std::optional<SimVal> V =
-          resolveReadAbs(A.ReadEv, 0, Support ? &Scratch : nullptr);
-      if (!V) {
-        Resolvable = false;
-        break;
-      }
-      Regs[Reg] = A.apply(*V);
-    }
-    if (!Resolvable)
+    if (!violates(PC, ReadVal))
       continue;
-    SimVal C = evalSimExpr(*PC.E, Regs);
-    bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
-    if (NonZero != PC.ExpectNonZero) {
-      if (Support) {
-        // Several registers may resolve through the same read: dedup so
-        // the learned nogood has distinct literals.
-        std::sort(Scratch.begin(), Scratch.end());
-        Scratch.erase(std::unique(Scratch.begin(), Scratch.end()),
-                      Scratch.end());
-        *Support = std::move(Scratch);
-      }
-      return true;
+    if (Support) {
+      // Several inputs may resolve through the same read: dedup so the
+      // learned nogood has distinct literals.
+      std::sort(Scratch.begin(), Scratch.end());
+      Scratch.erase(std::unique(Scratch.begin(), Scratch.end()),
+                    Scratch.end());
+      *Support = std::move(Scratch);
     }
+    return true;
   }
   return false;
 }
@@ -838,7 +900,7 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
           TaintOfUses(TaintTmp.data());
           std::copy(TaintTmp.begin(), TaintTmp.end(), row(Taint, C.Dst));
         }
-        RegFile[C.Dst] = evalSlots(C.Val);
+        RegFile[C.Dst] = evalSlots(C.Val, RegFile);
         break;
       }
       case SimOp::Kind::AddrOf: {
@@ -849,9 +911,7 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
       }
       case SimOp::Kind::Constraint: {
         if (Verify) {
-          SimVal V = evalSlots(C.Val);
-          bool NonZero = !V.V.isZero() || V.K == SimVal::Kind::Addr;
-          if (NonZero != Op.ConstraintNonZero)
+          if (evalSlots(C.Val, RegFile).nonZero() != Op.ConstraintNonZero)
             *Verify = false;
           TaintOfUses(CtrlTaint.data());
         }
@@ -894,9 +954,9 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
       case SimOp::Kind::Store: {
         unsigned WriteEv = C.Ev0;
         LocId Loc = ResolveAddr(WriteEv);
-        SimVal V = evalSlots(C.Val);
+        SimVal V = evalSlots(C.Val, RegFile);
         if (Op.Is128) {
-          SimVal Hi = evalSlots(C.ValHi);
+          SimVal Hi = evalSlots(C.ValHi, RegFile);
           V = SimVal{SimVal::Kind::Int, Value(V.V.Lo, Hi.V.Lo), Symbol()};
         }
         Update(WriteEv, EvState{truncAt(Loc, V), Loc});
@@ -920,7 +980,7 @@ bool ComboWorker::sweep(const std::vector<size_t> &RfChoice, bool *Verify) {
         LocId Loc = ResolveAddr(ReadEv);
         unsigned RfW = rfSource(RfChoice, ReadEv);
         SimVal Old = truncAt(Loc, State[RfW].Val);
-        SimVal Operand = evalSlots(C.Val);
+        SimVal Operand = evalSlots(C.Val, RegFile);
         SimVal New;
         New.K = SimVal::Kind::Int;
         switch (Op.RmwOp) {

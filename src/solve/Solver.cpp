@@ -107,7 +107,7 @@ private:
     for (const PruneCheck &PC : PruneChecks) {
       unsigned R1 = ~0u, R2 = ~0u;
       bool MoreRoots = false;
-      for (const auto &[Reg, A] : PC.Regs) {
+      for (const auto &[Slot, A] : PC.Inputs) {
         if (A.K == AbsVal::Kind::Known)
           continue;
         if (R1 == ~0u || A.ReadEv == R1)
@@ -140,16 +140,7 @@ private:
           if (A2.K != AbsVal::Kind::Known)
             continue;
           SimVal V2 = truncAt(L2, A2.V);
-          std::map<std::string, SimVal> Regs;
-          for (const auto &[Reg, A] : PC.Regs) {
-            if (A.K == AbsVal::Kind::Known)
-              Regs[Reg] = A.V;
-            else
-              Regs[Reg] = A.apply(A.ReadEv == R1 ? V1 : V2);
-          }
-          SimVal C = evalSimExpr(*PC.E, Regs);
-          bool NonZero = !C.V.isZero() || C.K == SimVal::Kind::Addr;
-          if (NonZero != PC.ExpectNonZero)
+          if (violates(PC, [&](unsigned Ev) { return Ev == R1 ? V1 : V2; }))
             Violated.emplace_back(C1, C2);
         }
       }

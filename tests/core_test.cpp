@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "asmcore/AsmParser.h"
 #include "asmcore/Semantics.h"
 #include "core/Telechat.h"
 #include "diy/Classics.h"
@@ -114,6 +115,41 @@ exists (x=1 /\ y=2)
   ASSERT_FALSE(A.timedOut());
   ASSERT_FALSE(B.timedOut()) << "raise Raw.Sim.MaxSteps";
   EXPECT_EQ(A.TargetSim.Allowed, B.TargetSim.Allowed);
+}
+
+TEST(S2LTest, GotCollapseKeepsARegisterTheThreadWroteBefore) {
+  // x10 is written before the GOT pair that loads &y into it. Turning
+  // the pair into the initial value P0:x10 = &y would let `mov w10, #1`
+  // overwrite the address, so the store would hit no location and the
+  // optimised test would have no outcomes at all.
+  auto T = parseAsmLitmus(R"(AArch64 gotreuse
+{
+  y = 0;
+  uint64_t got.y = &y;
+}
+P0 {
+  mov w10, #1
+  adrp x10, :got:y
+  ldr x10, [x10, :got_lo12:y]
+  mov w9, #2
+  str w9, [x10]
+  ret
+}
+exists (y=2)
+)");
+  ASSERT_TRUE(T.hasValue()) << T.error();
+  auto Simulate = [](const AsmLitmusTest &Test) {
+    ErrorOr<SimProgram> P = lowerAsmTest(Test);
+    EXPECT_TRUE(P.hasValue()) << P.error();
+    SimResult R = P ? simulateProgram(*P, "aarch64") : SimResult();
+    EXPECT_TRUE(R.ok()) << R.Error;
+    EXPECT_TRUE(P && finalConditionHolds(*P, R));
+    return R.Allowed;
+  };
+  OutcomeSet Raw = Simulate(*T);
+  OutcomeSet Optimised = Simulate(optimiseAsmLitmus(*T));
+  EXPECT_EQ(Raw.size(), 1u);
+  EXPECT_EQ(Raw, Optimised);
 }
 
 TEST(MCompareTest, EqualNegativePositive) {

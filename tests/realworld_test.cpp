@@ -26,6 +26,7 @@
 
 #include "core/Campaign.h"
 #include "dist/CampaignLedger.h"
+#include "dist/Serialize.h"
 #include "diy/RealWorld.h"
 #include "litmus/Canon.h"
 #include "litmus/Parser.h"
@@ -33,6 +34,7 @@
 #include "litmus/Snippet.h"
 #include "sim/Backend.h"
 #include "sim/Simulator.h"
+#include "support/Limits.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -395,6 +397,133 @@ TEST(KernelSnippetTest, RejectsMalformedKernelsWithLineNumbers) {
       "exists (x=1)");
   ASSERT_FALSE(T.hasValue());
   EXPECT_NE(T.error().find("line 3"), std::string::npos) << T.error();
+}
+
+//===----------------------------------------------------------------------===//
+// The nesting limit: the snippet parser counts depth as parseLitmusC and
+// the wire decoder do, refuses a deeper kernel with a line-numbered
+// error, and never recurses past the limit.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A one-thread kernel: P0 loads x into r0, then runs \p Body, which
+/// starts on line 5.
+std::string deepKernel(const std::string &Body) {
+  return "kernel deep\nstd::atomic<int> x = 0;\nthread P0 {\n"
+         "  int r0 = x.load(std::memory_order_relaxed);\n" +
+         Body + "}\nexists (P0:r0=0)\n";
+}
+
+/// "r0 + 1 + ... + 1" with \p Terms terms: a left-leaning tree \p Terms
+/// levels tall.
+std::string kernelSum(unsigned Terms) {
+  std::string S = "r0";
+  for (unsigned I = 1; I != Terms; ++I)
+    S += " + 1";
+  return S;
+}
+
+/// \p Levels nested ifs around \p Inner, one line each.
+std::string kernelIfs(
+    unsigned Levels,
+    const std::string &Inner = "x.store(1, std::memory_order_relaxed);\n") {
+  std::string S;
+  for (unsigned I = 0; I != Levels; ++I)
+    S += "if (r0) {\n";
+  S += Inner;
+  for (unsigned I = 0; I != Levels; ++I)
+    S += "}\n";
+  return S;
+}
+
+/// True when \p Text parses and the kernel survives the wire: it decodes
+/// to a test that prints as the parsed one does.
+::testing::AssertionResult kernelRoundTrips(const std::string &Text) {
+  ErrorOr<LitmusTest> T = parseKernelSnippet(Text);
+  if (!T.hasValue())
+    return ::testing::AssertionFailure() << T.error();
+  WireBuffer B;
+  encodeLitmusTest(B, *T);
+  WireCursor C(B.data(), B.size());
+  LitmusTest Out;
+  if (!decodeLitmusTest(C, Out) || C.remaining() != 0)
+    return ::testing::AssertionFailure() << "the decoder refuses it";
+  if (printLitmusC(Out) != printLitmusC(*T))
+    return ::testing::AssertionFailure() << "decodes to another test";
+  return ::testing::AssertionSuccess();
+}
+
+/// True when \p Text is refused for its nesting, at line \p Line.
+::testing::AssertionResult kernelRefusedAsTooDeep(const std::string &Text,
+                                                  unsigned Line) {
+  ErrorOr<LitmusTest> T = parseKernelSnippet(Text);
+  if (T.hasValue())
+    return ::testing::AssertionFailure() << "parsed";
+  std::string Want = "line " + std::to_string(Line) + ": nesting deeper";
+  if (T.error().find(Want) == std::string::npos)
+    return ::testing::AssertionFailure() << T.error();
+  return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(KernelSnippetTest, DeepNestingIsAnErrorNotACrash) {
+  // 20,000 parentheses and 10,000 nested ifs overflowed the parser's
+  // stack; a 100-term sum parsed, but the wire decoder refused it, so
+  // it ran locally and failed under --serve.
+  std::string Parens = std::string(20000, '(') + "1" + std::string(20000, ')');
+  EXPECT_TRUE(
+      kernelRefusedAsTooDeep(deepKernel("  int r1 = " + Parens + ";\n"), 5));
+  EXPECT_TRUE(kernelRefusedAsTooDeep(
+      deepKernel("  int r1 = " + kernelSum(100) + ";\n"), 5));
+  EXPECT_TRUE(
+      kernelRefusedAsTooDeep(deepKernel(kernelIfs(10000)), 5 + MaxTreeDepth));
+  // Every statement form that holds an expression is bounded.
+  EXPECT_TRUE(kernelRefusedAsTooDeep(
+      deepKernel("  x.store(" + Parens + ", std::memory_order_relaxed);\n"),
+      5));
+  EXPECT_TRUE(kernelRefusedAsTooDeep(deepKernel("  x = " + Parens + ";\n"), 5));
+  EXPECT_TRUE(kernelRefusedAsTooDeep(
+      deepKernel("  int r2 = x.fetch_add(" + kernelSum(100) + ");\n"), 5));
+  EXPECT_TRUE(kernelRefusedAsTooDeep(
+      deepKernel("  if (" + Parens + ") {\n  }\n"), 5));
+}
+
+TEST(KernelSnippetTest, NestingLimitMatchesTheWireDecoder) {
+  // Expression trees: a statement's expressions sit one level below it,
+  // and no node may sit deeper than MaxTreeDepth.
+  auto Sum = [](unsigned Terms) {
+    return deepKernel("  int r1 = " + kernelSum(Terms) + ";\n");
+  };
+  EXPECT_TRUE(kernelRoundTrips(Sum(MaxTreeDepth)));
+  EXPECT_TRUE(kernelRefusedAsTooDeep(Sum(MaxTreeDepth + 1), 5));
+  // Statement nesting: the innermost store's value needs a level too.
+  EXPECT_TRUE(kernelRoundTrips(deepKernel(kernelIfs(MaxTreeDepth - 1))));
+  EXPECT_TRUE(kernelRefusedAsTooDeep(deepKernel(kernelIfs(MaxTreeDepth)),
+                                     5 + MaxTreeDepth));
+  // Both together, through each statement form that holds an
+  // expression: under ten ifs it has ten levels less room.
+  for (const char *Form :
+       {"int r1 = %s;\n", "x = %s;\n", "x.store(%s);\n",
+        "int r2 = x.exchange(%s, std::memory_order_relaxed);\n",
+        "x.fetch_sub(%s);\n", "if (%s) {\n}\n"}) {
+    auto Under10 = [&](unsigned Terms) {
+      std::string Stmt = Form;
+      Stmt.replace(Stmt.find("%s"), 2, kernelSum(Terms));
+      return deepKernel(kernelIfs(10, Stmt));
+    };
+    EXPECT_TRUE(kernelRoundTrips(Under10(MaxTreeDepth - 10))) << Form;
+    EXPECT_TRUE(kernelRefusedAsTooDeep(Under10(MaxTreeDepth - 9), 15))
+        << Form;
+  }
+  // Parentheses add no node, so they only bound the recursion.
+  auto Parens = [](unsigned Depth) {
+    return deepKernel("  int r1 = " + std::string(Depth, '(') + "r0" +
+                      std::string(Depth, ')') + ";\n");
+  };
+  EXPECT_TRUE(kernelRoundTrips(Parens(MaxTreeDepth)));
+  EXPECT_TRUE(kernelRefusedAsTooDeep(Parens(MaxTreeDepth + 1), 5));
 }
 
 TEST(KernelSnippetTest, SnippetAndAstBuiltSiblingsCanonicalizeTogether) {

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace telechat;
 
 namespace {
@@ -836,4 +838,94 @@ TEST(AbsDomainRegressionTest, LlScIncrementSelfReadsAreRejected) {
   ASSERT_TRUE(P.hasValue()) << P.error();
   SimResult On = expectPruningParity(*P, "aarch64", "LL/SC pair");
   expectCounts(On, 9, 3, 6, 2, "LL/SC pair");
+}
+
+namespace {
+
+/// Every SimStats row by its results-JSON key.
+std::map<std::string, uint64_t> statRows(const SimStats &S) {
+  std::map<std::string, uint64_t> Rows;
+#define STAT_ROW(Member, Key) Rows[Key] = S.Member;
+  TELECHAT_SIM_STATS(STAT_ROW, STAT_ROW)
+#undef STAT_ROW
+  return Rows;
+}
+
+} // namespace
+
+TEST(AbsDomainRegressionTest, StaticAddressesFollowCopiesNotLoads) {
+  // P0's first store reaches x+8 through adrp, a register copy and an
+  // immediate add: its address is known before any rf choice, so the
+  // access is static. Its second store goes through the same register
+  // after a load overwrote it with &y, so that access is dynamic. P1
+  // branches on what it reads from x+8, so the rf filter prunes on a
+  // read whose address is itself a copy plus an offset.
+  auto T = parseAsmLitmus(R"(AArch64 addrfold
+{
+  x = 0;
+  x+8 = 0;
+  y = 0;
+  uint64_t p = &y;
+}
+P0 {
+  adrp x1, x
+  mov x2, x1
+  add x2, x2, #8
+  mov w3, #1
+  str w3, [x2]
+  adrp x4, p
+  ldr x2, [x4]
+  str w3, [x2]
+  ret
+}
+P1 {
+  adrp x5, x
+  ldr w6, [x5, #8]
+  adrp x7, y
+  ldr w8, [x7]
+  cbnz w6, .Lone
+  mov w9, #2
+.Lone:
+  ret
+}
+exists (P1:X6=1 /\ P1:X8=0 /\ P1:X9=0)
+)");
+  ASSERT_TRUE(T.hasValue()) << T.error();
+  ErrorOr<SimProgram> P = lowerAsmTest(*T);
+  ASSERT_TRUE(P.hasValue()) << P.error();
+  SimResult On = simulateProgram(*P, "aarch64");
+  ASSERT_TRUE(On.ok()) << On.Error;
+  // Every row is pinned. P1's reads take 3 x 2 sources per path (the
+  // dynamic store is a candidate of both), P0's read of p takes 2, and
+  // each path's branch prunes one known write of x+8: 2 x (2 x 2 x 2)
+  // assignments instead of 2 x 12. Had the second store stayed static
+  // at x+8, y would have no write but its init and the counts would
+  // differ.
+  std::map<std::string, uint64_t> Want = {
+      {"path_combos", 2},         {"rf_candidates", 16},
+      {"value_consistent", 4},    {"co_candidates", 4},
+      {"allowed_executions", 4},  {"rf_sources_pruned", 2},
+      {"rf_pruned", 0},           {"cat_evals_avoided", 0},
+      {"backend", 0},             {"solve_decisions", 0},
+      {"solve_propagations", 0},  {"solve_conflicts", 0},
+      {"solve_clauses", 0},       {"explore_iterations", 0},
+      {"explore_schedules", 0},   {"explore_outcomes_found", 0}};
+  EXPECT_EQ(statRows(On.Stats), Want);
+  // The dynamic store writes y: P1 can read 1 there.
+  ASSERT_EQ(On.Allowed.size(), 4u);
+  bool ReadsY1 = false;
+  for (const Outcome &O : On.Allowed)
+    ReadsY1 = ReadsY1 || O.lookup("P1:X8") == Value(1);
+  EXPECT_TRUE(ReadsY1);
+  EXPECT_TRUE(finalConditionHolds(*P, On));
+  SimOptions NoPrune;
+  NoPrune.RfValuePruning = false;
+  SimResult Off = simulateProgram(*P, "aarch64", NoPrune);
+  EXPECT_EQ(Off.Stats.RfCandidates, 24u);
+  EXPECT_EQ(On.Allowed, Off.Allowed);
+  SimOptions Solve;
+  Solve.Backend = SimBackendKind::Solve;
+  SimResult Solved = simulateProgram(*P, "aarch64", Solve);
+  EXPECT_EQ(On.Allowed, Solved.Allowed);
+  EXPECT_EQ(Solved.Stats.SolveDecisions, 28u);
 }
