@@ -79,7 +79,7 @@ SimProgram prepare(const LitmusTest &T, bool Optimise) {
   ErrorOr<CompileOutput> Compiled = compileLitmus(Prepared, llvmO3());
   AsmLitmusTest Asm = Compiled->Asm;
   if (Optimise)
-    Asm = optimiseAsmLitmus(Asm);
+    Asm = optimiseAsmLitmus(std::move(Asm));
   ErrorOr<SimProgram> Lowered = lowerAsmTest(Asm);
   return *Lowered;
 }

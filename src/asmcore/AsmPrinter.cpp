@@ -6,74 +6,98 @@
 
 #include "asmcore/AsmPrinter.h"
 
-#include "support/StringUtils.h"
+#include <algorithm>
+#include <charconv>
+#include <type_traits>
 
 using namespace telechat;
 
 namespace {
 
+/// Appends each part to \p Out: text as it is, integers in decimal.
+/// Everything the printer writes goes through here, into one buffer.
+template <typename... Parts> void append(std::string &Out, const Parts &...P) {
+  auto Put = [&Out](const auto &Part) {
+    using T = std::decay_t<decltype(Part)>;
+    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, char>) {
+      char Buf[24];
+      Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), Part).ptr);
+    } else {
+      Out += Part;
+    }
+  };
+  (Put(P), ...);
+}
+
 bool isArmFamily(Arch A) {
   return A == Arch::AArch64 || A == Arch::Armv7 || A == Arch::X86_64;
 }
 
-std::string printSym(Arch A, const AsmOperand &O) {
+void printSym(std::string &Out, Arch A, const AsmOperand &O) {
   if (O.Modifier.empty())
-    return O.Sym;
+    return append(Out, O.Sym);
   switch (A) {
   case Arch::AArch64:
-    return ":" + O.Modifier + ":" + O.Sym;
   case Arch::Armv7:
-    return ":" + O.Modifier + ":" + O.Sym;
+    return append(Out, ':', O.Modifier, ':', O.Sym);
   case Arch::RiscV:
   case Arch::Mips:
-    return "%" + O.Modifier + "(" + O.Sym + ")";
+    return append(Out, '%', O.Modifier, '(', O.Sym, ')');
   case Arch::Ppc:
-    return O.Sym + "@" + O.Modifier;
+    return append(Out, O.Sym, '@', O.Modifier);
   case Arch::X86_64:
-    return O.Sym;
+    return append(Out, O.Sym);
   }
-  return O.Sym;
 }
 
-std::string printOperand(Arch A, const AsmOperand &O) {
+void printOperand(std::string &Out, Arch A, const AsmOperand &O) {
   switch (O.K) {
   case AsmOperand::Kind::Reg:
-    return O.Reg;
+    return append(Out, O.Reg);
   case AsmOperand::Kind::Imm:
     if (A == Arch::AArch64 || A == Arch::Armv7)
-      return strFormat("#%lld", static_cast<long long>(O.Imm));
-    return strFormat("%lld", static_cast<long long>(O.Imm));
+      return append(Out, '#', O.Imm);
+    return append(Out, O.Imm);
   case AsmOperand::Kind::Sym:
-    return printSym(A, O);
+    return printSym(Out, A, O);
   case AsmOperand::Kind::Label:
-    return O.Sym;
+    return append(Out, O.Sym);
   case AsmOperand::Kind::Mem:
     if (A == Arch::X86_64) {
       if (!O.Sym.empty())
-        return "[rip+" + O.Sym + "]";
+        return append(Out, "[rip+", O.Sym, ']');
       if (O.Imm)
-        return strFormat("[%s+%lld]", O.Reg.c_str(),
-                         static_cast<long long>(O.Imm));
-      return "[" + O.Reg + "]";
+        return append(Out, '[', O.Reg, '+', O.Imm, ']');
+      return append(Out, '[', O.Reg, ']');
     }
     if (isArmFamily(A)) {
       if (!O.Sym.empty()) // [x8, :got_lo12:x]
-        return "[" + O.Reg + ", :" + O.Modifier + ":" + O.Sym + "]";
+        return append(Out, '[', O.Reg, ", :", O.Modifier, ':', O.Sym, ']');
       if (O.Imm)
-        return strFormat("[%s, #%lld]", O.Reg.c_str(),
-                         static_cast<long long>(O.Imm));
-      return "[" + O.Reg + "]";
+        return append(Out, '[', O.Reg, ", #", O.Imm, ']');
+      return append(Out, '[', O.Reg, ']');
     }
     // RISC-V / PPC / MIPS: off(base).
     if (O.Imm)
-      return strFormat("%lld(%s)", static_cast<long long>(O.Imm),
-                       O.Reg.c_str());
-    return "(" + O.Reg + ")";
+      return append(Out, O.Imm, '(', O.Reg, ')');
+    return append(Out, '(', O.Reg, ')');
   }
-  return "?";
+  append(Out, '?');
 }
 
-std::string archToken(Arch A) {
+void printInst(std::string &Out, Arch A, const AsmInst &I) {
+  // The "lock." pseudo-prefix prints as a real prefix.
+  if (I.Mnemonic.rfind("lock.", 0) == 0)
+    append(Out, "lock ", std::string_view(I.Mnemonic).substr(5));
+  else
+    append(Out, I.Mnemonic);
+  for (size_t J = 0; J != I.Ops.size(); ++J) {
+    append(Out, J ? ", " : " ");
+    printOperand(Out, A, I.Ops[J]);
+  }
+}
+
+const char *archToken(Arch A) {
   switch (A) {
   case Arch::AArch64:
     return "AArch64";
@@ -94,53 +118,53 @@ std::string archToken(Arch A) {
 } // namespace
 
 std::string telechat::printAsmInst(Arch A, const AsmInst &I) {
-  std::string Out = I.Mnemonic;
-  // The "lock." pseudo-prefix prints as a real prefix.
-  if (Out.rfind("lock.", 0) == 0)
-    Out = "lock " + Out.substr(5);
-  for (size_t J = 0; J != I.Ops.size(); ++J) {
-    Out += J ? ", " : " ";
-    Out += printOperand(A, I.Ops[J]);
-  }
+  std::string Out;
+  printInst(Out, A, I);
   return Out;
 }
 
 std::string telechat::printAsmLitmus(const AsmLitmusTest &Test) {
-  std::string Out = archToken(Test.TargetArch) + " " + Test.Name + "\n{\n";
+  std::string Out;
+  append(Out, archToken(Test.TargetArch), ' ', Test.Name, "\n{\n");
   for (const SimLoc &L : Test.Locations) {
-    Out += "  ";
+    append(Out, "  ");
     if (L.Const)
-      Out += "const ";
+      append(Out, "const ");
     if (!(L.Type == IntType{32, true}))
-      Out += L.Type.cName() + " ";
+      append(Out, L.Type.cName(), ' ');
     if (!L.InitAddrOf.empty())
-      Out += L.Name + " = &" + L.InitAddrOf + ";\n";
+      append(Out, L.Name, " = &", L.InitAddrOf, ";\n");
     else
-      Out += L.Name + " = " + L.Init.toString() + ";\n";
+      append(Out, L.Name, " = ", L.Init.toString(), ";\n");
   }
   for (const AsmThread &T : Test.Threads)
     for (const auto &[Reg, Sym] : T.InitRegs)
-      Out += "  " + T.Name + ":" + Reg + " = &" + Sym + ";\n";
-  Out += "}\n";
+      append(Out, "  ", T.Name, ':', Reg, " = &", Sym, ";\n");
+  append(Out, "}\n");
+  std::vector<std::pair<unsigned, const std::string *>> LabelsAt;
   for (const AsmThread &T : Test.Threads) {
-    Out += T.Name + " {\n";
-    // Labels indexed by instruction.
-    std::map<unsigned, std::vector<std::string>> LabelsAt;
+    append(Out, T.Name, " {\n");
+    // Labels by instruction index; labels at one index keep their name
+    // order. A label past the end of the code is not printed.
+    LabelsAt.clear();
     for (const auto &[Label, Idx] : T.Labels)
-      LabelsAt[Idx].push_back(Label);
-    for (unsigned I = 0; I != T.Code.size(); ++I) {
-      auto It = LabelsAt.find(I);
-      if (It != LabelsAt.end())
-        for (const std::string &L : It->second)
-          Out += L + ":\n";
-      Out += "  " + printAsmInst(Test.TargetArch, T.Code[I]) + "\n";
+      LabelsAt.emplace_back(Idx, &Label);
+    std::stable_sort(LabelsAt.begin(), LabelsAt.end(),
+                     [](const auto &A, const auto &B) {
+                       return A.first < B.first;
+                     });
+    auto Label = LabelsAt.begin();
+    for (unsigned I = 0; I <= T.Code.size(); ++I) {
+      for (; Label != LabelsAt.end() && Label->first == I; ++Label)
+        append(Out, *Label->second, ":\n");
+      if (I == T.Code.size())
+        break;
+      append(Out, "  ");
+      printInst(Out, Test.TargetArch, T.Code[I]);
+      append(Out, '\n');
     }
-    auto It = LabelsAt.find(T.Code.size());
-    if (It != LabelsAt.end())
-      for (const std::string &L : It->second)
-        Out += L + ":\n";
-    Out += "}\n";
+    append(Out, "}\n");
   }
-  Out += Test.Final.toString() + "\n";
+  append(Out, Test.Final.toString(), '\n');
   return Out;
 }

@@ -37,6 +37,8 @@ struct AsmLitmusTest {
   FinalCond Final;
 
   const SimLoc *findLocation(const std::string &Name) const;
+
+  bool operator==(const AsmLitmusTest &) const = default;
 };
 
 /// The registry model name for an architecture ("aarch64", "x86tso", ...).

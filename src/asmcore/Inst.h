@@ -78,6 +78,8 @@ struct AsmOperand {
     O.Sym = std::move(L);
     return O;
   }
+
+  bool operator==(const AsmOperand &) const = default;
 };
 
 /// One instruction: lowercase mnemonic (suffixes included, e.g.
@@ -89,6 +91,8 @@ struct AsmInst {
   AsmInst() = default;
   AsmInst(std::string M, std::vector<AsmOperand> O)
       : Mnemonic(std::move(M)), Ops(std::move(O)) {}
+
+  bool operator==(const AsmInst &) const = default;
 };
 
 /// A thread of compiled code.
@@ -99,6 +103,8 @@ struct AsmThread {
   /// Registers pre-assigned to location addresses in the litmus initial
   /// state (herd-style "0:X1=x").
   std::vector<std::pair<std::string, std::string>> InitRegs;
+
+  bool operator==(const AsmThread &) const = default;
 };
 
 } // namespace telechat

@@ -40,18 +40,11 @@ public:
     return L; // sp, named regs
   }
 
-  bool isRegisterName(const std::string &Tok) const override {
-    std::string L;
-    for (char C : Tok)
-      L += char(tolower(static_cast<unsigned char>(C)));
-    if (L == "sp" || L == "xzr" || L == "wzr" || L == "fp" || L == "lr")
+  bool isRegisterName(std::string_view Tok) const override {
+    if (isOneOf(Tok, {"sp", "xzr", "wzr", "fp", "lr"}))
       return true;
-    if (L.size() < 2 || (L[0] != 'w' && L[0] != 'x'))
-      return false;
-    for (size_t I = 1; I != L.size(); ++I)
-      if (!isdigit(static_cast<unsigned char>(L[I])))
-        return false;
-    return true;
+    char C0 = Tok.empty() ? 0 : lowerChar(Tok[0]);
+    return (C0 == 'w' || C0 == 'x') && digitsFrom(Tok, 1);
   }
 
   LowerStep lower(const AsmInst &I, std::vector<SimOp> &Ops,

@@ -30,16 +30,10 @@ public:
     return L;
   }
 
-  bool isRegisterName(const std::string &Tok) const override {
-    std::string L = canonReg(Tok);
-    if (L == "sp" || L == "lr" || L == "pc" || L == "fp" || L == "ip")
+  bool isRegisterName(std::string_view Tok) const override {
+    if (isOneOf(Tok, {"sp", "lr", "pc", "fp", "ip"}))
       return true;
-    if (L.size() < 2 || L[0] != 'r')
-      return false;
-    for (size_t I = 1; I != L.size(); ++I)
-      if (!isdigit(static_cast<unsigned char>(L[I])))
-        return false;
-    return true;
+    return !Tok.empty() && lowerChar(Tok[0]) == 'r' && digitsFrom(Tok, 1);
   }
 
   LowerStep lower(const AsmInst &I, std::vector<SimOp> &Ops,

@@ -15,6 +15,10 @@
 
 #include "asmcore/Semantics.h"
 
+#include <algorithm>
+#include <cctype>
+#include <initializer_list>
+
 namespace telechat {
 
 const InstSemantics &aarch64Semantics();
@@ -25,6 +29,32 @@ const InstSemantics &ppcSemantics();
 const InstSemantics &mipsSemantics();
 
 namespace semdetail {
+
+/// \p C in lowercase, as canonReg folds it.
+inline char lowerChar(char C) {
+  return char(tolower(static_cast<unsigned char>(C)));
+}
+
+/// True when \p Tok, ignoring case, is one of the lowercase \p Names.
+inline bool isOneOf(std::string_view Tok,
+                    std::initializer_list<std::string_view> Names) {
+  for (std::string_view N : Names)
+    if (N.size() == Tok.size() &&
+        std::equal(N.begin(), N.end(), Tok.begin(),
+                   [](char A, char B) { return A == lowerChar(B); }))
+      return true;
+  return false;
+}
+
+/// True when \p Tok has a character at \p From and only digits from there.
+inline bool digitsFrom(std::string_view Tok, size_t From) {
+  if (From >= Tok.size())
+    return false;
+  for (size_t I = From; I != Tok.size(); ++I)
+    if (!isdigit(static_cast<unsigned char>(Tok[I])))
+      return false;
+  return true;
+}
 
 /// Emits a plain load op.
 inline SimOp makeLoad(std::string Dst, SimAddr Addr,

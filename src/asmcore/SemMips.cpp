@@ -16,7 +16,6 @@
 #include "asmcore/SemInternal.h"
 
 #include <cctype>
-#include <set>
 
 using namespace telechat;
 using namespace telechat::semdetail;
@@ -36,21 +35,16 @@ public:
     return L;
   }
 
-  bool isRegisterName(const std::string &Tok) const override {
-    std::string L = canonReg(Tok);
-    static const std::set<std::string> Named = {"zero", "ra", "sp", "gp",
-                                                "fp",   "at"};
-    if (Named.count(L))
+  bool isRegisterName(std::string_view Tok) const override {
+    // As canonReg spells it: one '$' goes, and "zero" becomes "", which
+    // names no register here.
+    if (!Tok.empty() && Tok[0] == '$')
+      Tok.remove_prefix(1);
+    if (isOneOf(Tok, {"ra", "sp", "gp", "fp", "at"}))
       return true;
-    if (L.size() < 2)
-      return false;
-    char C0 = L[0];
-    if (C0 != 'v' && C0 != 'a' && C0 != 't' && C0 != 's' && C0 != 'k')
-      return false;
-    for (size_t I = 1; I != L.size(); ++I)
-      if (!isdigit(static_cast<unsigned char>(L[I])))
-        return false;
-    return true;
+    char C0 = Tok.empty() ? 0 : lowerChar(Tok[0]);
+    return (C0 == 'v' || C0 == 'a' || C0 == 't' || C0 == 's' || C0 == 'k') &&
+           digitsFrom(Tok, 1);
   }
 
   LowerStep lower(const AsmInst &I, std::vector<SimOp> &Ops,

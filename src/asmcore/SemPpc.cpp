@@ -30,17 +30,13 @@ public:
     return L;
   }
 
-  bool isRegisterName(const std::string &Tok) const override {
-    std::string L = canonReg(Tok);
-    if (L.size() < 2 || (L[0] != 'r' && L.rfind("cr", 0) != 0))
+  bool isRegisterName(std::string_view Tok) const override {
+    if (Tok.size() < 2)
       return false;
-    size_t Start = L[0] == 'r' ? 1 : 2;
-    if (Start >= L.size())
-      return false;
-    for (size_t I = Start; I != L.size(); ++I)
-      if (!isdigit(static_cast<unsigned char>(L[I])))
-        return false;
-    return true;
+    if (lowerChar(Tok[0]) == 'r')
+      return digitsFrom(Tok, 1);
+    return lowerChar(Tok[0]) == 'c' && lowerChar(Tok[1]) == 'r' &&
+           digitsFrom(Tok, 2);
   }
 
   LowerStep lower(const AsmInst &I, std::vector<SimOp> &Ops,

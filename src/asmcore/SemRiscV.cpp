@@ -17,7 +17,6 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
-#include <set>
 
 using namespace telechat;
 using namespace telechat::semdetail;
@@ -35,23 +34,12 @@ public:
     return L;
   }
 
-  bool isRegisterName(const std::string &Tok) const override {
-    std::string L;
-    for (char C : Tok)
-      L += char(tolower(static_cast<unsigned char>(C)));
-    static const std::set<std::string> Named = {"zero", "ra", "sp", "gp",
-                                                "tp",   "fp"};
-    if (Named.count(L))
+  bool isRegisterName(std::string_view Tok) const override {
+    if (isOneOf(Tok, {"zero", "ra", "sp", "gp", "tp", "fp"}))
       return true;
-    if (L.size() < 2)
-      return false;
-    char C0 = L[0];
-    if (C0 != 'x' && C0 != 'a' && C0 != 't' && C0 != 's')
-      return false;
-    for (size_t I = 1; I != L.size(); ++I)
-      if (!isdigit(static_cast<unsigned char>(L[I])))
-        return false;
-    return true;
+    char C0 = Tok.empty() ? 0 : lowerChar(Tok[0]);
+    return (C0 == 'x' || C0 == 'a' || C0 == 't' || C0 == 's') &&
+           digitsFrom(Tok, 1);
   }
 
   LowerStep lower(const AsmInst &I, std::vector<SimOp> &Ops,

@@ -40,19 +40,13 @@ public:
     return L;
   }
 
-  bool isRegisterName(const std::string &Tok) const override {
-    std::string L;
-    for (char C : Tok)
-      L += char(tolower(static_cast<unsigned char>(C)));
-    static const std::set<std::string> Named = {
-        "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
-        "eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp", "rip"};
-    if (Named.count(L))
+  bool isRegisterName(std::string_view Tok) const override {
+    if (isOneOf(Tok, {"rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
+                      "eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp",
+                      "rip"}))
       return true;
-    if (L.size() >= 2 && L[0] == 'r' &&
-        isdigit(static_cast<unsigned char>(L[1])))
-      return true;
-    return false;
+    return Tok.size() >= 2 && lowerChar(Tok[0]) == 'r' &&
+           isdigit(static_cast<unsigned char>(Tok[1]));
   }
 
   LowerStep lower(const AsmInst &I, std::vector<SimOp> &Ops,

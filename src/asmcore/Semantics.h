@@ -21,6 +21,8 @@
 #include "asmcore/AsmProgram.h"
 #include "support/Error.h"
 
+#include <string_view>
+
 namespace telechat {
 
 /// Control-flow effect of one lowered instruction.
@@ -47,8 +49,9 @@ public:
   virtual std::string canonReg(const std::string &R) const;
 
   /// True if \p Tok names a machine register of this ISA (used by the
-  /// parser to tell registers from symbols).
-  virtual bool isRegisterName(const std::string &Tok) const = 0;
+  /// parser to tell registers from symbols). Case is ignored, as
+  /// canonReg ignores it.
+  virtual bool isRegisterName(std::string_view Tok) const = 0;
 };
 
 /// The semantics singleton for an architecture.

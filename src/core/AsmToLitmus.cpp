@@ -14,9 +14,9 @@ using namespace telechat;
 ErrorOr<AsmLitmusTest> telechat::disassemblyRoundTrip(const AsmLitmusTest &Raw,
                                                       std::string *TextOut) {
   std::string Text = printAsmLitmus(Raw);
-  if (TextOut)
-    *TextOut = Text;
   ErrorOr<AsmLitmusTest> Parsed = parseAsmLitmus(Text);
+  if (TextOut)
+    *TextOut = std::move(Text);
   if (!Parsed)
     return makeError("s2l parse of disassembly failed: " + Parsed.error());
   return Parsed;

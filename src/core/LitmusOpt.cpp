@@ -109,9 +109,8 @@ unsigned removeScaffolding(AsmThread &T) {
 
 } // namespace
 
-AsmLitmusTest telechat::optimiseAsmLitmus(const AsmLitmusTest &In,
+AsmLitmusTest telechat::optimiseAsmLitmus(AsmLitmusTest Out,
                                           S2LStats *Stats) {
-  AsmLitmusTest Out = In;
   unsigned RemovedInsts = 0;
   for (AsmThread &T : Out.Threads) {
     if (Out.TargetArch == Arch::AArch64)

@@ -37,9 +37,9 @@ struct S2LStats {
   unsigned RemovedLocations = 0;
 };
 
-/// Applies the optimisation pipeline; \p Stats may be null.
-AsmLitmusTest optimiseAsmLitmus(const AsmLitmusTest &In,
-                                S2LStats *Stats = nullptr);
+/// Applies the optimisation pipeline to \p In, in place; \p Stats may
+/// be null. Callers that drop their test move it in.
+AsmLitmusTest optimiseAsmLitmus(AsmLitmusTest In, S2LStats *Stats = nullptr);
 
 } // namespace telechat
 

@@ -54,8 +54,9 @@ TelechatResult telechat::runTelechat(const LitmusTest &S, const Profile &P,
     R.Error = Parsed.error();
     return R;
   }
-  R.OptAsm = O.OptimiseCompiled ? optimiseAsmLitmus(*Parsed, &R.OptStats)
-                                : std::move(*Parsed);
+  R.OptAsm = O.OptimiseCompiled
+                 ? optimiseAsmLitmus(std::move(*Parsed), &R.OptStats)
+                 : std::move(*Parsed);
 
   // Step 4: simulate C under the architecture model. It runs before the
   // source side is taken, so a hook that waits for another config's

@@ -31,7 +31,7 @@ C4Result telechat::runC4(const LitmusTest &S, const Profile &P,
     R.Error = Parsed.error();
     return R;
   }
-  AsmLitmusTest Optimised = optimiseAsmLitmus(*Parsed);
+  AsmLitmusTest Optimised = optimiseAsmLitmus(std::move(*Parsed));
 
   R.Hardware = runOnHardware(Optimised, O.Hardware);
   if (!R.Hardware.ok()) {

@@ -35,7 +35,9 @@ struct Token {
 /// memory orders with #define).
 class Lexer {
 public:
-  Lexer(std::string_view Text) : Text(Text) {}
+  /// \p FirstLine numbers the first line of \p Text.
+  Lexer(std::string_view Text, unsigned FirstLine = 1)
+      : Text(Text), Line(FirstLine) {}
 
   Token next() {
     if (!Pending.empty()) {
@@ -155,7 +157,7 @@ private:
 
   std::string_view Text;
   size_t Pos = 0;
-  unsigned Line = 1;
+  unsigned Line;
   std::vector<Token> Pending;
   std::map<std::string, std::string> Defines;
 };
@@ -214,7 +216,8 @@ MemOrder parseOrderName(const std::string &Name) {
 
 class ParserImpl {
 public:
-  ParserImpl(std::string_view Text) : Lex(Text) {}
+  ParserImpl(std::string_view Text, unsigned FirstLine = 1)
+      : Lex(Text, FirstLine) {}
 
   ErrorOr<FinalCond> runFinalOnly() {
     LitmusTest Test;
@@ -841,6 +844,7 @@ ErrorOr<LitmusTest> telechat::parseLitmusC(std::string_view Text) {
   return ParserImpl(Text).run();
 }
 
-ErrorOr<FinalCond> telechat::parseFinalCondition(std::string_view Text) {
-  return ParserImpl(Text).runFinalOnly();
+ErrorOr<FinalCond> telechat::parseFinalCondition(std::string_view Text,
+                                                 unsigned FirstLine) {
+  return ParserImpl(Text, FirstLine).runFinalOnly();
 }

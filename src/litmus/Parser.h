@@ -39,7 +39,9 @@ ErrorOr<LitmusTest> parseLitmusC(std::string_view Text);
 
 /// Parses a standalone final condition ("exists (P0:r0=1 /\ [x]=2:1)"),
 /// as used by assembly litmus tests. Wide values spell as "hi:lo".
-ErrorOr<FinalCond> parseFinalCondition(std::string_view Text);
+/// Errors count lines from \p FirstLine, the file line \p Text starts on.
+ErrorOr<FinalCond> parseFinalCondition(std::string_view Text,
+                                       unsigned FirstLine = 1);
 
 } // namespace telechat
 

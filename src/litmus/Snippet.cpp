@@ -212,6 +212,7 @@ public:
     }
     // Declarations, then threads, then the final condition.
     size_t FinalStart = 0;
+    unsigned FinalLine = 0;
     while (true) {
       T = Lex.next();
       if (T.K == Token::Kind::End)
@@ -220,6 +221,7 @@ public:
            (T.Text == "exists" || T.Text == "forall")) ||
           isPunct(T, '~')) {
         FinalStart = T.Start;
+        FinalLine = T.Line;
         break;
       }
       if (T.K == Token::Kind::Ident &&
@@ -232,7 +234,7 @@ public:
       if (std::string E = parseDecl(Test); !E.empty())
         return makeError(E);
     }
-    if (std::string E = parseFinal(Test, FinalStart); !E.empty())
+    if (std::string E = parseFinal(Test, FinalStart, FinalLine); !E.empty())
       return makeError(E);
     if (std::string E = Test.validate(); !E.empty())
       return makeError("invalid kernel: " + E);
@@ -628,9 +630,10 @@ private:
     return errStr(T, "expected expression");
   }
 
-  /// Hands the remaining raw text to the herd predicate parser, with
-  /// the &&/|| sugar rewritten to the /\ and \/ connectives.
-  std::string parseFinal(LitmusTest &Test, size_t Start) {
+  /// Hands the remaining raw text, which starts on line \p Line, to the
+  /// herd predicate parser, with the &&/|| sugar rewritten to the /\ and
+  /// \/ connectives.
+  std::string parseFinal(LitmusTest &Test, size_t Start, unsigned Line) {
     std::string Tail(Text.substr(Start));
     std::string Rewritten;
     Rewritten.reserve(Tail.size());
@@ -646,7 +649,7 @@ private:
         Rewritten += Tail[I];
       }
     }
-    ErrorOr<FinalCond> F = parseFinalCondition(Rewritten);
+    ErrorOr<FinalCond> F = parseFinalCondition(Rewritten, Line);
     if (!F)
       return "final condition: " + F.error();
     Test.Final = *F;

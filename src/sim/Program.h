@@ -123,6 +123,8 @@ struct SimLoc {
   /// When non-empty the initial value is the *address of* this symbol
   /// (literal pools in unoptimised compiled tests).
   std::string InitAddrOf;
+
+  bool operator==(const SimLoc &) const = default;
 };
 
 /// A complete program ready for enumeration.

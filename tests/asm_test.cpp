@@ -10,11 +10,24 @@
 #include "compiler/Compiler.h"
 #include "core/LitmusToC.h"
 #include "diy/Classics.h"
+#include "diy/Config.h"
+#include "diy/Generator.h"
+#include "diy/RealWorld.h"
+#include "litmus/Parser.h"
 #include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace telechat;
+
+namespace telechat {
+/// gtest shows an assembly test that differs as its printed text.
+void PrintTo(const AsmLitmusTest &T, std::ostream *OS) {
+  *OS << "\n" << printAsmLitmus(T);
+}
+} // namespace telechat
 
 TEST(AsmParserTest, AArch64Operands) {
   auto I = parseAsmInst(Arch::AArch64, "ldr w9, [x8, #8]");
@@ -125,6 +138,75 @@ TEST(AsmParserTest, RejectsGarbage) {
               std::string::npos)
         << P.error();
   }
+}
+
+TEST(AsmParserTest, ErrorsNameTheirFileLine) {
+  // P0's code starts on line 7; the final condition starts on line 10
+  // when the code takes two lines.
+  auto Test = [](const std::string &Code, const std::string &Final) {
+    return "AArch64 lines\n{\n  x = 0;\n  P0:x1 = &x;\n}\nP0 {\n" + Code +
+           "}\n" + Final;
+  };
+  const std::string Code = "  mov w0, #1\n  ldr w2, [x1]\n";
+  const std::string Parens(20000, '(');
+  struct Case {
+    std::string Src;
+    const char *Want; ///< The error, from its start.
+  };
+  const Case Cases[] = {
+      {Test("  mov w0, #zz\n  ldr w2, [x1]\n", "exists (P0:X2=0)\n"),
+       "line 7: bad immediate #zz in 'mov w0, #zz'"},
+      // The condition's lines keep their numbers: a typo on line 12 is
+      // line 12, and so is one after a blank and a comment line.
+      {Test(Code, "exists (P0:X2=0 /\\\n  P0:X0=1 /\\\n  x=zz)\n"),
+       "line 12: expected numeric value"},
+      {Test(Code, "exists (P0:X2=0 /\\\n\n  // x=zz\n  x=zz)\n"),
+       "line 13: expected numeric value"},
+      {Test(Code, "exists " + Parens + "x=0" + std::string(20000, ')')),
+       "line 10: nesting deeper than 64 levels"},
+      {"\n\nAArch64\n{\n}\n", "line 3: bad header: AArch64"},
+      {"NOARCH t\n{\n}\nexists (x=0)\n", "line 1: unknown architecture"},
+      {"AArch64 t\n\n  x = 0;\n", "line 3: expected '{' after header"},
+      {"AArch64 t\n{\n  x = 0;\n}\nnonsense\n",
+       "line 5: expected thread header, got: nonsense"},
+      // At the end of the text, the error names its last line.
+      {"AArch64 t\n{\n  x = 0;\n}\nP0 {\n  ret\n",
+       "line 7: unterminated thread P0"},
+      {"AArch64 t\n{\n  x = 0;\n", "line 4: unterminated initial state"},
+      {"AArch64 t\n{\n  x = 0;\n}\nP0 {\n  ret\n}",
+       "line 7: missing final condition"},
+      // An unterminated block is the error, not a bad entry inside it.
+      {"AArch64 t\n{\n  x = 7junk;\n", "line 4: unterminated initial state"},
+      // An entry that spans lines names the line it starts on.
+      {"AArch64 t\n{\n  x = 0; y\n  =\n  7junk;\n}\n",
+       "line 3: malformed initial value: y\n=\n7junk"},
+  };
+  for (const Case &C : Cases) {
+    ErrorOr<AsmLitmusTest> T = parseAsmLitmus(C.Src);
+    ASSERT_FALSE(T.hasValue()) << C.Src;
+    EXPECT_EQ(T.error().rfind(C.Want, 0), 0u) << C.Src << "\n" << T.error();
+  }
+  // parseAsmInst has no file line to name.
+  ErrorOr<AsmInst> I = parseAsmInst(Arch::AArch64, "mov w0, #zz");
+  ASSERT_FALSE(I.hasValue());
+  EXPECT_EQ(I.error(), "bad immediate #zz in 'mov w0, #zz'");
+}
+
+TEST(AsmParserTest, InitEntriesMaySpanLines) {
+  ErrorOr<AsmLitmusTest> T = parseAsmLitmus(
+      "AArch64 t\n{ const uint8_t x\n  = 7; y =\n  1:2; P0:x1\n  = &x }\n"
+      "P0 {\n  ret\n}\nexists (x=7)\n");
+  ASSERT_TRUE(T.hasValue()) << T.error();
+  ASSERT_EQ(T->Locations.size(), 2u);
+  EXPECT_TRUE(T->Locations[0].Const);
+  EXPECT_EQ(T->Locations[0].Type, (IntType{8, false}));
+  EXPECT_EQ(T->Locations[0].Name, "x");
+  EXPECT_EQ(T->Locations[0].Init, Value(7));
+  EXPECT_EQ(T->Locations[1].Name, "y");
+  EXPECT_EQ(T->Locations[1].Init, Value(2, 1));
+  ASSERT_EQ(T->Threads.size(), 1u);
+  EXPECT_EQ(T->Threads[0].InitRegs,
+            (std::vector<std::pair<std::string, std::string>>{{"x1", "x"}}));
 }
 
 TEST(AsmSemanticsTest, CanonicalRegisters) {
@@ -277,12 +359,10 @@ TEST_P(AsmRoundTripTest, CompiledTestsSurviveTextRoundTrip) {
   std::string Text = printAsmLitmus(Out->Asm);
   ErrorOr<AsmLitmusTest> Reparsed = parseAsmLitmus(Text);
   ASSERT_TRUE(Reparsed.hasValue()) << Reparsed.error() << "\n" << Text;
-  // Printing again must be stable.
+  // Printing again must be stable, and the parsed test is the compiled
+  // one, field by field.
   EXPECT_EQ(printAsmLitmus(*Reparsed), Text);
-  EXPECT_EQ(Reparsed->Threads.size(), Out->Asm.Threads.size());
-  for (size_t I = 0; I != Reparsed->Threads.size(); ++I)
-    EXPECT_EQ(Reparsed->Threads[I].Code.size(),
-              Out->Asm.Threads[I].Code.size());
+  EXPECT_EQ(*Reparsed, Out->Asm);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -310,6 +390,181 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return Name;
     });
+
+//===----------------------------------------------------------------------===//
+// The s2l round trip gives back the compiled test, field by field
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every ISA, both compilers, and AArch64 with LSE and RCpc.
+const char *const RoundTripProfiles[] = {
+    "llvm-O2-AArch64", "gcc-O3-AArch64", "llvm-O3-AArch64+lse+rcpc",
+    "gcc-O3-x86-64",   "gcc-O2-ARMv7",   "llvm-O3-PPC",
+    "gcc-O2-RISCV",    "gcc-O2-MIPS"};
+
+/// \p Test as c2s hands it to s2l under the profile \p ProfileName.
+ErrorOr<AsmLitmusTest> compiledUnder(const LitmusTest &Test,
+                                     const std::string &ProfileName) {
+  Profile P;
+  if (!profileFromName(ProfileName, P))
+    return makeError("unknown profile " + ProfileName);
+  ErrorOr<CompileOutput> Out = compileLitmus(augmentLocalObservations(Test), P);
+  if (!Out)
+    return makeError(Out.error());
+  return std::move(Out->Asm);
+}
+
+/// True when \p Compiled prints to a text that parses back to it and
+/// prints the same again.
+::testing::AssertionResult roundTrips(const AsmLitmusTest &Compiled) {
+  std::string Text = printAsmLitmus(Compiled);
+  ErrorOr<AsmLitmusTest> Parsed = parseAsmLitmus(Text);
+  if (!Parsed)
+    return ::testing::AssertionFailure() << Parsed.error() << "\n" << Text;
+  if (!(*Parsed == Compiled))
+    return ::testing::AssertionFailure() << "parses to another test:\n"
+                                         << printAsmLitmus(*Parsed);
+  if (printAsmLitmus(*Parsed) != Text)
+    return ::testing::AssertionFailure() << "prints differently:\n" << Text;
+  return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(AsmRoundTripTest, ParsedTestIsTheCompiledTest) {
+  // The classics, the c11 suite, the realworld suite and one diy seed.
+  std::vector<LitmusTest> Corpus;
+  for (const std::string &Name : classicNames())
+    Corpus.push_back(classicTest(Name));
+  for (LitmusTest &T : generateSuite(SuiteConfig::c11()))
+    Corpus.push_back(std::move(T));
+  for (LitmusTest &T : realWorldTests())
+    Corpus.push_back(std::move(T));
+  RandomGenOptions Gen;
+  Gen.Seed = 7;
+  Gen.Count = 100;
+  for (LitmusTest &T : generateRandomTests(Gen))
+    Corpus.push_back(std::move(T));
+  for (const char *Profile : RoundTripProfiles)
+    for (const LitmusTest &T : Corpus) {
+      ErrorOr<AsmLitmusTest> Compiled = compiledUnder(T, Profile);
+      ASSERT_TRUE(Compiled.hasValue()) << Profile << " " << T.Name;
+      ASSERT_TRUE(roundTrips(*Compiled)) << Profile << " " << T.Name;
+    }
+}
+
+TEST(AsmRoundTripTest, ThreadsKeepTheirCompiledOrder) {
+  // Eleven threads: a sort by name would put P10 between P1 and P2.
+  std::string Src = "C eleven\n{ *x = 0; }\n";
+  for (int I = 0; I != 11; ++I)
+    Src += "void P" + std::to_string(I) +
+           "(atomic_int* x) {\n  atomic_store_explicit(x, " +
+           std::to_string(I + 1) + ", memory_order_relaxed);\n}\n";
+  Src += "exists (x=11)\n";
+  ErrorOr<LitmusTest> Eleven = parseLitmusC(Src);
+  ASSERT_TRUE(Eleven.hasValue()) << Eleven.error();
+  for (const char *Profile : {"llvm-O2-AArch64", "gcc-O3-x86-64"}) {
+    ErrorOr<AsmLitmusTest> Compiled = compiledUnder(*Eleven, Profile);
+    ASSERT_TRUE(Compiled.hasValue()) << Compiled.error();
+    ASSERT_EQ(Compiled->Threads.size(), 11u);
+    EXPECT_EQ(Compiled->Threads[10].Name, "P10");
+    EXPECT_TRUE(roundTrips(*Compiled)) << Profile;
+  }
+  // "P<n>" sorts by n, leading zeros aside; other names follow in name
+  // order, whether code or a register initialiser names them first.
+  ErrorOr<AsmLitmusTest> T = parseAsmLitmus(
+      "AArch64 t\n{ x = 0; P10:x1 = &x; }\n"
+      "P2 {\n  ret\n}\nPx {\n  ret\n}\nP01 {\n  ret\n}\nP1 {\n  ret\n}\n"
+      "Q {\n  ret\n}\nP10 {\n  ret\n}\nP {\n  ret\n}\nexists (x=0)\n");
+  ASSERT_TRUE(T.hasValue()) << T.error();
+  std::vector<std::string> Names;
+  for (const AsmThread &Thread : T->Threads)
+    Names.push_back(Thread.Name);
+  EXPECT_EQ(Names, (std::vector<std::string>{"P01", "P1", "P2", "P10", "P",
+                                             "Px", "Q"}));
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded mutation battery: hostile text parses to a test or an error
+//===----------------------------------------------------------------------===//
+
+TEST(AsmParserBattery, MutantsParseOrFail) {
+  // Seeds: compiled tests of all six ISAs, with labels, relocations,
+  // every memory operand shape and narrow types.
+  std::vector<std::string> Seeds;
+  for (const char *Profile :
+       {"llvm-O2-AArch64", "llvm-O3-AArch64+lse+rcpc", "gcc-O2-ARMv7",
+        "gcc-O3-x86-64", "gcc-O2-RISCV", "llvm-O3-PPC", "gcc-O2-MIPS"})
+    for (const LitmusTest &T :
+         {classicTest("MP+rel+acq"), classicTest("LB+ctrls"),
+          realWorldTest("rw.mpmc+tkt.ar+pub.rel+con.rlx+w32"),
+          realWorldTest("rw.dclp+pub.rel+chk.acq+pl.sc+w32"),
+          realWorldTest("rw.spsc+pub.rlx+con.rlx+w8")}) {
+      ErrorOr<AsmLitmusTest> Compiled = compiledUnder(T, Profile);
+      ASSERT_TRUE(Compiled.hasValue()) << Profile << " " << T.Name;
+      Seeds.push_back(printAsmLitmus(*Compiled));
+    }
+  // A condition nested past the limit is an error on the line it starts.
+  for (const std::string &Seed : Seeds) {
+    size_t Final = Seed.rfind("exists");
+    ASSERT_NE(Final, std::string::npos);
+    size_t Line = 1 + std::count(Seed.begin(), Seed.begin() + Final, '\n');
+    std::string Deep = Seed.substr(0, Final) + "exists " +
+                       std::string(20000, '(') + "x=0" +
+                       std::string(20000, ')') + "\n";
+    ErrorOr<AsmLitmusTest> T = parseAsmLitmus(Deep);
+    ASSERT_FALSE(T.hasValue());
+    EXPECT_EQ(T.error(), "line " + std::to_string(Line) +
+                             ": nesting deeper than 64 levels (at '(')");
+  }
+  // Byte flips, truncations, splices and token inserts, one to three per
+  // mutant. Each mutant must give a test or an error; a test it gives
+  // must print. Re-print stability holds for compiled output only: a
+  // mutant such as "[x9]" under a PPC header parses, then prints as
+  // "(x9)".
+  const char *const Tokens[] = {
+      "(", ")", "[", "]", ",", "#", ":", "::", "%hi(", "@l", "{", "}", ";",
+      "=", "&", "-", "/\\", "//", "\n", " ", "exists", "~exists", "forall",
+      "P0 {", "P10:x1 = &", ".L0:", "lock ", "#:got:", "0x", "1:2",
+      "99999999999999999999", "-9223372036854775808", "uint8_t", "const"};
+  const char Alphabet[] = "()[],:#%@{};=&-~ \n\t0123456789abcPxrw./\\";
+  std::mt19937_64 Rng(25);
+  auto Pick = [&Rng](size_t N) { return size_t(Rng() % N); };
+  unsigned Accepted = 0;
+  const unsigned Mutants = 4000;
+  for (unsigned I = 0; I != Mutants; ++I) {
+    std::string M = Seeds[Pick(Seeds.size())];
+    for (size_t Edits = 1 + Pick(3); Edits; --Edits) {
+      size_t Pos = Pick(M.size() + 1);
+      switch (Pick(4)) {
+      case 0:
+        if (Pos != M.size())
+          M[Pos] = Pick(2) ? Alphabet[Pick(sizeof(Alphabet) - 1)]
+                           : char(Rng());
+        break;
+      case 1:
+        M.resize(Pos);
+        break;
+      case 2: {
+        const std::string &Other = Seeds[Pick(Seeds.size())];
+        M.insert(Pos, Other, Pick(Other.size()), Pick(80));
+        break;
+      }
+      default:
+        M.insert(Pos, Tokens[Pick(std::size(Tokens))]);
+      }
+    }
+    ErrorOr<AsmLitmusTest> T = parseAsmLitmus(M);
+    if (T) {
+      ++Accepted;
+      printAsmLitmus(*T);
+    }
+  }
+  // The battery reaches both outcomes.
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_LT(Accepted, Mutants);
+}
 
 TEST(AsmProgramTest, ArchModelNames) {
   EXPECT_EQ(archModelName(Arch::AArch64), "aarch64");

@@ -490,6 +490,29 @@ TEST(KernelSnippetTest, DeepNestingIsAnErrorNotACrash) {
       deepKernel("  if (" + Parens + ") {\n  }\n"), 5));
 }
 
+TEST(KernelSnippetTest, FinalConditionErrorsNameTheirFileLine) {
+  // The exists sits on line 7: its errors count lines from there, not
+  // from the start of the condition.
+  const std::string Head = "kernel deep_final\nstd::atomic<int> x = 0;\n"
+                           "thread P0 {\n"
+                           "  int r0 = x.load(std::memory_order_relaxed);\n"
+                           "  x.store(1, std::memory_order_relaxed);\n}\n";
+  ErrorOr<LitmusTest> T = parseKernelSnippet(
+      Head + "exists " + std::string(100, '(') + "P0:r0=0" +
+      std::string(100, ')') + "\n");
+  ASSERT_FALSE(T.hasValue());
+  EXPECT_EQ(T.error().rfind(
+                "final condition: line 7: nesting deeper than 64 levels", 0),
+            0u)
+      << T.error();
+  T = parseKernelSnippet(Head + "exists (P0:r0=0 &&\n  x=1 &&\n  x=zz)\n");
+  ASSERT_FALSE(T.hasValue());
+  EXPECT_EQ(T.error().rfind("final condition: line 9: expected numeric value",
+                            0),
+            0u)
+      << T.error();
+}
+
 TEST(KernelSnippetTest, NestingLimitMatchesTheWireDecoder) {
   // Expression trees: a statement's expressions sit one level below it,
   // and no node may sit deeper than MaxTreeDepth.
