@@ -648,6 +648,7 @@ public:
       }
     }
     P.EarlyExit = P.Errors.empty() && Monotone;
+    dropTestedClosures();
     for (unsigned M = 0; M != M_COUNT; ++M)
       schedule(M);
   }
@@ -680,6 +681,8 @@ private:
     std::vector<Stab> &Sts = K == VK::Rel ? RelSt : SetSt;
     Sts.push_back(St);
     (K == VK::Rel ? RelGroup : SetGroup).push_back(Group);
+    if (K == VK::Rel)
+      RelReaders.push_back(0);
     return (K == VK::Rel ? P.NumRel : P.NumSet)++;
   }
   Stab &regSt(VK K, unsigned R) { return K == VK::Rel ? RelSt[R] : SetSt[R]; }
@@ -712,8 +715,13 @@ private:
     unsigned Reg = newReg(K, St, Variant ? CurGroup : ~0u);
     (Variant ? Cur->Body : Cur->Pre)
         .push_back(Instr{Code, Reg, std::get<1>(Key), std::get<2>(Key)});
+    for (const Val *Operand : {L, R})
+      if (Operand && Operand->K == VK::Rel)
+        ++RelReaders[Operand->Reg];
     if (!Variant)
       Cse.emplace(Key, Reg);
+    if (Code == Op::Plus && !Variant)
+      Closures.emplace(Reg, L->Reg);
     return Reg;
   }
 
@@ -1019,6 +1027,7 @@ private:
         V = empty(VK::Rel, V.St);
       Group = Group.meet(V.St);
       Cur->Body.push_back(Instr{Op::RecUpdate, Slots[BI], V.Reg, 0});
+      ++RelReaders[V.Reg];
     }
     CurGroup = ~0u;
     Cur->St = Group;
@@ -1040,8 +1049,32 @@ private:
     Cur->Index = P.Checks.size();
     Cur->Reg = V.Reg;
     Cur->St = V.St;
+    if (V.K == VK::Rel)
+      ++RelReaders[V.Reg];
     P.Checks.push_back(CheckInfo{C.T, C.Negated, C.IsFlag, V.K, C.Name});
     return true;
+  }
+
+  /// acyclic r^+ is acyclic r. An acyclicity check that is the only reader
+  /// of a closure reads the closure's operand instead, and the closure is
+  /// dropped. The operand's register has the closure's stability, so the
+  /// schedules and the served counts do not change.
+  void dropTestedClosures() {
+    for (StmtCode &C : Stmts) {
+      if (C.K != CatStmt::Kind::Check || C.Error != ~0u ||
+          P.Checks[C.Index].T != CatCheck::Test::Acyclic ||
+          P.Checks[C.Index].K != VK::Rel)
+        continue;
+      for (auto It = Closures.find(C.Reg);
+           It != Closures.end() && RelReaders[C.Reg] == 1;
+           It = Closures.find(C.Reg)) {
+        for (StmtCode &S : Stmts)
+          std::erase_if(S.Pre, [&](const Instr &I) {
+            return I.Code == Op::Plus && I.Dst == C.Reg;
+          });
+        C.Reg = It->second;
+      }
+    }
   }
 
   /// Splits the statements into the layer build and the candidate walk
@@ -1114,6 +1147,10 @@ private:
   std::map<std::string, unsigned> TagIndex;
   std::map<std::tuple<Op, unsigned, unsigned>, unsigned> Cse;
   std::vector<Stab> RelSt, SetSt; ///< By what each register reads.
+  /// Instructions and checks that read each relation register.
+  std::vector<unsigned> RelReaders;
+  /// Each closure outside a let rec loop: its register and its operand's.
+  std::map<unsigned, unsigned> Closures;
   /// The let rec group whose slots each register reads, or ~0u.
   std::vector<unsigned> RelGroup, SetGroup;
   unsigned CurGroup = ~0u;

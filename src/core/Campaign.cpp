@@ -69,7 +69,12 @@ bool GeneratorUnitSource::next(CampaignUnit &Out) {
   }
   Out.Id = Emitted++;
   Out.Config = NextConfig++;
-  Out.Test = Cur;
+  // The last config takes the test itself: Stream.next refills the whole
+  // of Cur before it is read again.
+  if (NextConfig == NumConfigs)
+    Out.Test = std::move(Cur);
+  else
+    Out.Test = Cur;
   return true;
 }
 

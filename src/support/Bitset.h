@@ -14,10 +14,27 @@
 #define TELECHAT_SUPPORT_BITSET_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace telechat {
+
+/// The width of a bit row or set in 64-bit words, as a kernel sees it:
+/// OneWord, a compile-time 1, for universes of at most 64 ids, else the
+/// run-time word count. A kernel is written once over the width, and
+/// withWidth() calls the instance that fits, so the one-word instance has
+/// no word loop and the compiler can keep a row in a register.
+using OneWord = std::integral_constant<unsigned, 1>;
+
+template <typename KernelT>
+void withWidth(std::size_t Words, KernelT &&Kernel) {
+  if (Words == 1)
+    Kernel(OneWord());
+  else
+    Kernel(unsigned(Words));
+}
 
 /// Dense set of small unsigned ids with value semantics.
 ///
@@ -85,23 +102,29 @@ public:
 
   Bitset &operator|=(const Bitset &RHS) {
     assert(Size == RHS.Size && "universe mismatch");
-    for (unsigned I = 0, E = Words.size(); I != E; ++I)
-      Words[I] |= RHS.Words[I];
+    withWidth(Words.size(), [&](auto W) {
+      for (unsigned I = 0; I != W; ++I)
+        Words[I] |= RHS.Words[I];
+    });
     return *this;
   }
 
   Bitset &operator&=(const Bitset &RHS) {
     assert(Size == RHS.Size && "universe mismatch");
-    for (unsigned I = 0, E = Words.size(); I != E; ++I)
-      Words[I] &= RHS.Words[I];
+    withWidth(Words.size(), [&](auto W) {
+      for (unsigned I = 0; I != W; ++I)
+        Words[I] &= RHS.Words[I];
+    });
     return *this;
   }
 
   /// Set difference: removes every element of \p RHS from this set.
   Bitset &operator-=(const Bitset &RHS) {
     assert(Size == RHS.Size && "universe mismatch");
-    for (unsigned I = 0, E = Words.size(); I != E; ++I)
-      Words[I] &= ~RHS.Words[I];
+    withWidth(Words.size(), [&](auto W) {
+      for (unsigned I = 0; I != W; ++I)
+        Words[I] &= ~RHS.Words[I];
+    });
     return *this;
   }
 

@@ -12,6 +12,9 @@
 ///
 /// Candidate executions have tens of events, so an O(N^2/64)-per-row dense
 /// representation beats sparse structures in both time and simplicity.
+/// Up to 64 events a row is one 64-bit word, and the kernels run with that
+/// width fixed at compile time; larger universes take the same kernels
+/// with the width read at run time (see Relation.cpp).
 ///
 //===----------------------------------------------------------------------===//
 

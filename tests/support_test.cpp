@@ -265,8 +265,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RelationPropertyTest,
 
 namespace {
 
-/// Universe sizes around the one-word row boundary, and the empty one.
-const unsigned KernelSizes[] = {0, 1, 63, 64, 65, 130};
+/// Universe sizes the workloads build (up to 33 events), around the
+/// one-word row boundary, and the empty one.
+const unsigned KernelSizes[] = {0, 1, 2, 17, 31, 32, 33, 63, 64, 65, 130};
 
 Bitset randomSet(std::mt19937_64 &Rng, unsigned N, double Density) {
   Bitset S(N);
@@ -285,6 +286,51 @@ Relation sparseRelation(std::mt19937_64 &Rng, unsigned N) {
 /// What an in-place kernel must overwrite: another universe, full.
 Relation dirtyRelation() { return Relation::full(9); }
 Bitset dirtySet() { return Bitset::all(77); }
+
+/// A random DAG: edges go up in a random order of the nodes.
+Relation dagRelation(std::mt19937_64 &Rng, unsigned N) {
+  std::vector<unsigned> Order(N);
+  for (unsigned I = 0; I != N; ++I)
+    Order[I] = I;
+  std::shuffle(Order.begin(), Order.end(), Rng);
+  Relation R(N);
+  std::uniform_int_distribution<unsigned> Node(0, N ? N - 1 : 0);
+  for (unsigned I = 0; N && I != 3 * N; ++I) {
+    unsigned A = Node(Rng), B = Node(Rng);
+    if (A < B)
+      R.set(Order[A], Order[B]);
+  }
+  return R;
+}
+
+/// The transitive closure by the textbook boolean-matrix Floyd-Warshall,
+/// one pair at a time: a reference that shares no code with the kernels.
+Relation naiveClosure(const Relation &R) {
+  unsigned N = R.universeSize();
+  std::vector<char> Buf(std::size_t(N) * N);
+  char *M = Buf.data();
+  for (unsigned A = 0; A != N; ++A)
+    for (unsigned B = 0; B != N; ++B)
+      M[A * N + B] = R.test(A, B);
+  for (unsigned K = 0; K != N; ++K)
+    for (unsigned A = 0; A != N; ++A)
+      if (M[A * N + K])
+        for (unsigned B = 0; B != N; ++B)
+          M[A * N + B] |= M[K * N + B];
+  Relation Out(N);
+  for (unsigned A = 0; A != N; ++A)
+    for (unsigned B = 0; B != N; ++B)
+      if (M[A * N + B])
+        Out.set(A, B);
+  return Out;
+}
+
+bool hasSelfPair(const Relation &R) {
+  for (unsigned I = 0; I != R.universeSize(); ++I)
+    if (R.test(I, I))
+      return true;
+  return false;
+}
 
 Relation naiveSeq(const Relation &L, const Relation &R) {
   unsigned N = L.universeSize();
@@ -314,35 +360,45 @@ TEST(RelationKernelTest, FiltersEqualTheirIdentitySequences) {
     }
 }
 
-TEST(RelationKernelTest, DfsAcyclicityEqualsClosureDiagonal) {
-  // 300 is past the universes whose DFS state fits on the stack.
-  const unsigned Sizes[] = {0, 1, 63, 64, 65, 130, 300};
+TEST(RelationKernelTest, ClosuresAndAcyclicityEqualNaiveFloydWarshall) {
+  // Dense, sparse and DAG inputs. Half the DAGs get a few random edges
+  // that may close a cycle, and a quarter a self-loop. 300 is past the
+  // universes whose DFS state fits on the stack.
+  std::vector<unsigned> Sizes(std::begin(KernelSizes), std::end(KernelSizes));
+  Sizes.push_back(300);
   unsigned Cyclic = 0, Acyclic = 0;
   for (uint64_t Seed = 1; Seed <= 40; ++Seed)
-    for (unsigned N : Sizes) {
-      std::mt19937_64 Rng(Seed * 1000 + N);
-      // A random DAG (edges go up in a random order of the nodes) plus,
-      // half the time, a few random edges that may close a cycle.
-      std::vector<unsigned> Order(N);
-      for (unsigned I = 0; I != N; ++I)
-        Order[I] = I;
-      std::shuffle(Order.begin(), Order.end(), Rng);
-      Relation R(N);
-      std::uniform_int_distribution<unsigned> Node(0, N ? N - 1 : 0);
-      for (unsigned I = 0; N && I != 3 * N; ++I) {
-        unsigned A = Node(Rng), B = Node(Rng);
-        if (A < B)
-          R.set(Order[A], Order[B]);
+    for (unsigned N : Sizes)
+      for (const std::string Shape : {"dense", "sparse", "dag"}) {
+        if (N == 300 && Shape != "dag")
+          continue; // the reference is cubic
+        std::mt19937_64 Rng(Seed * 1000 + N);
+        Relation R = Shape == "dense"    ? randomRelation(Rng, N, 0.3)
+                     : Shape == "sparse" ? sparseRelation(Rng, N)
+                                         : dagRelation(Rng, N);
+        std::uniform_int_distribution<unsigned> Node(0, N ? N - 1 : 0);
+        if (N && Shape == "dag" && Seed % 2)
+          for (unsigned I = 0; I != 1 + Seed % 3; ++I)
+            R.set(Node(Rng), Node(Rng));
+        if (N && Shape == "dag" && Seed % 4 == 2) {
+          unsigned Loop = Node(Rng);
+          R.set(Loop, Loop);
+        }
+        std::string At = Shape + " seed " + std::to_string(Seed) + " N=" +
+                         std::to_string(N);
+        Relation Expected = naiveClosure(R);
+        Relation Out = R;
+        Out.closeTransitively();
+        EXPECT_EQ(Out, Expected) << At;
+        Out = R;
+        Out.closeReflexiveTransitively();
+        EXPECT_EQ(Out, Expected | Relation::identity(N)) << At;
+        bool IsAcyclic = !hasSelfPair(Expected);
+        EXPECT_EQ(R.isAcyclic(), IsAcyclic) << At;
+        (IsAcyclic ? Acyclic : Cyclic) += 1;
       }
-      if (N && Seed % 2)
-        for (unsigned I = 0; I != 1 + Seed % 3; ++I)
-          R.set(Node(Rng), Node(Rng));
-      bool Expected = R.transitiveClosure().isIrreflexive();
-      EXPECT_EQ(R.isAcyclic(), Expected) << "seed " << Seed << " N=" << N;
-      (Expected ? Acyclic : Cyclic) += 1;
-    }
-  EXPECT_GT(Cyclic, 20u);
-  EXPECT_GT(Acyclic, 20u);
+  EXPECT_GT(Cyclic, 100u);
+  EXPECT_GT(Acyclic, 100u);
 }
 
 TEST(RelationKernelTest, InPlaceOpsEqualTheirValueTwins) {
@@ -371,8 +427,7 @@ TEST(RelationKernelTest, InPlaceOpsEqualTheirValueTwins) {
       Out = A;
       Out.closeTransitively();
       EXPECT_EQ(Out, A.transitiveClosure()) << At;
-      // The closure is the least transitive superset: r | r;r+ == r+.
-      EXPECT_EQ(A | A.seq(Out), Out) << At;
+      EXPECT_EQ(Out, naiveClosure(A)) << At;
 
       Out = A;
       Out.closeReflexiveTransitively();
