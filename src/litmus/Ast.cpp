@@ -7,6 +7,7 @@
 #include "litmus/Ast.h"
 
 #include "litmus/Arch.h"
+#include "support/Limits.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -143,7 +144,11 @@ std::vector<std::string> telechat::assignedRegisters(const Thread &T) {
 
 namespace {
 
-/// Validation walker: checks register def-before-use and location refs.
+/// Validation walker: checks register def-before-use and location refs,
+/// and counts tree depth as the wire decoder does (decodeLitmusTest): a
+/// thread's statements sit at depth 0, a statement's expressions and
+/// nested statements one level below it, the final predicate's root at 0,
+/// and no node may sit deeper than MaxTreeDepth.
 class Validator {
 public:
   Validator(const LitmusTest &T) : Test(T) {}
@@ -154,63 +159,78 @@ public:
       if (!Names.insert(T.Name).second)
         return "duplicate thread name " + T.Name;
       Defined.clear();
-      if (std::string E = checkBody(T.Body, T.Name); !E.empty())
+      if (std::string E = checkBody(T.Body, T.Name, 0); !E.empty())
         return E;
     }
+    if (!fits(Test.Final.P, 0))
+      return strFormat("final condition nests deeper than %u levels",
+                       MaxTreeDepth);
     return "";
   }
 
 private:
-  std::string checkExpr(const Expr &E, const std::string &ThreadName) {
-    std::vector<std::string> Regs;
-    E.collectRegs(Regs);
-    for (const std::string &R : Regs)
-      if (!Defined.count(R))
-        return "thread " + ThreadName + " reads undefined register " + R;
+  static std::string tooDeep(const std::string &ThreadName) {
+    return strFormat("thread %s nests deeper than %u levels",
+                     ThreadName.c_str(), MaxTreeDepth);
+  }
+
+  /// Whether \p P, its root at \p Depth, has no node below MaxTreeDepth.
+  static bool fits(const Predicate &P, unsigned Depth) {
+    if (Depth > MaxTreeDepth)
+      return false;
+    for (const Predicate &Op : P.Ops)
+      if (!fits(Op, Depth + 1))
+        return false;
+    return true;
+  }
+
+  /// Checks \p E, its root at \p Depth: its depth, and when \p Reads,
+  /// that the registers it reads are defined.
+  std::string checkExpr(const Expr &E, unsigned Depth, bool Reads,
+                        const std::string &ThreadName) {
+    if (Depth > MaxTreeDepth)
+      return tooDeep(ThreadName);
+    if (Reads && E.K == Expr::Kind::Reg && !Defined.count(E.RegName))
+      return "thread " + ThreadName + " reads undefined register " +
+             E.RegName;
+    bool Binary = E.K != Expr::Kind::Imm && E.K != Expr::Kind::Reg;
+    for (const Expr &Op : E.Ops)
+      if (std::string Err = checkExpr(Op, Depth + 1, Reads && Binary,
+                                      ThreadName);
+          !Err.empty())
+        return Err;
     return "";
   }
 
   std::string checkBody(const std::vector<Stmt> &Body,
-                        const std::string &ThreadName) {
+                        const std::string &ThreadName, unsigned Depth) {
     for (const Stmt &S : Body) {
-      switch (S.K) {
-      case Stmt::Kind::Load:
-      case Stmt::Kind::Rmw:
-        if (!Test.findLocation(S.Loc))
-          return "thread " + ThreadName + " accesses undeclared location " +
-                 S.Loc;
-        if (S.K == Stmt::Kind::Rmw)
-          if (std::string E = checkExpr(S.Val, ThreadName); !E.empty())
-            return E;
+      bool Access = S.K == Stmt::Kind::Load || S.K == Stmt::Kind::Rmw ||
+                    S.K == Stmt::Kind::Store;
+      if (Access && !Test.findLocation(S.Loc))
+        return "thread " + ThreadName + " accesses undeclared location " +
+               S.Loc;
+      // Every statement carries both expressions, read or not, so a
+      // statement deeper than the limit fails here too.
+      bool ReadsVal = S.K == Stmt::Kind::Rmw || S.K == Stmt::Kind::Store ||
+                      S.K == Stmt::Kind::LocalAssign;
+      if (std::string E = checkExpr(S.Val, Depth + 1, ReadsVal, ThreadName);
+          !E.empty())
+        return E;
+      if (std::string E = checkExpr(S.Cond, Depth + 1,
+                                    S.K == Stmt::Kind::If, ThreadName);
+          !E.empty())
+        return E;
+      if (S.K == Stmt::Kind::Load || S.K == Stmt::Kind::Rmw ||
+          S.K == Stmt::Kind::LocalAssign)
         Defined.insert(S.Dst);
-        break;
-      case Stmt::Kind::Store:
-        if (!Test.findLocation(S.Loc))
-          return "thread " + ThreadName + " accesses undeclared location " +
-                 S.Loc;
-        if (std::string E = checkExpr(S.Val, ThreadName); !E.empty())
-          return E;
-        break;
-      case Stmt::Kind::Fence:
-        break;
-      case Stmt::Kind::LocalAssign:
-        if (std::string E = checkExpr(S.Val, ThreadName); !E.empty())
-          return E;
-        Defined.insert(S.Dst);
-        break;
-      case Stmt::Kind::If: {
-        if (std::string E = checkExpr(S.Cond, ThreadName); !E.empty())
-          return E;
-        // Registers defined on both arms stay defined; defined on one arm
-        // may be read later only if the herd zero-init convention applies.
-        // We accept one-arm definitions (herd does too).
-        if (std::string E = checkBody(S.Then, ThreadName); !E.empty())
-          return E;
-        if (std::string E = checkBody(S.Else, ThreadName); !E.empty())
-          return E;
-        break;
-      }
-      }
+      // Registers defined on both arms stay defined; defined on one arm
+      // may be read later only if the herd zero-init convention applies.
+      // We accept one-arm definitions (herd does too).
+      if (std::string E = checkBody(S.Then, ThreadName, Depth + 1); !E.empty())
+        return E;
+      if (std::string E = checkBody(S.Else, ThreadName, Depth + 1); !E.empty())
+        return E;
     }
     return "";
   }

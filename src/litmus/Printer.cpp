@@ -83,9 +83,10 @@ void printStmt(const Stmt &S, unsigned Indent, std::string &Out) {
                      : S.Rmw == RmwKind::FetchAdd
                          ? "atomic_fetch_add_explicit"
                          : "atomic_fetch_sub_explicit";
-    Out += strFormat("%sint %s = %s(%s, %s, %s);\n", Pad.c_str(),
-                     S.Dst.c_str(), Fn, S.Loc.c_str(),
-                     printExpr(S.Val).c_str(),
+    // A herd test may discard the result (paper Fig. 1): no register.
+    std::string Dst = S.Dst.empty() ? "" : "int " + S.Dst + " = ";
+    Out += strFormat("%s%s%s(%s, %s, %s);\n", Pad.c_str(), Dst.c_str(), Fn,
+                     S.Loc.c_str(), printExpr(S.Val).c_str(),
                      memOrderName(S.Order).c_str());
     return;
   }

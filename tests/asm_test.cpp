@@ -16,9 +16,9 @@
 #include "litmus/Parser.h"
 #include "sim/Simulator.h"
 
-#include <gtest/gtest.h>
+#include "Mutate.h"
 
-#include <random>
+#include <gtest/gtest.h>
 
 using namespace telechat;
 
@@ -518,44 +518,20 @@ TEST(AsmParserBattery, MutantsParseOrFail) {
     EXPECT_EQ(T.error(), "line " + std::to_string(Line) +
                              ": nesting deeper than 64 levels (at '(')");
   }
-  // Byte flips, truncations, splices and token inserts, one to three per
-  // mutant. Each mutant must give a test or an error; a test it gives
-  // must print. Re-print stability holds for compiled output only: a
-  // mutant such as "[x9]" under a PPC header parses, then prints as
-  // "(x9)".
-  const char *const Tokens[] = {
-      "(", ")", "[", "]", ",", "#", ":", "::", "%hi(", "@l", "{", "}", ";",
-      "=", "&", "-", "/\\", "//", "\n", " ", "exists", "~exists", "forall",
-      "P0 {", "P10:x1 = &", ".L0:", "lock ", "#:got:", "0x", "1:2",
-      "99999999999999999999", "-9223372036854775808", "uint8_t", "const"};
-  const char Alphabet[] = "()[],:#%@{};=&-~ \n\t0123456789abcPxrw./\\";
-  std::mt19937_64 Rng(25);
-  auto Pick = [&Rng](size_t N) { return size_t(Rng() % N); };
+  // Each mutant must give a test or an error; a test it gives must
+  // print. Re-print stability holds for compiled output only: a mutant
+  // such as "[x9]" under a PPC header parses, then prints as "(x9)".
+  Mutator Mutants(
+      25, Seeds,
+      {"(", ")", "[", "]", ",", "#", ":", "::", "%hi(", "@l", "{", "}", ";",
+       "=", "&", "-", "/\\", "//", "\n", " ", "exists", "~exists", "forall",
+       "P0 {", "P10:x1 = &", ".L0:", "lock ", "#:got:", "0x", "1:2",
+       "99999999999999999999", "-9223372036854775808", "uint8_t", "const"},
+      "()[],:#%@{};=&-~ \n\t0123456789abcPxrw./\\");
   unsigned Accepted = 0;
-  const unsigned Mutants = 4000;
-  for (unsigned I = 0; I != Mutants; ++I) {
-    std::string M = Seeds[Pick(Seeds.size())];
-    for (size_t Edits = 1 + Pick(3); Edits; --Edits) {
-      size_t Pos = Pick(M.size() + 1);
-      switch (Pick(4)) {
-      case 0:
-        if (Pos != M.size())
-          M[Pos] = Pick(2) ? Alphabet[Pick(sizeof(Alphabet) - 1)]
-                           : char(Rng());
-        break;
-      case 1:
-        M.resize(Pos);
-        break;
-      case 2: {
-        const std::string &Other = Seeds[Pick(Seeds.size())];
-        M.insert(Pos, Other, Pick(Other.size()), Pick(80));
-        break;
-      }
-      default:
-        M.insert(Pos, Tokens[Pick(std::size(Tokens))]);
-      }
-    }
-    ErrorOr<AsmLitmusTest> T = parseAsmLitmus(M);
+  const unsigned Count = 4000;
+  for (unsigned I = 0; I != Count; ++I) {
+    ErrorOr<AsmLitmusTest> T = parseAsmLitmus(Mutants.next());
     if (T) {
       ++Accepted;
       printAsmLitmus(*T);
@@ -563,7 +539,7 @@ TEST(AsmParserBattery, MutantsParseOrFail) {
   }
   // The battery reaches both outcomes.
   EXPECT_GT(Accepted, 0u);
-  EXPECT_LT(Accepted, Mutants);
+  EXPECT_LT(Accepted, Count);
 }
 
 TEST(AsmProgramTest, ArchModelNames) {

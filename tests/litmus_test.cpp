@@ -4,13 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cat/Parser.h"
 #include "diy/Classics.h"
+#include "diy/RealWorld.h"
 #include "dist/Serialize.h"
 #include "litmus/Parser.h"
 #include "litmus/Printer.h"
+#include "litmus/Snippet.h"
+#include "models/Models.h"
 #include "support/Limits.h"
 
+#include "Mutate.h"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace telechat;
 
@@ -149,6 +157,14 @@ exists (x=1)
 )");
   ASSERT_TRUE(T.hasValue()) << T.error();
   EXPECT_EQ(T->Threads[0].Body[0].Order, MemOrder::Relaxed);
+  // A directive splits on any blank, tabs included.
+  auto Tabs = parseLitmusC("C defs\n{ *x = 0; }\n"
+                           "#define\tacq\tmemory_order_acquire\n"
+                           "void P0(atomic_int* x) {\n"
+                           "  int r0 = atomic_load_explicit(x, acq);\n}\n"
+                           "exists (P0:r0=0)\n");
+  ASSERT_TRUE(Tabs.hasValue()) << Tabs.error();
+  EXPECT_EQ(Tabs->Threads[0].Body[0].Order, MemOrder::Acquire);
 }
 
 TEST(ParserTest, NonAtomicAccesses) {
@@ -426,6 +442,235 @@ TEST(ParserTest, NestingLimitMatchesTheWireDecoder) {
   EXPECT_TRUE(refusedAsTooDeep(Negations(MaxTreeDepth + 1), 6));
 }
 
+//===----------------------------------------------------------------------===//
+// Seeded mutation battery: every text frontend answers hostile input with
+// a value or an error, and what the C and snippet frontends accept
+// survives the wire and the printer.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The kernels the snippet tests and the CI corpus drill spell out.
+const char *const Kernels[] = {
+    R"(kernel spsc_cell
+std::atomic<int> widx = 0;
+std::atomic<int> slot = 0;
+thread P0 {
+  slot.store(42, std::memory_order_relaxed);
+  widx.store(1, std::memory_order_release);
+}
+thread P1 {
+  int r0 = widx.load(std::memory_order_acquire);
+  if (r0) { int r1 = slot.load(std::memory_order_relaxed); }
+}
+exists (P1:r0=1 && P1:r1=0)
+)",
+    R"(
+std::atomic<int8_t> x = 0;
+atomic<long> y = 1;
+int z = 0;
+void P0() {
+  x.store(1, memory_order_release);
+  y.store(2, std::memory_order::seq_cst);
+  int a = x.exchange(3, rl::mo_acq_rel);
+  int b = y.fetch_add(1, mo_relaxed);
+  y.fetch_sub(1);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  x = 5;
+  int c = y;
+  z = 7;
+  int d = z;
+  int e = (a + b) ^ (c & d) - 1;
+}
+forall (P0:e=0 || x=5)
+)",
+    R"(
+std::atomic<int> cell = 0;
+std::atomic<int> ready = 0;
+thread W {
+  cell.store(1, std::memory_order_relaxed);
+  ready.store(1, std::memory_order_release);
+}
+thread R {
+  int seen = ready.load(std::memory_order_acquire);
+  if (seen) { int got = cell.load(std::memory_order_relaxed); }
+}
+exists (R:seen=1 && R:got=0)
+)",
+    R"(kernel mp_rel_acq
+std::atomic<int> flag = 0;
+std::atomic<int> data = 0;
+thread P0 {
+  data.store(1, std::memory_order_relaxed);
+  flag.store(1, std::memory_order_release);
+}
+thread P1 {
+  int r0 = flag.load(std::memory_order_acquire);
+  int r1 = data.load(std::memory_order_relaxed);
+}
+exists (P1:r0=1 && P1:r1=0)
+)",
+    R"(kernel store_buffer
+std::atomic<int> x = 0;
+std::atomic<int> y = 0;
+thread P0 {
+  x.store(1, std::memory_order_relaxed);
+  int r0 = y.load(std::memory_order_relaxed);
+}
+thread P1 {
+  y.store(1, std::memory_order_relaxed);
+  int r1 = x.load(std::memory_order_relaxed);
+}
+exists (P0:r0=0 && P1:r1=0)
+)",
+};
+
+/// True when \p T comes back unchanged from the wire, and print -> parse
+/// -> print is a fixpoint.
+::testing::AssertionResult survivesWireAndPrinter(const LitmusTest &T) {
+  WireBuffer B;
+  encodeLitmusTest(B, T);
+  WireCursor C(B.data(), B.size());
+  LitmusTest Out;
+  if (!decodeLitmusTest(C, Out) || C.remaining() != 0)
+    return ::testing::AssertionFailure() << "the decoder refuses it";
+  if (!(Out == T))
+    return ::testing::AssertionFailure() << "decodes to another test";
+  std::string Printed = printLitmusC(T);
+  ErrorOr<LitmusTest> Reparsed = parseLitmusC(Printed);
+  if (!Reparsed.hasValue())
+    return ::testing::AssertionFailure()
+           << "prints to text the parser refuses: " << Reparsed.error()
+           << "\n"
+           << Printed;
+  if (printLitmusC(*Reparsed) != Printed)
+    return ::testing::AssertionFailure() << "prints differently:\n"
+                                         << Printed;
+  return ::testing::AssertionSuccess();
+}
+
+/// \p Seed with its final condition replaced by one nested 20,000
+/// levels, on a line of its own; sets \p Line to that line.
+std::string deepFinal(const std::string &Seed, unsigned &Line) {
+  size_t Final = Seed.rfind("exists");
+  if (Final == std::string::npos)
+    Final = Seed.rfind("forall");
+  Line = 2 + unsigned(std::count(Seed.begin(), Seed.begin() + Final, '\n'));
+  return Seed.substr(0, Final) + "exists\n" + std::string(20000, '(') +
+         "x=0" + std::string(20000, ')') + "\n";
+}
+
+/// Runs \p Count mutants from \p Mutants through \p Parse; \p Check
+/// returns whether an accepted value holds up. Returns the number
+/// accepted and fails the test for each value that does not hold up.
+template <typename ParseFn, typename CheckFn>
+unsigned runMutants(Mutator &Mutants, unsigned Count, ParseFn Parse,
+                    CheckFn Check) {
+  unsigned Accepted = 0;
+  for (unsigned I = 0; I != Count; ++I) {
+    std::string M = Mutants.next();
+    auto V = Parse(M);
+    if (!V)
+      continue;
+    ++Accepted;
+    ::testing::AssertionResult R = Check(*V);
+    EXPECT_TRUE(R) << "mutant:\n" << M;
+  }
+  return Accepted;
+}
+
+} // namespace
+
+TEST(FrontendBattery, MutantsParseOrFail) {
+  std::vector<std::string> CSeeds;
+  for (const std::string &Name : classicNames())
+    CSeeds.push_back(printLitmusC(classicTest(Name)));
+  for (const LitmusTest &T : {paperFig1(), paperFig10(), paperFig11()})
+    CSeeds.push_back(printLitmusC(T));
+  for (const LitmusTest &T : realWorldTests())
+    CSeeds.push_back(printLitmusC(T));
+  std::vector<std::string> KernelSeeds(std::begin(Kernels), std::end(Kernels));
+  std::vector<std::string> CatSeeds;
+  for (const std::string &Name : modelNames())
+    CatSeeds.push_back(modelText(Name));
+
+  // One depth bomb per seed set, refused on its own line.
+  unsigned Line = 0;
+  ErrorOr<LitmusTest> Deep = parseLitmusC(deepFinal(CSeeds[0], Line));
+  ASSERT_FALSE(Deep.hasValue());
+  EXPECT_EQ(Deep.error(), "line " + std::to_string(Line) +
+                              ": nesting deeper than 64 levels (at '(')");
+  Deep = parseKernelSnippet(deepFinal(KernelSeeds[0], Line));
+  ASSERT_FALSE(Deep.hasValue());
+  EXPECT_EQ(Deep.error(), "final condition: line " + std::to_string(Line) +
+                              ": nesting deeper than 64 levels (at '(')");
+  std::string CatBomb = CatSeeds[0] + "\nlet deep = " +
+                        std::string(20000, '(') + "po" +
+                        std::string(20000, ')') + "\n";
+  ErrorOr<CatModel> DeepCat = parseCat(CatBomb);
+  ASSERT_FALSE(DeepCat.hasValue());
+  EXPECT_EQ(DeepCat.error().rfind(
+                "cat:" +
+                    std::to_string(2 + std::count(CatSeeds[0].begin(),
+                                                  CatSeeds[0].end(), '\n')) +
+                    ": expression nests deeper than 64 levels",
+                0),
+            0u)
+      << DeepCat.error();
+
+  // Byte flips, truncations, splices and each dialect's tokens. Every
+  // mutant gives a value or an error, and each frontend reaches both.
+  const unsigned Count = 20000;
+  Mutator CMutants(
+      27, CSeeds,
+      {"(", ")", "{", "}", ";", ",", "*", "=", "+", "-", "^", "&", ":", "~",
+       "[", "]", "/\\", "\\/", "&&", "||", "::", "#", "#define rlx "
+       "memory_order_relaxed\n", "#define\tacq\tmemory_order_acquire\n",
+       "\n", " ", "\t", "//", "/*", "*/", "if (r0) {", "else", "exists",
+       "~exists", "forall", "not ", "P0:", "1:", "atomic_load_explicit(",
+       "atomic_store_explicit(", "atomic_exchange_explicit(",
+       "atomic_fetch_add_explicit(", "atomic_thread_fence(",
+       "memory_order_relaxed", "memory_order_seq_cst", "rlx", "acq", "int ",
+       "const ", "uint8_t ", "__int128 ", "atomic_int* ", "void P9(", "r0",
+       "2:1", "0x", "99999999999999999999", "std::"},
+      "(){}[];,*=+-^&:~/\\# \n\t0123456789abcPrxy_");
+  unsigned CAccepted =
+      runMutants(CMutants, Count, [](const std::string &M) {
+        return parseLitmusC(M);
+      }, survivesWireAndPrinter);
+  Mutator KernelMutants(
+      27, KernelSeeds,
+      {"(", ")", "{", "}", ";", ",", "=", "+", "-", "^", "&", ":", "::", "~",
+       ".", "<", ">", "&&", "||", "/\\", "\\/", "#", "#define one 1\n",
+       "\n", " ", "\t", "//", "/*", "*/", "if (r0) {", "else", "exists",
+       "~exists", "forall", "not ", "kernel ", "std::", "rl::", "ns::",
+       "std::atomic<int> ", "atomic<long> ", "int ", "const ", "thread P9 {",
+       "void P9() {", ".load(", ".store(", ".exchange(", ".fetch_add(",
+       ".fetch_sub(", "std::memory_order_acquire", "memory_order::seq_cst",
+       "rl::mo_relaxed", "mo_release", "std::atomic_thread_fence(", "r0",
+       "2:1", "0x", "99999999999999999999"},
+      "(){}[];,=+-^&|:~.<>/\\# \n\t0123456789abcPrxy_");
+  unsigned KernelAccepted =
+      runMutants(KernelMutants, Count, [](const std::string &M) {
+        return parseKernelSnippet(M);
+      }, survivesWireAndPrinter);
+  Mutator CatMutants(
+      27, CatSeeds,
+      {"(", ")", "[", "]", "|", "&", ";", "\\", "*", "+", "?", "~", "=",
+       "^-1", "^+", "^*", "let ", "rec ", "and ", "as ", "acyclic ",
+       "irreflexive ", "empty ", "flag ", "show ", "include ", "0", "_",
+       "po", "rf", "co", "fr", "(*", "*)", "//", "\n", " "},
+      "()[]|&;\\*+?~=^- \n\t0123456789abcdefgloprsw_.");
+  unsigned CatAccepted =
+      runMutants(CatMutants, Count, [](const std::string &M) {
+        return parseCat(M);
+      }, [](const CatModel &) { return ::testing::AssertionSuccess(); });
+  for (unsigned Accepted : {CAccepted, KernelAccepted, CatAccepted}) {
+    EXPECT_GT(Accepted, 0u);
+    EXPECT_LT(Accepted, Count);
+  }
+}
+
 namespace {
 
 class RoundTripTest : public testing::TestWithParam<std::string> {};
@@ -475,4 +720,81 @@ TEST(AstTest, ValidateDetectsBadTest) {
   LitmusTest T = classicTest("MP");
   T.Threads[0].Body.push_back(Stmt::store("nosuch", Value(1), MemOrder::NA));
   EXPECT_FALSE(T.validate().empty());
+}
+
+namespace {
+
+/// Whether \p T comes back from the wire.
+bool decodes(const LitmusTest &T) {
+  WireBuffer B;
+  encodeLitmusTest(B, T);
+  WireCursor C(B.data(), B.size());
+  LitmusTest Out;
+  return decodeLitmusTest(C, Out) && C.remaining() == 0;
+}
+
+/// r0 + 1 + ... + 1, a left-leaning tree \p Levels tall.
+Expr sumTree(unsigned Levels) {
+  Expr E = Expr::reg("r0");
+  for (unsigned I = 1; I != Levels; ++I)
+    E = Expr::binary(Expr::Kind::Add, std::move(E), Expr::imm(Value(1)));
+  return E;
+}
+
+/// One thread that loads x into r0 and runs \p Body after it.
+LitmusTest builtTest(std::vector<Stmt> Body,
+                     Predicate P = Predicate::locEq("x", Value(0))) {
+  LitmusTest T;
+  T.Name = "built";
+  T.Locations.push_back(LocDecl{"x", IntType{32, true}, true, false, Value()});
+  Body.insert(Body.begin(), Stmt::load("r0", "x", MemOrder::Relaxed));
+  T.Threads.push_back(Thread{"P0", std::move(Body)});
+  T.Final.P = std::move(P);
+  return T;
+}
+
+/// \p Levels nested ifs around a store of r0.
+std::vector<Stmt> builtIfs(unsigned Levels) {
+  std::vector<Stmt> Body = {Stmt::store("x", Expr::reg("r0"), MemOrder::NA)};
+  for (unsigned I = 0; I != Levels; ++I) {
+    std::vector<Stmt> Outer;
+    Outer.push_back(Stmt::ifNonZero(Expr::reg("r0"), std::move(Body)));
+    Body = std::move(Outer);
+  }
+  return Body;
+}
+
+Predicate builtNots(unsigned N) {
+  Predicate P = Predicate::locEq("x", Value(0));
+  for (unsigned I = 0; I != N; ++I)
+    P = Predicate::negate(std::move(P));
+  return P;
+}
+
+} // namespace
+
+TEST(AstTest, ValidateCountsDepthAsTheDecoderDoes) {
+  // Each tree at the limit passes both; one level deeper, both refuse it.
+  const LitmusTest AtLimit[] = {
+      builtTest({Stmt::localAssign("r1", sumTree(MaxTreeDepth))}),
+      builtTest(builtIfs(MaxTreeDepth - 1)),
+      builtTest({}, builtNots(MaxTreeDepth)),
+  };
+  const LitmusTest TooDeep[] = {
+      builtTest({Stmt::localAssign("r1", sumTree(MaxTreeDepth + 1))}),
+      builtTest(builtIfs(MaxTreeDepth)),
+      builtTest({}, builtNots(MaxTreeDepth + 1)),
+  };
+  for (const LitmusTest &T : AtLimit) {
+    EXPECT_EQ(T.validate(), "");
+    EXPECT_TRUE(decodes(T));
+  }
+  for (const LitmusTest &T : TooDeep) {
+    EXPECT_NE(T.validate().find("nests deeper than 64 levels"),
+              std::string::npos)
+        << T.validate();
+    EXPECT_FALSE(decodes(T));
+  }
+  // A tree far past the limit is refused without walking all of it.
+  EXPECT_NE(builtTest(builtIfs(1000)).validate(), "");
 }

@@ -383,6 +383,30 @@ TEST(KernelSnippetTest, RejectsMalformedKernelsWithLineNumbers) {
       {"std::atomic<int> x = 7qq;\nexists (x=0)", "line 1: malformed number"},
       {"std::atomic<int> x = 0;\nthread P0 { x.store(1zz); }\nexists (x=1)",
        "line 2: malformed number"},
+      // A name the kernel declares is one unqualified identifier, or its
+      // printed test would not read back; a qualified name in the final
+      // condition is refused as in a C test.
+      {"std::atomic<int> ns::flag = 0;\nthread P0 { ns::flag.store(1); }\n"
+       "exists (x=1)",
+       "line 1: a location name cannot be qualified (at 'ns::flag')"},
+      {"std::atomic<int> x = 0;\nint std::y = 0;\nexists (x=1)",
+       "line 2: a location name cannot be qualified"},
+      {"std::atomic<int> slot = 0;\nthread P0 {\n"
+       "  int rstd::memory_order_acquire1 = "
+       "slot.load(std::memory_order_acquire);\n}\nexists (slot=1)",
+       "line 3: a register name cannot be qualified"},
+      {"std::atomic<int> x = 0;\nthread P0 {\n  ns::r = 1;\n}\n"
+       "exists (x=1)",
+       "line 3: a register name cannot be qualified"},
+      {"std::atomic<int> x = 0;\nthread ns::P0 { x.store(1); }\n"
+       "exists (x=1)",
+       "line 2: a thread name cannot be qualified"},
+      {"std::atomic<int> x = 0;\nvoid P0::run() { x.store(1); }\n"
+       "exists (x=1)",
+       "line 2: a thread name cannot be qualified"},
+      {"std::atomic<int> x = 0;\nthread P0 { x.store(1); }\n"
+       "exists (P0::r0=1)",
+       "final condition: line 3: expected register after ':'"},
   };
   for (const BadCase &C : Cases) {
     ErrorOr<LitmusTest> T = parseKernelSnippet(C.Src);
